@@ -3,8 +3,11 @@
 
 Everything lives on an integer triangular basis: vertex (p, q) sits at
 p*(1,0) + q*(1/2, sqrt(3)/2) in the plane, and the mirrored half of the
-lattice is (p, q) -> (-p-q, q).
+lattice is (p, q) -> (-p-q, q).  A region keeps its vertices as rows of the
+(n, 2) array ``coords``; edges, degrees and the boundary refer to rows.
 """
+
+import numpy as np
 
 from gasketlab import lattice
 from gasketlab.lattice import TriangleSpec, build_ball, build_triangle, subdivide
@@ -15,7 +18,7 @@ for level in range(7):
     print(f"level {level}: {len(region):5d} vertices "
           f"({(3 ** (level + 1) + 3) // 2} expected), "
           f"{len(region.edges):5d} edges, "
-          f"boundary {sorted(region.interior_boundary)}"
+          f"boundary {region.coords[region.interior_boundary].tolist()}"
           if level <= 2 else
           f"level {level}: {len(region):5d} vertices, "
           f"{len(region.edges):5d} edges")
@@ -25,14 +28,14 @@ full = build_triangle(2)
 trunc = build_triangle(TriangleSpec(2, truncated=True))
 print(f"side-4 triangle: {len(full)} vertices -> truncated: {len(trunc)}")
 print(f"new interior boundary ({len(trunc.interior_boundary)} points):",
-      sorted(trunc.interior_boundary))
+      trunc.coords[trunc.interior_boundary].tolist())
 
 print("\n== two-sided balls glue mirror triangles at the origin ==")
 for level in range(4):
     ball = build_ball(level)
     print(f"radius 2^{level}: {len(ball)} vertices "
           f"(= 2*{lattice.triangle_count(level)} - 1), "
-          f"origin degree {ball.region_degree[(0, 0)]}")
+          f"origin degree {ball.region_degree[ball.locate((0, 0))]}")
 
 print("\n== partitions of a side-16 triangle into side-4 pieces ==")
 region = build_triangle(4)
@@ -44,12 +47,12 @@ print(f"disjoint truncation: {len(disjoint.pieces)} pieces "
 
 print("\n== translations are exact graph isomorphisms ==")
 a, b = cover.pieces[0], cover.pieces[4]
-mapping = lattice.translation_map(a, b)
-source = build_triangle(a)
-target_edges = {tuple(sorted(e)) for e in build_triangle(b).edges}
-mapped = {tuple(sorted((mapping[x], mapping[y]))) for x, y in source.edges}
+source, target = build_triangle(a), build_triangle(b)
+rows = target.locate(lattice.translation_map(a, b))   # target row per source row
+mapped = np.sort(rows[source.edges], axis=1)
+mapped = mapped[np.lexsort((mapped[:, 1], mapped[:, 0]))]
 print(f"piece at {a.anchor} -> piece at {b.anchor}: "
-      f"edge sets match: {mapped == target_edges}")
+      f"edge sets match: {np.array_equal(mapped, target.edges)}")
 
 region.export_edge_list("triangle_level4.edges")
 print("\nwrote triangle_level4.edges "

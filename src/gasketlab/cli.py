@@ -87,7 +87,11 @@ def _region_from_args(args):
 
 
 def _parse_window(text):
-    lo, hi = (float(x) for x in text.split(","))
+    try:
+        lo, hi = (float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(
+            f"bad --window {text!r}: expected lo,hi") from exc
     return lo, hi
 
 
@@ -143,6 +147,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_ids(args) -> int:
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
+    if args.grid_n < 1:
+        raise ValidationError(f"--grid-n must be at least 1, got {args.grid_n}")
+    window = _parse_window(args.window) if args.fit != "none" else None
     grid = _parse_grid(args, potential)
     if args.trials is None:
         args.trials = 8 if args.level >= 8 else 32
@@ -155,7 +162,7 @@ def cmd_ids(args) -> int:
     print(f"IDS curve ({args.trials} trials, |region|={curve.region_size}) "
           f"-> {args.out}.curve.csv")
     if args.fit != "none":
-        report = _fit_curve(curve, args.fit, _parse_window(args.window))
+        report = _fit_curve(curve, args.fit, window)
         _write_json(report, args.out + ".fit.json")
         print(f"{args.fit} fit: slope={report['slope']:.5f} "
               f"(target {report['target']:.5f}) -> {args.out}.fit.json")
@@ -188,8 +195,13 @@ def _fit_curve(curve, kind, window) -> dict:
 
 
 def cmd_fit(args) -> int:
-    curve = ids.read_curve_csv(args.curve)
-    report = _fit_curve(curve, args.kind, _parse_window(args.window))
+    window = _parse_window(args.window)
+    try:
+        curve = ids.read_curve_csv(args.curve)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(
+            f"cannot read --curve {args.curve!r}: {exc}") from exc
+    report = _fit_curve(curve, args.kind, window)
     _write_json(report, args.out)
     _write_config(args, args.out + ".config")
     print(f"{args.kind} fit on {report['n_points']} points: "
@@ -198,22 +210,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("counting",):
-        kwargs = {"levels": tuple(args.levels), "seeds": args.seeds,
-                  "grid_points": args.grid_n}
-    elif args.suite in ("interlacing", "psd"):
-        kwargs = {"dim": args.dim, "trials": args.trials}
-    elif args.suite == "branch":
-        kwargs = {"n": args.n, "samples": args.samples}
-    elif args.suite == "temple":
-        kwargs = {"levels": tuple(args.levels), "seeds": args.seeds}
-    elif args.suite == "containment":
-        kwargs = {"level": args.levels[0], "depth": args.depth}
-    elif args.suite == "kernel6":
-        kwargs = {"levels": tuple(args.levels)}
-    elif args.suite == "decay":
-        kwargs = {"max_level": args.max_level}
+    kwargs = ({} if args.suite == "all"
+              else verification.SUITE_TABLE[args.suite].options(args))
     records = verification.run_suite(args.suite, seed=args.seed, **kwargs)
     passed = all(r.passed for r in records)
     report = {"suite": args.suite, "passed": passed,
@@ -395,12 +393,16 @@ def main(argv=None) -> int:
             argv = [argv[0]] + _config_tokens(config_path) + argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "threads"):
+    try:
         if "GASKET_THREADS" in os.environ:
-            args.threads = int(os.environ["GASKET_THREADS"])
+            text = os.environ["GASKET_THREADS"]
+            try:
+                args.threads = int(text)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"GASKET_THREADS must be an integer, got {text!r}") from exc
         elif args.threads is None:
             args.threads = os.cpu_count() or 1
-    try:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,12 @@
 """Finite Sierpinski gasket subgraphs on an exact integer triangular basis.
 
 Vertices are integer pairs (p, q); the Euclidean position is
-p*(1, 0) + q*(1/2, sqrt(3)/2).  All construction is integer arithmetic, so
-vertex equality and hashing are exact.  The side-length-2^level triangle at
-the origin is grown by the corner-gluing recursion: a level-(n+1) triangle
-is a level-n triangle plus copies shifted by 2^n*(1, 0) and 2^n*(0, 1).
-The mirrored half of the lattice is the reflection across the y-axis,
-which in this basis is (p, q) -> (-p-q, q).
+p*(1, 0) + q*(1/2, sqrt(3)/2).  All construction is integer arithmetic on
+(k, 2) arrays, so vertex equality is exact.  The side-length-2^level
+triangle at the origin is grown by the corner-gluing recursion: a
+level-(n+1) triangle is a level-n triangle plus copies shifted by
+2^n*(1, 0) and 2^n*(0, 1).  The mirrored half of the lattice is the
+reflection across the y-axis, which in this basis is (p, q) -> (-p-q, q).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, ValidationError
 
@@ -29,26 +28,38 @@ MAX_LEVEL = 12
 COVER = "cover"
 DISJOINT = "disjoint"
 
-
-def mirror(v: Coord) -> Coord:
-    """Reflect a basis coordinate across the y-axis."""
-    p, q = v
-    return (-p - q, q)
+#: Corners of the unit up-triangle anchored at the origin.
+_UNIT_CELL = np.array([[0, 0], [1, 0], [0, 1]])
 
 
-def euclidean(v: Coord) -> tuple[float, float]:
-    """Euclidean position of a basis coordinate."""
-    p, q = v
-    return (p + 0.5 * q, q * np.sqrt(3.0) / 2.0)
+def mirror(points) -> np.ndarray:
+    """Reflect basis coordinates (..., 2) across the y-axis."""
+    p, q = np.moveaxis(np.asarray(points), -1, 0)
+    return np.stack([-p - q, q], axis=-1)
 
 
-def _vkey(v: Coord):
-    # canonical vertex order: lexicographic on (q, p)
-    return (v[1], v[0])
+def euclidean(points) -> np.ndarray:
+    """Euclidean positions of basis coordinates (..., 2)."""
+    p, q = np.moveaxis(np.asarray(points), -1, 0)
+    return np.stack([p + 0.5 * q, q * np.sqrt(3.0) / 2.0], axis=-1)
 
 
-def _canonical_edge(a: Coord, b: Coord):
-    return (a, b) if _vkey(a) <= _vkey(b) else (b, a)
+def _key(points) -> np.ndarray:
+    # one int64 per point, ordered like (q, p) lexicographically while
+    # |p|, |q| < 2^31
+    points = np.asarray(points, dtype=np.int64)
+    return points[..., 1] * 2**32 + points[..., 0]
+
+
+def _anchors(count: int, step: int) -> np.ndarray:
+    """Origin corners of the 3^count side-``step`` sub-triangles of the
+    side-(step*2^count) triangle at the origin, in recursion order: base-3
+    digit k of the row number shifts by step*2^k along p (digit 1) or q
+    (digit 2)."""
+    digits = np.arange(3**count) // 3 ** np.arange(count)[:, None] % 3
+    shifts = step * 2 ** np.arange(count)[:, None]
+    return np.stack([(shifts * (digits == 1)).sum(axis=0),
+                     (shifts * (digits == 2)).sum(axis=0)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -74,110 +85,104 @@ class TriangleSpec:
     def side(self) -> int:
         return 2**self.level
 
-    def place(self, v: Coord) -> Coord:
-        """Map a coordinate of the standard origin triangle into this one."""
+    def place(self, points) -> np.ndarray:
+        """Map coordinates (..., 2) of the standard origin triangle into
+        this one."""
+        points = np.asarray(points, dtype=np.int64)
         if self.mirrored:
-            v = mirror(v)
-        return (v[0] + self.anchor[0], v[1] + self.anchor[1])
+            points = mirror(points)
+        return points + self.anchor
 
-    def unplace(self, v: Coord) -> Coord:
+    def unplace(self, points) -> np.ndarray:
         """Inverse of :meth:`place`."""
-        v = (v[0] - self.anchor[0], v[1] - self.anchor[1])
-        return mirror(v) if self.mirrored else v
+        points = np.asarray(points, dtype=np.int64) - self.anchor
+        return mirror(points) if self.mirrored else points
 
-    def extreme_vertices(self) -> tuple[Coord, Coord, Coord]:
-        """The 3 corners of the (untruncated) triangle."""
-        s = self.side
-        return (self.place((0, 0)), self.place((s, 0)), self.place((0, s)))
+    def extreme_vertices(self) -> np.ndarray:
+        """The 3 corners (3, 2) of the (untruncated) triangle."""
+        return self.place(self.side * _UNIT_CELL)
 
 
-@dataclass
+@dataclass(eq=False)
 class Partition:
     """Pieces of a subdivided triangle.
 
     ``cover`` pieces overlap pairwise in at most one corner; ``disjoint``
-    pieces are the truncated triangles plus the residual set of all the
-    removed corners.
+    pieces are the truncated triangles plus the residual (k, 2) array of all
+    the removed corners, in canonical order.
     """
 
     kind: str
     pieces: list[TriangleSpec]
-    residual: frozenset[Coord] = field(default_factory=frozenset)
+    residual: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
 
 class LatticeRegion:
     """A finite gasket subgraph with its boundary and degree data.
 
-    Immutable after construction: vertices are sorted canonically
-    (lexicographic on (q, p)), edges stored once with ordered endpoints.
-    ``full_degree`` is the degree in the ambient infinite lattice: 4
-    everywhere, except 2 at the origin when ``half_lattice`` is set (the
-    one-sided lattice has a degree-2 corner there).
+    Every field is an integer array, and a vertex is named by its row:
+
+    * ``coords`` (n, 2): the vertices in canonical order, lexicographic on
+      (q, p);
+    * ``edges`` (m, 2): each edge once as a row pair i < j, sorted by (i, j);
+    * ``region_degree`` and ``full_degree`` (n,): degree in the region and
+      in the ambient infinite lattice.  The latter is 4 everywhere, except 2
+      at the origin when ``half_lattice`` is set (the one-sided lattice has
+      a degree-2 corner there);
+    * ``interior_boundary``: sorted rows whose region degree is below their
+      ambient degree.
+
+    ``coords`` must be given in canonical order.  Immutable after
+    construction.
     """
 
-    def __init__(self, vertices, edges, spec=None, kind="triangle",
+    def __init__(self, coords, edges, spec=None, kind="triangle",
                  half_lattice=False, level=None):
-        self.vertices: list[Coord] = sorted(vertices, key=_vkey)
-        self.index: dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.edges: list[tuple[Coord, Coord]] = sorted(
-            (_canonical_edge(a, b) for a, b in edges),
-            key=lambda e: (_vkey(e[0]), _vkey(e[1])),
-        )
+        self.coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self._keys = _key(self.coords)
+        if np.any(np.diff(self._keys) <= 0):
+            raise ValidationError(
+                "region coordinates must be distinct and in canonical order")
         self.spec = spec
         self.kind = kind
         self.half_lattice = half_lattice
         self.level = spec.level if spec is not None else level
 
-        self.region_degree: dict[Coord, int] = {v: 0 for v in self.vertices}
-        for a, b in self.edges:
-            self.region_degree[a] += 1
-            self.region_degree[b] += 1
-        self.full_degree: dict[Coord, int] = {
-            v: (2 if half_lattice and v == (0, 0) else 4) for v in self.vertices
-        }
-        self.interior_boundary: frozenset[Coord] = frozenset(
-            v for v in self.vertices
-            if self.full_degree[v] > self.region_degree[v]
-        )
-        self._adjacency = None
+        n = len(self.coords)
+        self.region_degree = np.bincount(self.edges.ravel(), minlength=n)
+        self.full_degree = np.full(n, 4)
+        if half_lattice:
+            self.full_degree[self._keys == _key((0, 0))] = 2
+        self.interior_boundary = np.flatnonzero(
+            self.full_degree > self.region_degree)
+        for array in (self.coords, self.edges, self._keys, self.region_degree,
+                      self.full_degree, self.interior_boundary):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.coords)
 
-    def __contains__(self, v) -> bool:
-        return v in self.index
-
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric 0/1 adjacency matrix in canonical vertex order."""
-        if self._adjacency is None:
-            n = len(self.vertices)
-            rows, cols = [], []
-            for a, b in self.edges:
-                i, j = self.index[a], self.index[b]
-                rows += [i, j]
-                cols += [j, i]
-            data = np.ones(len(rows))
-            self._adjacency = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(n, n)
-            )
-        return self._adjacency
-
-    def degree_arrays(self):
-        """(region_degree, full_degree) as vectors in canonical order."""
-        reg = np.array([self.region_degree[v] for v in self.vertices], dtype=float)
-        full = np.array([self.full_degree[v] for v in self.vertices], dtype=float)
-        return reg, full
+    def locate(self, points) -> np.ndarray:
+        """Rows of the given coordinates (..., 2); a point outside the
+        region is a :class:`ValidationError`."""
+        keys = _key(points)
+        rows = np.searchsorted(self._keys, keys)
+        found = self._keys[np.minimum(rows, len(self) - 1)] == keys
+        if not np.all(found):
+            missing = np.reshape(points, (-1, 2))[~found.ravel()][0]
+            raise ValidationError(
+                f"point {tuple(missing.tolist())} is not in the region")
+        return rows
 
     def stats(self) -> dict:
         """Counts consistent with the construction invariants."""
-        hist: dict[int, int] = {}
-        for v in self.vertices:
-            d = self.region_degree[v]
-            hist[d] = hist.get(d, 0) + 1
+        degrees, counts = np.unique(self.region_degree, return_counts=True)
         return {
-            "vertex_count": len(self.vertices),
+            "vertex_count": len(self),
             "edge_count": len(self.edges),
-            "degree_histogram": dict(sorted(hist.items())),
+            "degree_histogram": dict(zip(degrees.tolist(), counts.tolist())),
             "interior_boundary_size": len(self.interior_boundary),
         }
 
@@ -188,10 +193,9 @@ class LatticeRegion:
         mirrored = spec.mirrored if spec is not None else False
         lines = [f"# gasket level={self.level} truncated={truncated} mirrored={mirrored}"
                  + ("" if self.kind == "triangle" else f" kind={self.kind}")]
-        for p, q in self.vertices:
-            lines.append(f"{p} {q}")
-        for (p1, q1), (p2, q2) in self.edges:
-            lines.append(f"{p1} {q1} {p2} {q2}")
+        lines += [f"{p} {q}" for p, q in self.coords.tolist()]
+        lines += [f"{p1} {q1} {p2} {q2}"
+                  for (p1, q1), (p2, q2) in self.coords[self.edges].tolist()]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -214,37 +218,28 @@ def _check_capacity(level: int, max_level: int):
         )
 
 
-def _unit_anchors(level: int) -> list[Coord]:
-    # anchors of the 3^level unit up-triangles of the standard triangle
-    anchors = [(0, 0)]
-    for k in range(level):
-        s = 2**k
-        anchors = (anchors
-                   + [(p + s, q) for p, q in anchors]
-                   + [(p, q + s) for p, q in anchors])
-    return anchors
+def _build(specs, **region_args) -> LatticeRegion:
+    """The union of the placed triangles ``specs``, without the corners of
+    the truncated ones.
 
-
-def _cells(spec: TriangleSpec) -> list[Coord]:
-    # unit up-triangle anchors of a placed (possibly mirrored) triangle;
-    # the mirror image of the up-triangle at (p, q) is the one at (-p-q-1, q)
-    out = []
-    for p, q in _unit_anchors(spec.level):
-        if spec.mirrored:
-            p, q = -p - q - 1, q
-        out.append((p + spec.anchor[0], q + spec.anchor[1]))
-    return out
-
-
-def _cell_graph(cell_anchors):
-    vertices = set()
-    edges = set()
-    for p, q in cell_anchors:
-        a, b, c = (p, q), (p + 1, q), (p, q + 1)
-        vertices.update((a, b, c))
-        edges.update((_canonical_edge(a, b), _canonical_edge(a, c),
-                      _canonical_edge(b, c)))
-    return vertices, edges
+    Every gasket edge lies in exactly one unit up-triangle, so numbering the
+    distinct cell corners gives each edge exactly once.
+    """
+    corners = np.concatenate([
+        s.place(_anchors(s.level, 1)[:, None, :] + _UNIT_CELL) for s in specs])
+    keys, first, cell = np.unique(_key(corners).ravel(), return_index=True,
+                                  return_inverse=True)
+    coords = corners.reshape(-1, 2)[first]
+    cell = cell.reshape(-1, 3)
+    edges = np.sort(np.stack([cell[:, [0, 0, 1]].ravel(),
+                              cell[:, [1, 2, 2]].ravel()], axis=1), axis=1)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    dropped = [s.extreme_vertices() for s in specs if s.truncated]
+    if dropped:
+        keep = ~np.isin(keys, _key(np.concatenate(dropped)))
+        edges = (np.cumsum(keep) - 1)[edges[keep[edges].all(axis=1)]]
+        coords = coords[keep]
+    return LatticeRegion(coords, edges, **region_args)
 
 
 def build_triangle(spec, *, half_lattice=False, max_level=MAX_LEVEL) -> LatticeRegion:
@@ -257,23 +252,15 @@ def build_triangle(spec, *, half_lattice=False, max_level=MAX_LEVEL) -> LatticeR
     if isinstance(spec, int):
         spec = TriangleSpec(level=spec)
     _check_capacity(spec.level, max_level)
-    vertices, edges = _cell_graph(_cells(spec))
-    if spec.truncated:
-        drop = set(spec.extreme_vertices())
-        vertices -= drop
-        edges = {e for e in edges if e[0] not in drop and e[1] not in drop}
-    return LatticeRegion(vertices, edges, spec=spec, kind="triangle",
-                         half_lattice=half_lattice)
+    return _build([spec], spec=spec, kind="triangle", half_lattice=half_lattice)
 
 
 def build_ball(level: int, *, max_level=MAX_LEVEL) -> LatticeRegion:
     """The radius-2^level ball at the origin: two mirror-image triangles
     glued at (0, 0)."""
     _check_capacity(level, max_level)
-    cells = (_cells(TriangleSpec(level=level))
-             + _cells(TriangleSpec(level=level, mirrored=True)))
-    vertices, edges = _cell_graph(cells)
-    return LatticeRegion(vertices, edges, spec=None, kind="ball", level=level)
+    return _build([TriangleSpec(level), TriangleSpec(level, mirrored=True)],
+                  spec=None, kind="ball", level=level)
 
 
 def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
@@ -290,33 +277,24 @@ def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
     if not 0 <= level <= spec.level:
         raise ValidationError(
             f"piece level must be in [0, {spec.level}], got {level}")
-
-    anchors = [(0, 0)]
-    for k in range(level, spec.level):
-        s = 2**k
-        anchors = (anchors
-                   + [(p + s, q) for p, q in anchors]
-                   + [(p, q + s) for p, q in anchors])
-    placed = [spec.place(a) for a in anchors]
-    if kind == COVER:
-        pieces = [TriangleSpec(level, anchor=a, mirrored=spec.mirrored)
-                  for a in placed]
-        return Partition(COVER, pieces)
-    if level == 0:
+    if kind == DISJOINT and level == 0:
         raise ValidationError("disjoint pieces must have level >= 1")
-    pieces = [TriangleSpec(level, anchor=a, truncated=True,
+
+    placed = spec.place(_anchors(spec.level - level, 2**level)).tolist()
+    pieces = [TriangleSpec(level, anchor=tuple(a), truncated=kind == DISJOINT,
                            mirrored=spec.mirrored) for a in placed]
-    residual = frozenset(
-        v
-        for a in placed
-        for v in TriangleSpec(level, anchor=a, mirrored=spec.mirrored).extreme_vertices()
-    )
-    return Partition(DISJOINT, pieces, residual)
+    if kind == COVER:
+        return Partition(COVER, pieces)
+    corners = np.concatenate([p.extreme_vertices() for p in pieces])
+    _, first = np.unique(_key(corners), return_index=True)
+    return Partition(DISJOINT, pieces, corners[first])
 
 
 def translation_map(a: TriangleSpec, b: TriangleSpec,
-                    *, max_level=MAX_LEVEL) -> dict[Coord, Coord]:
-    """Adjacency-preserving vertex bijection from triangle ``a`` onto ``b``."""
+                    *, max_level=MAX_LEVEL) -> np.ndarray:
+    """Adjacency-preserving vertex bijection from triangle ``a`` onto ``b``:
+    the (n, 2) images in ``b`` of the vertices of ``a``, in the canonical
+    order of ``a``."""
     if a.level != b.level:
         raise ValidationError(
             f"levels differ: {a.level} vs {b.level}")
@@ -324,9 +302,4 @@ def translation_map(a: TriangleSpec, b: TriangleSpec,
         raise ValidationError("truncation flags differ")
     _check_capacity(a.level, max_level)
     source = build_triangle(a, max_level=max_level)
-    return {v: b.place(a.unplace(v)) for v in source.vertices}
-
-
-def region_stats(region: LatticeRegion) -> dict:
-    """Vertex/edge counts, degree histogram and boundary size."""
-    return region.stats()
+    return b.place(a.unplace(source.coords))

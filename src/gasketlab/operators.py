@@ -162,9 +162,6 @@ class HamiltonianMatrix:
         lap = sparse.diags(d) @ self.matrix  # recover the combinatorial part
         return (scale @ lap @ scale).tocsr()
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
     def export_coordinate_text(self, path) -> None:
         """Write `i j value` rows, upper triangle only, canonical order."""
         coo = sparse.triu(self.matrix).tocoo()
@@ -174,21 +171,25 @@ class HamiltonianMatrix:
                 fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
 
 
-def _diagonal_rule(region: LatticeRegion, bc: str) -> np.ndarray:
-    reg, full = region.degree_arrays()
-    if bc == SIMPLE:
-        return full
-    if bc == NEUMANN:
-        return reg
-    if bc == DIRICHLET:
-        return 2.0 * full - reg
-    raise ValidationError(f"unknown boundary condition {bc!r}")
+def _operator(region: LatticeRegion, bc: str, potential) -> sparse.csr_matrix:
+    """CSR of -Laplacian(bc) + diag(potential), exact zeros dropped."""
+    reg, full = region.region_degree, region.full_degree
+    diag = {SIMPLE: full, NEUMANN: reg, DIRICHLET: 2.0 * full - reg}.get(bc)
+    if diag is None:
+        raise ValidationError(f"unknown boundary condition {bc!r}")
+    n = len(region)
+    i, j = region.edges.T
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    data = np.concatenate([diag + potential, np.full(2 * len(i), -1.0)])
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
 
 
 def laplacian(region: LatticeRegion, bc: str) -> sparse.csr_matrix:
     """-Laplacian of the region under the given boundary condition."""
-    diag = _diagonal_rule(region, bc)
-    return (sparse.diags(diag) - region.adjacency()).tocsr()
+    return _operator(region, bc, 0.0)
 
 
 def assemble(region: LatticeRegion, bc: str,
@@ -198,8 +199,8 @@ def assemble(region: LatticeRegion, bc: str,
     if potential.shape != (len(region),):
         raise ValidationError(
             f"potential length {potential.shape} != region size {len(region)}")
-    mat = (laplacian(region, bc) + sparse.diags(potential)).tocsr()
-    return HamiltonianMatrix(mat, region, bc, potential)
+    return HamiltonianMatrix(_operator(region, bc, potential), region, bc,
+                             potential)
 
 
 def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
@@ -208,11 +209,11 @@ def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
     Row sums vanish, so the constant vector is in the kernel; the matrix is
     not symmetric but is similar to one, and its eigenvalues are real.
     """
-    reg, _ = region.degree_arrays()
+    reg = region.region_degree.astype(float)
     if np.any(reg == 0):
         raise ValidationError("region has an isolated vertex")
-    lap = laplacian(region, NEUMANN)
-    mat = (sparse.diags(1.0 / reg) @ lap).tocsr()
+    mat = _operator(region, NEUMANN, 0.0)
+    mat.data *= np.repeat(1.0 / reg, np.diff(mat.indptr))
     return HamiltonianMatrix(mat, region, NEUMANN, np.zeros(len(region)),
                              symmetric=False, degree_weights=reg)
 
@@ -229,9 +230,7 @@ def edge_energy(region: LatticeRegion, f: np.ndarray,
                 potential: np.ndarray | None = None) -> float:
     """Independent evaluation of the Neumann form as a sum over edges:
     (1/2) sum_{x~y} (f(x)-f(y))^2 plus the on-site potential term."""
-    total = 0.0
-    for a, b in region.edges:
-        total += (f[region.index[a]] - f[region.index[b]]) ** 2
+    total = float(np.sum(np.diff(np.asarray(f)[region.edges], axis=1) ** 2))
     if potential is not None:
         total += float(np.sum(potential * np.asarray(f) ** 2))
     return total

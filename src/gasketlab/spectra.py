@@ -240,8 +240,7 @@ _BC_NAMES = (SIMPLE, NEUMANN, DIRICHLET)
 
 
 def _restrict(parent_region, parent_values, region):
-    idx = [parent_region.index[v] for v in region.vertices]
-    return parent_values[idx]
+    return parent_values[parent_region.locate(region.coords)]
 
 
 def verify_counting_bounds(level, potential_spec, trials, grid) -> list[CheckRecord]:
@@ -299,10 +298,6 @@ def _goe(rng, dim, radius=10.0):
     return h * (radius / np.sqrt(2.0 * dim))
 
 
-def _count(evals, energies):
-    return counts_from_eigenvalues(evals, energies)
-
-
 def verify_interlacing_bounds(dim, trials, seed=0, n_energies=100) -> list[CheckRecord]:
     """Projection and perturbation counting bounds on random matrices.
 
@@ -320,11 +315,12 @@ def verify_interlacing_bounds(dim, trials, seed=0, n_energies=100) -> list[Check
         h = _goe(rng, dim)
         evals = np.linalg.eigvalsh(h)
         energies = rng.uniform(-12.0, 12.0, n_energies)
-        counts = _count(evals, energies)
+        counts = counts_from_eigenvalues(evals, energies)
 
         codim = int(rng.integers(1, 6))
         keep = np.sort(rng.choice(dim, size=dim - codim, replace=False))
-        sub_counts = _count(np.linalg.eigvalsh(h[np.ix_(keep, keep)]), energies)
+        sub_counts = counts_from_eigenvalues(
+            np.linalg.eigvalsh(h[np.ix_(keep, keep)]), energies)
         dev = int(np.max(np.maximum(sub_counts - counts,
                                     counts - sub_counts - codim)))
         records.append(CheckRecord(
@@ -335,8 +331,8 @@ def verify_interlacing_bounds(dim, trials, seed=0, n_energies=100) -> list[Check
         bumped = h.copy()
         sites = rng.choice(dim, size=m, replace=False)
         bumped[sites, sites] += rng.uniform(-5.0, 5.0, m)
-        dev = int(np.max(np.abs(counts - _count(np.linalg.eigvalsh(bumped),
-                                                energies))))
+        dev = int(np.max(np.abs(counts - counts_from_eigenvalues(
+            np.linalg.eigvalsh(bumped), energies))))
         records.append(CheckRecord(
             "rank-perturbation", f"dim={dim} m={m} trial={trial}", dev, m))
 
@@ -347,14 +343,17 @@ def verify_interlacing_bounds(dim, trials, seed=0, n_energies=100) -> list[Check
         for idx in blocks:
             block = _goe(rng, len(idx))
             block_diag[np.ix_(idx, idx)] = block
-            block_counts += _count(np.linalg.eigvalsh(block), energies)
+            block_counts += counts_from_eigenvalues(np.linalg.eigvalsh(block),
+                                                    energies)
         w = rng.standard_normal((dim, 3))
         coupling = w @ w.T / dim
-        upper = _count(np.linalg.eigvalsh(block_diag + coupling), energies)
+        upper = counts_from_eigenvalues(
+            np.linalg.eigvalsh(block_diag + coupling), energies)
         dev = int(np.max(upper - block_counts))
         records.append(CheckRecord(
             "subspace-upper", f"dim={dim} trial={trial}", dev, 0))
-        lower = _count(np.linalg.eigvalsh(block_diag - coupling), energies)
+        lower = counts_from_eigenvalues(
+            np.linalg.eigvalsh(block_diag - coupling), energies)
         dev = int(np.max(block_counts - lower))
         records.append(CheckRecord(
             "subspace-lower", f"dim={dim} trial={trial}", dev, 0))
@@ -389,34 +388,30 @@ def verify_psd_product_bounds(dim, trials, seed=0) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # compactly supported eigenfunctions at energy 6
 
-def _excluded_support(region) -> set:
-    bad = set(region.interior_boundary)
-    for a, b in region.edges:
-        if a in region.interior_boundary:
-            bad.add(b)
-        if b in region.interior_boundary:
-            bad.add(a)
+def _excluded_support(region) -> np.ndarray:
+    """Mask of the interior boundary and its neighbors."""
+    bad = np.zeros(len(region), dtype=bool)
+    bad[region.interior_boundary] = True
+    bad[region.edges[bad[region.edges].any(axis=1)]] = True
     return bad
 
 
 def _kernel_at_six(region, tol):
     full = operators.laplacian(region, SIMPLE).toarray()
     shifted = full - 6.0 * np.eye(len(region))
-    bad = _excluded_support(region)
-    allowed = [i for i, v in enumerate(region.vertices) if v not in bad]
-    if not allowed:
+    allowed = np.flatnonzero(~_excluded_support(region))
+    if allowed.size == 0:
         return []
     sub = shifted[:, allowed]
     _, s, vt = np.linalg.svd(sub, full_matrices=True)
     cutoff = max(sub.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
     vectors = []
-    for j in range(len(allowed)):
-        if j >= len(s) or s[j] <= cutoff:
-            x = np.zeros(len(region))
-            x[allowed] = vt[j]
-            x /= np.linalg.norm(x)
-            if np.linalg.norm(shifted @ x) <= tol:
-                vectors.append(x)
+    for row in vt[s <= cutoff]:  # sub is tall, so s covers every column
+        x = np.zeros(len(region))
+        x[allowed] = row
+        x /= np.linalg.norm(x)
+        if np.linalg.norm(shifted @ x) <= tol:
+            vectors.append(x)
     return vectors
 
 
@@ -452,8 +447,7 @@ def zero_extension_residual(level: int, vector: np.ndarray) -> float:
     outer = build_ball(level + 1)
     shifted = operators.laplacian(outer, SIMPLE) - 6.0 * sparse.identity(len(outer))
     x = np.zeros(len(outer))
-    for v, val in zip(inner.vertices, vector):
-        x[outer.index[v]] = val
+    x[outer.locate(inner.coords)] = vector
     return float(np.linalg.norm(shifted @ x) / np.linalg.norm(x))
 
 

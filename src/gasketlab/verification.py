@@ -7,6 +7,8 @@ reflects the conjunction of all checks.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import decimation, ids, spectra
@@ -14,10 +16,6 @@ from .errors import ValidationError
 from .lattice import TriangleSpec, translation_map
 from .operators import bernoulli, constant, uniform
 from .spectra import CheckRecord
-
-SUITES = ("counting", "interlacing", "psd", "branch", "temple",
-          "containment", "kernel6", "decay", "all")
-
 
 def default_distributions(seed: int = 0):
     """The three reference potentials used across the verification corpus."""
@@ -125,15 +123,12 @@ def translated_kernel_residual(level: int) -> float:
 
     source = TriangleSpec(2)
     target = TriangleSpec(2, mirrored=True)
-    vectors, piece_region = spectra.localized_kernel_at_six(source)
+    vectors, _ = spectra.localized_kernel_at_six(source)
     if not vectors:
         return np.inf
-    vec = vectors[0]
-    mapping = translation_map(source, target)
     ball = build_ball(max(level, 2))
     x = np.zeros(len(ball))
-    for v, val in zip(piece_region.vertices, vec):
-        x[ball.index[mapping[v]]] = val
+    x[ball.locate(translation_map(source, target))] = vectors[0]
     shifted = operators.laplacian(ball, "simple") @ x - 6.0 * x
     return float(np.linalg.norm(shifted) / np.linalg.norm(x))
 
@@ -176,34 +171,55 @@ def decay_suite(max_level=10) -> list[CheckRecord]:
     return records
 
 
+class Suite(NamedTuple):
+    """One named suite.  ``function`` names its function in this module; it
+    is looked up at call time, so the module attribute stays its one
+    binding.  ``options`` maps the parsed ``verify`` command line to its
+    keyword arguments; ``in_all`` holds its keyword arguments under
+    ``all``."""
+
+    function: str
+    seeded: bool
+    options: Callable[..., dict]
+    in_all: dict
+
+
+SUITE_TABLE = {
+    "counting": Suite("counting_suite", True, lambda a: {
+        "levels": tuple(a.levels), "seeds": a.seeds, "grid_points": a.grid_n},
+        {"levels": (3,), "seeds": 5}),
+    "interlacing": Suite("interlacing_suite", True, lambda a: {
+        "dim": a.dim, "trials": a.trials}, {"dim": 50, "trials": 25}),
+    "psd": Suite("psd_suite", True, lambda a: {
+        "dim": a.dim, "trials": a.trials}, {"dim": 40, "trials": 25}),
+    "branch": Suite("branch_suite", False, lambda a: {
+        "n": a.n, "samples": a.samples}, {"n": 30, "samples": 50}),
+    "temple": Suite("temple_suite", True, lambda a: {
+        "levels": tuple(a.levels), "seeds": a.seeds},
+        {"levels": (2, 3), "seeds": 25}),
+    "containment": Suite("containment_suite", True, lambda a: {
+        "level": a.levels[0], "depth": a.depth}, {"level": 5, "depth": 3}),
+    "kernel6": Suite("kernel_suite", False, lambda a: {
+        "levels": tuple(a.levels)}, {"levels": (3, 4)}),
+    "decay": Suite("decay_suite", False, lambda a: {
+        "max_level": a.max_level}, {"max_level": 10}),
+}
+
+SUITES = (*SUITE_TABLE, "all")
+
+
+def _run(suite: Suite, seed: int, kwargs: dict) -> list[CheckRecord]:
+    if suite.seeded:
+        kwargs = {**kwargs, "seed": seed}
+    return globals()[suite.function](**kwargs)
+
+
 def run_suite(name: str, seed: int = 0, **kwargs) -> list[CheckRecord]:
-    """Dispatch a named suite; ``all`` concatenates every suite at its
-    default sizes."""
-    if name == "counting":
-        return counting_suite(seed=seed, **kwargs)
-    if name == "interlacing":
-        return interlacing_suite(seed=seed, **kwargs)
-    if name == "psd":
-        return psd_suite(seed=seed, **kwargs)
-    if name == "branch":
-        return branch_suite(**kwargs)
-    if name == "temple":
-        return temple_suite(seed=seed, **kwargs)
-    if name == "containment":
-        return containment_suite(seed=seed, **kwargs)
-    if name == "kernel6":
-        return kernel_suite(**kwargs)
-    if name == "decay":
-        return decay_suite(**kwargs)
+    """Run a named suite; ``all`` concatenates every suite at its
+    ``in_all`` sizes."""
     if name == "all":
-        records = []
-        records += counting_suite(levels=(3,), seeds=5, seed=seed)
-        records += interlacing_suite(dim=50, trials=25, seed=seed)
-        records += psd_suite(dim=40, trials=25, seed=seed)
-        records += branch_suite(n=30, samples=50)
-        records += temple_suite(levels=(2, 3), seeds=25, seed=seed)
-        records += containment_suite(level=5, depth=3, seed=seed)
-        records += kernel_suite(levels=(3, 4))
-        records += decay_suite(max_level=10)
-        return records
-    raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
+        return [record for suite in SUITE_TABLE.values()
+                for record in _run(suite, seed, suite.in_all)]
+    if name not in SUITE_TABLE:
+        raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
+    return _run(SUITE_TABLE[name], seed, kwargs)

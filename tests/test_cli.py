@@ -180,3 +180,34 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert run(args, b) == 0
     assert (a / "run.curve.csv").read_bytes() == (b / "run.curve.csv").read_bytes()
     assert (a / "run.config").read_bytes() == (b / "run.config").read_bytes()
+
+
+def _usage_error(capsys, args, cwd):
+    rc = run(args, cwd)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert sorted(p.name for p in cwd.iterdir()) == []
+
+
+def test_ids_bad_window_usage_error(tmp_path, capsys):
+    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
+                          "--trials", "1", "--fit", "power", "--window", "abc",
+                          "--out", "i"], tmp_path)
+
+
+def test_fit_missing_curve_usage_error(tmp_path, capsys):
+    _usage_error(capsys, ["fit", "--curve", "missing.csv", "--out", "f.json"],
+                 tmp_path)
+
+
+def test_env_threads_not_an_integer_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GASKET_THREADS", "x")
+    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
+                          "--trials", "1", "--out", "i"], tmp_path)
+
+
+def test_ids_empty_grid_usage_error(tmp_path, capsys):
+    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
+                          "--trials", "1", "--grid-n", "0", "--out", "i"],
+                 tmp_path)

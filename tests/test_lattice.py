@@ -3,9 +3,13 @@ import pytest
 
 from gasketlab import lattice
 from gasketlab.errors import CapacityError, ValidationError
-from gasketlab.lattice import (TriangleSpec, build_ball, build_triangle,
-                               mirror, subdivide, translation_map,
-                               triangle_count)
+from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
+                               build_triangle, mirror, subdivide,
+                               translation_map, triangle_count)
+
+
+def _point_set(points):
+    return {tuple(v) for v in np.asarray(points).tolist()}
 
 
 def test_vertex_count_identity():
@@ -29,7 +33,7 @@ def test_level_three_count():
 def test_truncated_level_one_is_the_midpoint_triangle():
     # enumerate by hand: drop (0,0), (2,0), (0,2) and incident edges
     region = build_triangle(TriangleSpec(1, truncated=True))
-    assert sorted(region.vertices) == [(0, 1), (1, 0), (1, 1)]
+    assert region.coords.tolist() == [[1, 0], [0, 1], [1, 1]]
     assert len(region.edges) == 3
 
 
@@ -48,47 +52,44 @@ def test_ball_counts():
     assert len(build_ball(0)) == 5
     assert len(build_ball(2)) == 2 * triangle_count(2) - 1
     ball = build_ball(1)
-    assert ball.region_degree[(0, 0)] == 4
-    assert ball.full_degree[(0, 0)] == 4
+    origin = ball.locate((0, 0))
+    assert ball.region_degree[origin] == 4
+    assert ball.full_degree[origin] == 4
 
 
 def test_ball_halves_share_only_the_origin():
-    plain = set(build_triangle(3).vertices)
-    flipped = set(build_triangle(TriangleSpec(3, mirrored=True)).vertices)
+    plain = _point_set(build_triangle(3).coords)
+    flipped = _point_set(build_triangle(TriangleSpec(3, mirrored=True)).coords)
     assert plain & flipped == {(0, 0)}
     assert len(build_ball(3)) == len(plain) + len(flipped) - 1
 
 
 def test_degree_invariants():
     region = build_triangle(4)
-    extremes = set(region.spec.extreme_vertices())
-    for v in region.vertices:
-        assert region.full_degree[v] == 4
-        if v in extremes:
-            assert region.region_degree[v] == 2
-        else:
-            assert region.region_degree[v] == 4
-    assert region.interior_boundary == frozenset(extremes)
+    extremes = np.sort(region.locate(region.spec.extreme_vertices()))
+    assert np.all(region.full_degree == 4)
+    expected = np.full(len(region), 4)
+    expected[extremes] = 2
+    assert np.array_equal(region.region_degree, expected)
+    assert np.array_equal(region.interior_boundary, extremes)
 
 
 def test_half_lattice_origin_degree():
     region = build_triangle(TriangleSpec(2), half_lattice=True)
-    assert region.full_degree[(0, 0)] == 2
-    assert all(region.full_degree[v] == 4
-               for v in region.vertices if v != (0, 0))
+    origin = region.locate((0, 0))
+    assert region.full_degree[origin] == 2
+    assert np.all(np.delete(region.full_degree, origin) == 4)
     # the origin corner then agrees with its subgraph degree
-    assert (0, 0) not in region.interior_boundary
+    assert origin not in region.interior_boundary
 
 
 def test_mirror_is_an_involution_and_preserves_adjacency():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = tuple(int(x) for x in rng.integers(-20, 20, 2))
-        assert mirror(mirror(v)) == v
-    for dp, dq in lattice.NEIGHBOR_OFFSETS:
-        a, b = (3, 4), (3 + dp, 4 + dq)
-        ma, mb = mirror(a), mirror(b)
-        assert (mb[0] - ma[0], mb[1] - ma[1]) in lattice.NEIGHBOR_OFFSETS
+    points = rng.integers(-20, 20, (50, 2))
+    assert np.array_equal(mirror(mirror(points)), points)
+    offsets = np.array(lattice.NEIGHBOR_OFFSETS)
+    moved = mirror(np.array([3, 4]) + offsets) - mirror(np.array([3, 4]))
+    assert _point_set(moved) == _point_set(offsets)
 
 
 def test_capacity_guardrail():
@@ -103,10 +104,10 @@ def test_subdivide_cover():
     region = build_triangle(3)
     part = subdivide(region, 2, "cover")
     assert len(part.pieces) == 3
-    assert part.residual == frozenset()
-    piece_sets = [set(build_triangle(p).vertices) for p in part.pieces]
+    assert part.residual.shape == (0, 2)
+    piece_sets = [_point_set(build_triangle(p).coords) for p in part.pieces]
     union = set().union(*piece_sets)
-    assert union == set(region.vertices)
+    assert union == _point_set(region.coords)
     for i in range(3):
         for j in range(i + 1, 3):
             assert len(piece_sets[i] & piece_sets[j]) == 1
@@ -120,7 +121,7 @@ def test_subdivide_cover_counts_with_multiplicity():
     # every shared corner is counted once extra per extra piece
     counts = {}
     for p in part.pieces:
-        for v in p.extreme_vertices():
+        for v in _point_set(p.extreme_vertices()):
             counts[v] = counts.get(v, 0) + 1
     assert overlap == sum(c - 1 for c in counts.values())
 
@@ -130,14 +131,14 @@ def test_subdivide_disjoint():
     part = subdivide(region, 2, "disjoint")
     assert len(part.pieces) == 9
     assert len(part.residual) == 15
-    seen = set(part.residual)
+    seen = _point_set(part.residual)
     total = len(part.residual)
     for p in part.pieces:
-        vs = set(build_triangle(p).vertices)
+        vs = _point_set(build_triangle(p).coords)
         assert not vs & seen
         seen |= vs
         total += len(vs)
-    assert seen == set(region.vertices)
+    assert seen == _point_set(region.coords)
     assert total == len(region)
 
 
@@ -169,7 +170,7 @@ def test_subdivide_validation():
 def test_translation_map_identity():
     spec = TriangleSpec(2)
     mapping = translation_map(spec, spec)
-    assert all(v == w for v, w in mapping.items())
+    assert np.array_equal(mapping, build_triangle(spec).coords)
 
 
 def test_translation_map_preserves_edges():
@@ -181,9 +182,8 @@ def test_translation_map_preserves_edges():
             mapping = translation_map(pieces[0], target_spec)
             source = build_triangle(pieces[0])
             target = build_triangle(target_spec)
-            mapped_edges = {
-                tuple(sorted((mapping[a], mapping[b]))) for a, b in source.edges}
-            assert mapped_edges == {tuple(sorted(e)) for e in target.edges}
+            mapped_edges = np.sort(target.locate(mapping)[source.edges], axis=1)
+            assert _point_set(mapped_edges) == _point_set(target.edges)
 
 
 def test_translation_map_to_mirrored_triangle():
@@ -191,9 +191,11 @@ def test_translation_map_to_mirrored_triangle():
     b = TriangleSpec(2, mirrored=True)
     mapping = translation_map(a, b)
     target = build_triangle(b)
-    assert set(mapping.values()) == set(target.vertices)
+    assert _point_set(mapping) == _point_set(target.coords)
+    assert len(mapping) == len(target)
     back = translation_map(b, a)
-    assert all(back[mapping[v]] == v for v in mapping)
+    source = build_triangle(a).coords
+    assert np.array_equal(back[target.locate(mapping)], source)
 
 
 def test_translation_map_level_mismatch():
@@ -205,8 +207,10 @@ def test_translation_map_level_mismatch():
 
 def test_canonical_order_and_export(tmp_path):
     region = build_triangle(2)
-    keys = [(q, p) for p, q in region.vertices]
+    keys = [(q, p) for p, q in region.coords.tolist()]
     assert keys == sorted(keys)
+    assert np.all(region.edges[:, 0] < region.edges[:, 1])
+    assert region.edges.tolist() == sorted(region.edges.tolist())
     path = tmp_path / "region.edges"
     region.export_edge_list(path)
     lines = path.read_text().splitlines()
@@ -219,6 +223,16 @@ def test_canonical_order_and_export(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_locate_rows_and_outside_points():
+    region = build_ball(2)
+    assert np.array_equal(region.locate(region.coords), np.arange(len(region)))
+    assert region.locate((0, 0)) == region.locate([[0, 0]])[0]
+    with pytest.raises(ValidationError):
+        region.locate([[0, 0], [50, 0]])
+    with pytest.raises(ValidationError):
+        LatticeRegion([(1, 0), (0, 0)], [])
+
+
 def test_ball_export_carries_kind(tmp_path):
     path = tmp_path / "ball.edges"
     build_ball(1).export_edge_list(path)
@@ -226,6 +240,6 @@ def test_ball_export_carries_kind(tmp_path):
 
 
 def test_region_stats():
-    assert lattice.region_stats(build_triangle(2))["vertex_count"] == 15
-    stats = lattice.region_stats(build_triangle(TriangleSpec(2, truncated=True)))
+    assert build_triangle(2).stats()["vertex_count"] == 15
+    stats = build_triangle(TriangleSpec(2, truncated=True)).stats()
     assert stats["interior_boundary_size"] == 6
