@@ -11,6 +11,7 @@ with the same exponent tau = log3/log5.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,11 +62,21 @@ class IdsCurve:
 
 
 def read_curve_csv(path) -> IdsCurve:
-    """Load a curve written by :meth:`IdsCurve.to_csv` (metadata unknown)."""
+    """Load a curve written by :meth:`IdsCurve.to_csv`.  Trials, level, bc
+    and region kind come from the ``<prefix>.config`` that ``gasketlab ids``
+    writes beside ``<prefix>.curve.csv``, so the curve fits as it did in
+    memory; without that file they are unknown (no minimum-count floor)."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    trials = int(rows[0, 3]) if rows.size else 1
-    return IdsCurve(rows[:, 0], rows[:, 1], rows[:, 2], trials,
-                    level=-1, bc="", region_kind="", region_size=0)
+    config = {"trials": rows[0, 3] if rows.size else 1, "level": -1,
+              "bc": "", "region": ""}
+    sidecar = str(path).removesuffix(".curve.csv") + ".config"
+    if str(path).endswith(".curve.csv") and os.path.exists(sidecar):
+        with open(sidecar) as fh:
+            config.update(line.rstrip("\n").partition("=")[::2] for line in fh)
+    level, kind = int(config["level"]), config["region"]
+    return IdsCurve(rows[:, 0], rows[:, 1], rows[:, 2], int(config["trials"]),
+                    level, config["bc"], kind,
+                    len(_region_for(level, kind)) if kind else 0)
 
 
 def tail_grid(lo: float = 1e-4, hi: float = 1e-1, n: int = 33) -> np.ndarray:

@@ -131,7 +131,11 @@ class LatticeRegion:
       at the origin when ``half_lattice`` is set (the one-sided lattice has
       a degree-2 corner there);
     * ``interior_boundary``: sorted rows whose region degree is below their
-      ambient degree.
+      ambient degree;
+    * ``cells`` (t, 3^level, 3): corner rows (origin, p-step, q-step; -1 if
+      truncated away) of the unit up-triangles of each placed triangle (t = 2
+      for a ball) in base-3 digit order, cells 3j..3j+2 forming level-1
+      triangle j and so on up; None unless made by the builders.
 
     ``coords`` must be given in canonical order.  Immutable after
     construction.
@@ -149,6 +153,7 @@ class LatticeRegion:
         self.kind = kind
         self.half_lattice = half_lattice
         self.level = spec.level if spec is not None else level
+        self.cells = None
 
         n = len(self.coords)
         self.region_degree = np.bincount(self.edges.ravel(), minlength=n)
@@ -230,16 +235,21 @@ def _build(specs, **region_args) -> LatticeRegion:
     keys, first, cell = np.unique(_key(corners).ravel(), return_index=True,
                                   return_inverse=True)
     coords = corners.reshape(-1, 2)[first]
-    cell = cell.reshape(-1, 3)
-    edges = np.sort(np.stack([cell[:, [0, 0, 1]].ravel(),
-                              cell[:, [1, 2, 2]].ravel()], axis=1), axis=1)
+    cell = cell.reshape(len(specs), -1, 3)
+    edges = np.sort(np.stack([cell[..., [0, 0, 1]].ravel(),
+                              cell[..., [1, 2, 2]].ravel()], axis=1), axis=1)
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     dropped = [s.extreme_vertices() for s in specs if s.truncated]
     if dropped:
         keep = ~np.isin(keys, _key(np.concatenate(dropped)))
-        edges = (np.cumsum(keep) - 1)[edges[keep[edges].all(axis=1)]]
+        rows = np.where(keep, np.cumsum(keep) - 1, -1)
+        edges = rows[edges[keep[edges].all(axis=1)]]
+        cell = rows[cell]
         coords = coords[keep]
-    return LatticeRegion(coords, edges, **region_args)
+    region = LatticeRegion(coords, edges, **region_args)
+    region.cells = cell
+    cell.flags.writeable = False
+    return region
 
 
 def build_triangle(spec, *, half_lattice=False, max_level=MAX_LEVEL) -> LatticeRegion:

@@ -51,6 +51,8 @@ class PotentialSpec:
         d = self.distribution
         if not d or d[0] not in ("constant", "bernoulli", "uniform", "table"):
             raise ValidationError(f"unknown distribution {d!r}")
+        if not np.all(np.isfinite(np.append(np.ravel(d[1:]), self.scale))):
+            raise ValidationError(f"non-finite value in {d!r} (scale {self.scale})")
         if self.scale < 0:
             raise ValidationError("scale must be nonnegative")
         if d[0] == "bernoulli":

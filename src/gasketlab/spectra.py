@@ -2,11 +2,14 @@
 
 Small operators are diagonalized densely.  Large ones are handled through
 inertia counting: the number of eigenvalues at or below E equals the number
-of negative eigenvalues of H - (E + eta) I, read off a symmetric
-block-tridiagonal factorization after a bandwidth-reducing reordering.
-The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E" convention when E
-collides with an eigenvalue; every oracle comparison in the test-suite uses
-the same convention.
+of negative eigenvalues of H - (E + eta) I.  On a gasket region every
+sub-triangle meets the rest of the graph only at its 3 corners, so that
+matrix is eliminated bottom-up over the unit cells, three sibling triangles
+at a time, as in spectral decimation; Sylvester's law of inertia adds up
+the negative eigenvalues of the eliminated blocks.  The tie guard
+eta = 1e-9 (1 + |E|) fixes the "<= E" convention when E collides with an
+eigenvalue; every oracle comparison in the test-suite uses the same
+convention.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import operators
 from .errors import CapacityError, ValidationError
@@ -25,8 +27,13 @@ from .operators import (DIRICHLET, NEUMANN, SIMPLE, HamiltonianMatrix,
 
 DENSE_THRESHOLD = 4096
 
-#: Relative pivot size treated as a factorization breakdown.
-PIVOT_TOL = 1e-12
+#: Relative pivot size treated as a breakdown, about sqrt(eps).  Inverting
+#: a pivot block with smallest eigenvalue lam puts errors ~ eps * scale / lam
+#: into the Schur complement above it.  Equal-potential cells make blocks
+#: exactly singular at some energies (E = 2 or 12 under a 0/10 potential),
+#: leaving lam at the tie guard, and a 1e-12 floor then let flipped pivot
+#: signs through; with lam > sqrt(eps) * scale the error stays below it.
+PIVOT_TOL = 1e-8
 
 
 def tie_guard(energy: float) -> float:
@@ -65,106 +72,74 @@ def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
     return np.searchsorted(eigenvalues, shifted, side="left")
 
 
-class _FactorizationBreakdown(Exception):
-    pass
+#: Slots of the corners of three sibling triangles in their 6x6 merge
+#: block: outer corners 0-2, inner corners 3-5.
+_CHILD_SLOTS = (np.array([0, 3, 4]), np.array([3, 1, 5]), np.array([4, 5, 2]))
 
 
-class _BlockTridiagonal:
-    """Reordered block-tridiagonal view of a symmetric sparse matrix.
+def _negatives(values: np.ndarray, floor: float) -> int:
+    if np.any(np.abs(values) <= floor):
+        raise np.linalg.LinAlgError("pivot block numerically singular")
+    return int(np.count_nonzero(values < 0.0))
 
-    The inertia of A - shift*I is accumulated block by block through Schur
-    complements; by Sylvester's law the count of negative pivots equals the
-    count of eigenvalues below the shift.
+
+def _negative_count(cells: np.ndarray, shifted: np.ndarray, floor: float) -> int:
+    """Negative eigenvalues of the matrix with diagonal ``shifted`` and -1
+    on every edge of the unit ``cells`` (see ``LatticeRegion.cells``).
+
+    Each merge of three sibling triangles sums their 3x3 corner Schur
+    complements into a 6x6 block, eliminates the 3 inner corners and
+    carries the 3 outer ones up; the corners left at the top form the last
+    block.  By Sylvester's law of inertia the negative eigenvalues of these
+    blocks add up to those of the matrix.
     """
-
-    def __init__(self, mat: sparse.csr_matrix):
-        n = mat.shape[0]
-        perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
-        mat = mat[perm][:, perm].tocoo()
-        bandwidth = int(np.max(np.abs(mat.row - mat.col))) if mat.nnz else 0
-        self.n = n
-        self.block = max(bandwidth, 1)
-        starts = list(range(0, n, self.block))
-        csr = mat.tocsr()
-        self.diag_blocks = []
-        self.off_blocks = []  # off_blocks[k] couples block k+1 to block k
-        for i, s in enumerate(starts):
-            e = min(s + self.block, n)
-            self.diag_blocks.append(csr[s:e, s:e].toarray())
-            if i + 1 < len(starts):
-                e2 = min(e + self.block, n)
-                self.off_blocks.append(csr[e:e2, s:e].toarray())
-        self.scale = max(1.0, float(np.max(np.abs(mat.data))) if mat.nnz else 1.0)
-
-    def negative_count(self, shift: float) -> int:
-        total = 0
-        schur = None
-        for k, diag in enumerate(self.diag_blocks):
-            s = diag - shift * np.eye(diag.shape[0])
-            if schur is not None:
-                s = s - schur
-            total += self._block_negatives(s)
-            if k < len(self.off_blocks):
-                off = self.off_blocks[k]
-                try:
-                    x = np.linalg.solve(s, off.T)
-                except np.linalg.LinAlgError as exc:
-                    raise _FactorizationBreakdown from exc
-                schur = off @ x
-        return total
-
-    def _block_negatives(self, block: np.ndarray) -> int:
-        n = block.shape[0]
-        if n == 0:
-            return 0
-        _, d, _ = linalg.ldl(block, lower=True)
-        floor = PIVOT_TOL * max(self.scale, float(np.max(np.abs(block))))
-        neg = 0
-        i = 0
-        while i < n:
-            if i + 1 < n and d[i, i + 1] != 0.0:
-                a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-                det = a * c - b * b
-                if abs(det) <= floor * floor:
-                    raise _FactorizationBreakdown
-                if det < 0.0:
-                    neg += 1
-                elif a + c < 0.0:
-                    neg += 2
-                i += 2
-            else:
-                piv = d[i, i]
-                if abs(piv) <= floor:
-                    raise _FactorizationBreakdown
-                if piv < 0.0:
-                    neg += 1
-                i += 1
-        return neg
-
-
-def _inertia_structure(ham) -> _BlockTridiagonal:
-    if isinstance(ham, HamiltonianMatrix):
-        cached = getattr(ham, "_inertia_cache", None)
-        if cached is None:
-            cached = _BlockTridiagonal(ham.symmetric_form())
-            ham._inertia_cache = cached
-        return cached
-    return _BlockTridiagonal(_as_symmetric(ham))
+    t, m, _ = cells.shape
+    corners, total = cells, 0
+    # a cell's block is its 3 edges; each diagonal entry is added whole
+    # when its vertex is eliminated
+    schur = np.broadcast_to(np.eye(3) - 1.0, (t, m, 3, 3))
+    while m > 1:
+        m //= 3
+        children = corners.reshape(t, m, 3, 3)
+        merged = np.zeros((t, m, 6, 6))
+        for child, slots in enumerate(_CHILD_SLOTS):
+            merged[:, :, slots[:, None], slots] += schur[:, child::3]
+        merged[:, :, [3, 4, 5], [3, 4, 5]] += shifted[
+            children[:, :, [0, 0, 1], [1, 2, 2]]]
+        values, vectors = np.linalg.eigh(merged[:, :, 3:, 3:])
+        total += _negatives(values, floor)
+        x = np.swapaxes(vectors, -1, -2) @ merged[:, :, 3:, :3]
+        schur = (merged[:, :, :3, :3]
+                 - np.swapaxes(x, -1, -2) @ (x / values[..., None]))
+        corners = children[:, :, [0, 1, 2], [0, 1, 2]]
+    # a corner shared by the two halves of a ball enters once; the -1 of
+    # the corners a truncated triangle drops is summed, then cut out
+    top, at = np.unique(corners, return_inverse=True)
+    block = np.diag(shifted[top])
+    np.add.at(block, (at.reshape(t, 3, 1), at.reshape(t, 1, 3)), schur[:, 0])
+    keep = np.flatnonzero(top >= 0)
+    return total + _negatives(np.linalg.eigvalsh(block[np.ix_(keep, keep)]), floor)
 
 
 def count_below(ham, energy: float, retries: int = 5) -> int:
-    """#{eigenvalues <= energy}, by factorization inertia.
-
-    On a breakdown (a pivot too close to zero) the shift is nudged by
-    growing multiples of the tie guard; the ladder is deterministic, so
-    repeated runs agree bit for bit.
+    """#{eigenvalues <= energy}: the negative inertia of the operator minus
+    (energy + eta), by :func:`_negative_count` over the unit cells of a
+    built region (the probabilistic Laplacian D^{-1} L as the congruent
+    pencil L - E*D), and densely for any other matrix.  On a breakdown the
+    shift is nudged by growing multiples of the tie guard; the ladder is
+    deterministic, so repeated runs agree bit for bit.
     """
-    structure = _inertia_structure(ham)
-    eta = tie_guard(energy)
+    if not (isinstance(ham, HamiltonianMatrix) and ham.region.cells is not None):
+        return int(counts_from_eigenvalues(eigenvalues_dense(ham), [energy])[0])
+    # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
+    diag, weights = ((ham.matrix.diagonal(), 1.0) if ham.symmetric
+                     else (ham.degree_weights, ham.degree_weights))
     for attempt in range(retries):
+        shifted = diag - (energy + tie_guard(energy) * 10**attempt) * weights
         try:
-            return int(structure.negative_count(energy + eta * 10**attempt))
-        except _FactorizationBreakdown:
+            return _negative_count(ham.region.cells, shifted, PIVOT_TOL * max(
+                1.0, float(np.max(np.abs(shifted)))))
+        except np.linalg.LinAlgError:
             continue
     raise RuntimeError(
         f"inertia counting failed at E={energy} after {retries} shifted retries")

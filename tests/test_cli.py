@@ -211,3 +211,26 @@ def test_ids_empty_grid_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
                           "--trials", "1", "--grid-n", "0", "--out", "i"],
                  tmp_path)
+
+
+@pytest.mark.parametrize("flags", [["--dist", "const:nan"],
+                                   ["--dist", "uniform:0,inf"],
+                                   ["--dist", "const:1", "--pot-scale", "nan"],
+                                   ["--dist", "const:1", "--pot-scale", "inf"]])
+def test_non_finite_potential_usage_error(tmp_path, capsys, flags):
+    _usage_error(capsys, ["spectrum", "--level", "2", *flags, "--out", "s"],
+                 tmp_path)
+
+
+def test_fit_on_a_saved_curve_matches_the_ids_fit(tmp_path):
+    # the reloaded curve takes trials, level and region from run.config, so
+    # the same points pass the minimum-count floor
+    assert run(["ids", "--level", "4", "--dist", "bernoulli:0,10,0.5",
+                "--trials", "8", "--grid-lo", "0.3", "--grid-hi", "2",
+                "--grid-n", "16", "--fit", "lifshitz", "--window", "0.3,2",
+                "--out", "run"], tmp_path) == 0
+    assert run(["fit", "--curve", "run.curve.csv", "--kind", "lifshitz",
+                "--window", "0.3,2", "--out", "f.json"], tmp_path) == 0
+    in_memory = json.loads((tmp_path / "run.fit.json").read_text())
+    reloaded = json.loads((tmp_path / "f.json").read_text())
+    assert reloaded == in_memory

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gasketlab import operators, spectra
+from gasketlab import decimation, operators, spectra
 from gasketlab.errors import CapacityError
 from gasketlab.lattice import TriangleSpec, build_ball, build_triangle
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
@@ -205,3 +207,68 @@ def test_check_record_serialization(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded[0]["passed"] is True
     assert loaded[1]["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# the hierarchical counter against the dense oracle
+
+ORACLE_ENERGIES = np.arange(-1.0, 27.0)  # includes 2, 5, 6, 12 and 15
+PROB_ENERGIES = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+ORACLE_POTENTIALS = (operators.constant(0.0), bernoulli(0.0, 10.0, 0.5, seed=3),
+                     uniform(0.0, 1.0, seed=4))
+
+
+def _oracle_regions(level):
+    regions = {"full": build_triangle(level),
+               "mirrored": build_triangle(TriangleSpec(level, mirrored=True)),
+               "half": build_triangle(level, half_lattice=True),
+               "ball": build_ball(level)}
+    if level > 0:
+        regions["truncated"] = build_triangle(TriangleSpec(level, truncated=True))
+    return regions
+
+
+def _mismatches(ham, energies):
+    dense = counts_from_eigenvalues(eigenvalues_dense(ham), energies)
+    counts = [count_below(ham, e) for e in energies]
+    return [(e, c, d) for e, c, d in zip(energies, counts, dense) if c != d]
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_count_below_matches_dense_on_every_region_kind(level):
+    # at E = 2, 5, 6, 12 and 15 blocks of equal-potential cells are exactly
+    # singular, and E = 4 is a double eigenvalue of the level-6 truncated
+    # free Neumann triangle (dense count 457)
+    bad = []
+    for name, region in _oracle_regions(level).items():
+        for spec in ORACLE_POTENTIALS:
+            values = sample_potential(region, spec)
+            for bc in operators.BOUNDARY_CONDITIONS:
+                bad += [(name, spec.distribution[0], bc, *m) for m in
+                        _mismatches(assemble(region, bc, values),
+                                    ORACLE_ENERGIES)]
+        bad += [(name, "prob", *m) for m in _mismatches(
+            operators.probabilistic_laplacian(region), PROB_ENERGIES)]
+    assert bad == []
+
+
+#: Potential atoms plus Neumann eigenvalues of small free triangles and the
+#: integers 0..6: energies where sub-triangle blocks go singular.
+TIE_ENERGIES = sorted({float(a + c) for a in (0.0, 10.0) for c in np.concatenate(
+    [np.arange(7.0)] + [decimation.neumann_spectrum(k).combinatorial()
+                        for k in range(1, 4)])})
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(level=st.integers(0, 4),
+       kind=st.sampled_from(["full", "mirrored", "half", "ball", "truncated"]),
+       bc=st.sampled_from(operators.BOUNDARY_CONDITIONS),
+       seed=st.integers(0, 2**32 - 1),
+       energies=st.lists(st.sampled_from(TIE_ENERGIES), min_size=1,
+                         max_size=8))
+def test_count_below_matches_dense_at_tie_energies(level, kind, bc, seed,
+                                                   energies):
+    assume(level > 0 or kind != "truncated")
+    region = _oracle_regions(level)[kind]
+    values = np.random.default_rng(seed).choice([0.0, 10.0], len(region))
+    assert _mismatches(assemble(region, bc, values), energies) == []
