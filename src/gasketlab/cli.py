@@ -96,11 +96,16 @@ def _parse_window(text):
 
 
 def _parse_grid(args, potential):
-    if args.grid_kind == "geom":
-        return ids.tail_grid(args.grid_lo, args.grid_hi, args.grid_n)
     if args.grid_kind == "global":
         return ids.global_grid(potential, args.grid_n)
-    return np.linspace(args.grid_lo, args.grid_hi, args.grid_n)
+    lo, hi = args.grid_lo, args.grid_hi
+    if not (math.isfinite(lo) and math.isfinite(hi)) or (
+            args.grid_kind == "geom" and min(lo, hi) <= 0):
+        raise ValidationError(
+            f"bad --grid-lo/--grid-hi {lo}, {hi} for a {args.grid_kind} grid")
+    if args.grid_kind == "geom":
+        return ids.tail_grid(lo, hi, args.grid_n)
+    return np.linspace(lo, hi, args.grid_n)
 
 
 def cmd_lattice(args) -> int:
@@ -210,6 +215,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     kwargs = ({} if args.suite == "all"
               else verification.SUITE_TABLE[args.suite].options(args))
     records = verification.run_suite(args.suite, seed=args.seed, **kwargs)
@@ -390,7 +397,12 @@ def main(argv=None) -> int:
         config_path = argv[at + 1]
         argv = argv[:at] + argv[at + 2:]
         if argv:
-            argv = [argv[0]] + _config_tokens(config_path) + argv[1:]
+            try:
+                argv = [argv[0]] + _config_tokens(config_path) + argv[1:]
+            except (OSError, ValueError) as exc:
+                print(f"error: cannot read --config {config_path!r}: {exc}",
+                      file=sys.stderr)
+                return USAGE_ERROR
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

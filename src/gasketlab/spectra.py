@@ -6,10 +6,19 @@ of negative eigenvalues of H - (E + eta) I.  On a gasket region every
 sub-triangle meets the rest of the graph only at its 3 corners, so that
 matrix is eliminated bottom-up over the unit cells, three sibling triangles
 at a time, as in spectral decimation; Sylvester's law of inertia adds up
-the negative eigenvalues of the eliminated blocks.  The tie guard
-eta = 1e-9 (1 + |E|) fixes the "<= E" convention when E collides with an
-eigenvalue; every oracle comparison in the test-suite uses the same
-convention.
+the negative eigenvalues of the eliminated 3x3 blocks.  All energies of a
+call share one pass: each level keeps the six entries of its 3x3 corner
+Schur complements as (energies, cells) arrays, and each pivot block is
+counted (Descartes' rule on its characteristic polynomial) and inverted
+(adjugate over determinant) in closed form, elementwise.  Blocks too close
+to singular for the closed form to be certain go through batched
+``numpy.linalg.eigh``.  Energies go in batches and cells in subtrees, so
+no temporary holds more than a fixed number of elements at any level.  A
+block within the pivot floor of singular is a breakdown: a small operator
+is then counted densely at that energy, a large one again at a nudged
+shift.  The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E" convention
+when E collides with an eigenvalue; every oracle comparison in the
+test-suite uses the same convention.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 
 from . import operators
 from .errors import CapacityError, ValidationError
@@ -36,8 +45,9 @@ DENSE_THRESHOLD = 4096
 PIVOT_TOL = 1e-8
 
 
-def tie_guard(energy: float) -> float:
-    """Shift added to E so counting at spectral points is stable."""
+def tie_guard(energy):
+    """Shift added to E (a scalar or an array) so counting at spectral
+    points is stable."""
     return 1e-9 * (1.0 + abs(energy))
 
 
@@ -61,6 +71,8 @@ def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
         raise CapacityError(
             f"dimension {n} exceeds the dense threshold {threshold}; "
             "use count_below / counting_curve instead")
+    from scipy import linalg  # only dense solves need it
+
     return linalg.eigvalsh(mat.toarray())
 
 
@@ -68,81 +80,224 @@ def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
     """Tie-guarded counting #{ev <= E} for each E of the grid."""
     eigenvalues = np.sort(np.asarray(eigenvalues))
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    shifted = grid + np.array([tie_guard(e) for e in grid])
+    shifted = grid + tie_guard(grid)
     return np.searchsorted(eigenvalues, shifted, side="left")
 
 
-#: Slots of the corners of three sibling triangles in their 6x6 merge
-#: block: outer corners 0-2, inner corners 3-5.
-_CHILD_SLOTS = (np.array([0, 3, 4]), np.array([3, 1, 5]), np.array([4, 5, 2]))
+#: Most elements a temporary of the elimination holds, whatever the level
+#: or grid size: energies go in batches of at most _BUDGET // 64, cells in
+#: subtrees whose first merge has at most _BUDGET // energies blocks.  A
+#: larger budget runs faster but raises peak memory; a much smaller one
+#: makes numpy calls so short that the interpreter lock serializes
+#: concurrent trial threads.
+_BUDGET = 2**15
+
+#: A 3x3 pivot block A is counted and inverted in closed form when
+#: |det A| > ||A||^2 max(_CERTAIN ||A||, 2 floor), ||A|| the largest row
+#: sum.  Its smallest |eigenvalue| is then at least |det A| / ||A||^2: so
+#: far from zero against the rounding of the coefficients (sqrt(eps) ||A||
+#: would do) that Descartes' signs are exact, and above the pivot floor.
+#: Any other block goes through ``eigh``.
+_CERTAIN = 1e-3
 
 
-def _negatives(values: np.ndarray, floor: float) -> int:
-    if np.any(np.abs(values) <= floor):
-        raise np.linalg.LinAlgError("pivot block numerically singular")
-    return int(np.count_nonzero(values < 0.0))
+#: The (row, column) of each of the six entries a corner Schur complement
+#: is kept as.
+_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _negative_count(cells: np.ndarray, shifted: np.ndarray, floor: float) -> int:
-    """Negative eigenvalues of the matrix with diagonal ``shifted`` and -1
-    on every edge of the unit ``cells`` (see ``LatticeRegion.cells``).
+def _merge(schur, corners, diag, weights, shift, floor, broken):
+    """Eliminate the 3 inner corners of every triple of sibling triangles.
 
-    Each merge of three sibling triangles sums their 3x3 corner Schur
-    complements into a 6x6 block, eliminates the 3 inner corners and
-    carries the 3 outer ones up; the corners left at the top form the last
-    block.  By Sylvester's law of inertia the negative eigenvalues of these
-    blocks add up to those of the matrix.
+    ``schur`` holds the six entries of the children's corner Schur
+    complements as (energies, 3m) arrays, ``corners`` their (3m, 3) corner
+    rows.  Returns the negative eigenvalues of the eliminated blocks per
+    energy, the six (energies, m) entries on the outer corners and their
+    (m, 3) rows; sets ``broken`` at the energies where a block has an
+    eigenvalue within ``floor`` of zero.
     """
-    t, m, _ = cells.shape
-    corners, total = cells, 0
-    # a cell's block is its 3 edges; each diagonal entry is added whole
-    # when its vertex is eliminated
-    schur = np.broadcast_to(np.eye(3) - 1.0, (t, m, 3, 3))
-    while m > 1:
-        m //= 3
-        children = corners.reshape(t, m, 3, 3)
-        merged = np.zeros((t, m, 6, 6))
-        for child, slots in enumerate(_CHILD_SLOTS):
-            merged[:, :, slots[:, None], slots] += schur[:, child::3]
-        merged[:, :, [3, 4, 5], [3, 4, 5]] += shifted[
-            children[:, :, [0, 0, 1], [1, 2, 2]]]
-        values, vectors = np.linalg.eigh(merged[:, :, 3:, 3:])
-        total += _negatives(values, floor)
-        x = np.swapaxes(vectors, -1, -2) @ merged[:, :, 3:, :3]
-        schur = (merged[:, :, :3, :3]
-                 - np.swapaxes(x, -1, -2) @ (x / values[..., None]))
-        corners = children[:, :, [0, 1, 2], [0, 1, 2]]
+    kids = corners.reshape(-1, 3, 3)
+    (a00, a11, a22, a01, a02, a12), (b00, b11, b22, b01, b02, b12), (
+        c00, c11, c22, c01, c02, c12) = ([x[:, j::3] for x in schur]
+                                         for j in range(3))
+    # inner corners 3, 4, 5 are shared by children 0-1, 0-2 and 1-2; the
+    # outer corners 0, 1, 2 of the children meet no other child, and the
+    # couplings between inner and outer corners are the rows of
+    # [[a01, b01, 0], [a02, 0, c02], [0, b12, c12]]
+    p, q, r = (x + y + (diag[i] - shift * weights[i]) for x, y, i in (
+        (a11, b00, kids[:, 0, 1]), (a22, c00, kids[:, 0, 2]), (b22, c11, kids[:, 1, 2])))
+    u, v, w = a12, b02, c01
+    # adjugate, determinant and 2x2 minor sum of [[p, u, v], [u, q, w], [v, w, r]]
+    j33, j44, j55 = q * r - w * w, p * r - v * v, p * q - u * u
+    j34, j35, j45 = v * w - u * r, u * w - q * v, u * v - p * w
+    det = p * j33 + u * j34 + v * j35
+    norm = np.maximum(np.maximum(np.abs(p) + np.abs(u) + np.abs(v),
+                                 np.abs(u) + np.abs(q) + np.abs(w)),
+                      np.abs(v) + np.abs(w) + np.abs(r))
+    certain = ((np.abs(det) > norm * norm * np.maximum(_CERTAIN * norm, 2.0 * floor))
+               & np.isfinite(det))
+    # Descartes: sign changes of (1, trace, minors, det) count the negative
+    # eigenvalues, exactly for a real-rooted cubic with det != 0
+    trace, minors = p + q + r, j33 + j44 + j55
+    negatives = np.where(det > 0, np.where((trace > 0) & (minors > 0), 0, 2),
+                         np.where((trace < 0) & (minors > 0), 3, 1))
+    inv = certain / np.where(certain, det, 1.0)
+    # adj(A) times the coupling columns (a01, a02, 0), (b01, 0, b12) and
+    # (0, c02, c12), one column at a time to bound the live temporaries
+    s00 = a00 - (a01 * (j33 * a01 + j34 * a02) + a02 * (j34 * a01 + j44 * a02)) * inv
+    y = (j33 * b01 + j35 * b12, j34 * b01 + j45 * b12, j35 * b01 + j55 * b12)
+    s11, s01 = b11 - (b01 * y[0] + b12 * y[2]) * inv, -(a01 * y[0] + a02 * y[1]) * inv
+    y = (j34 * c02 + j35 * c12, j44 * c02 + j45 * c12, j45 * c02 + j55 * c12)
+    out = [s00, s11, c22 - (c02 * y[1] + c12 * y[2]) * inv, s01,
+           -(a01 * y[0] + a02 * y[1]) * inv, -(b01 * y[0] + b12 * y[2]) * inv]
+    e, c = np.nonzero(~certain)
+
+    def at(x):  # x is (energies, m), or (1, m) for the same at all energies
+        return x[e if len(x) > 1 else 0, c]
+
+    if e.size:
+        # min |eigenvalue| <= 3 |det| / |minors|: where that bound, with the
+        # rounding of det and minors, is below floor / 2, the block breaks
+        # down whatever eigh would round its eigenvalues to
+        size, err = at(norm), 32 * np.finfo(float).eps * at(norm)
+        half = floor[e, 0] / 2
+        broken[e[(err <= half) & (3 * (np.abs(at(det)) + err * size * size)
+                                  < half * (np.abs(at(minors)) - err * size))]] = True
+        # the counts at an energy that broke down are thrown away
+        e, c = e[~broken[e]], c[~broken[e]]
+    if e.size:
+        inner = np.stack([at(x) for x in (p, u, v, u, q, w, v, w, r)], axis=-1)
+        values, vectors = np.linalg.eigh(inner.reshape(-1, 3, 3))
+        small = np.abs(values) <= floor[e]
+        broken[e[small.any(axis=1)]] = True
+        couple = np.zeros((e.size, 3, 3))
+        couple[:, 0, 0], couple[:, 0, 1] = at(a01), at(b01)
+        couple[:, 1, 0], couple[:, 1, 2] = at(a02), at(c02)
+        couple[:, 2, 1], couple[:, 2, 2] = at(b12), at(c12)
+        x = np.swapaxes(vectors, -1, -2) @ couple
+        update = np.swapaxes(x, -1, -2) @ (x / np.where(small, 1.0, values)[..., None])
+        outer = (at(a00), at(b11), at(c22), 0.0, 0.0, 0.0)
+        for s, o, (i, j) in zip(out, outer, _ENTRIES):
+            s[e, c] = o - update[:, i, j]
+        negatives[e, c] = np.count_nonzero(values < 0.0, axis=1)
+    return negatives.sum(axis=1), out, kids[:, [0, 1, 2], [0, 1, 2]]
+
+
+def _eliminate(corners, diag, weights, shift, floor, broken):
+    """Merge the unit cells with rows ``corners`` (3^j, 3), one subtree, up
+    to its 3 outer corners: the negatives per energy, the six (energies, 1)
+    entries of the corner Schur complement and the (1, 3) corner rows.  A
+    subtree too wide for the element budget is done as its 3 children."""
+    negatives = np.zeros(len(shift), dtype=np.int64)
+    if len(shift) * len(corners) > 3 * _BUDGET:
+        parts = [_eliminate(part, diag, weights, shift, floor, broken)
+                 for part in np.split(corners, 3)]
+        negatives = sum(p[0] for p in parts)
+        schur = [np.hstack(entry) for entry in zip(*(p[1] for p in parts))]
+        corners = np.vstack([p[2] for p in parts])
+    else:
+        # a unit cell's block is its 3 edges; each diagonal entry is added
+        # whole when its vertex is eliminated
+        zero, edge = np.zeros((1, len(corners))), np.full((1, len(corners)), -1.0)
+        schur = (zero, zero, zero, edge, edge, edge)
+    while len(corners) > 1:
+        neg, schur, corners = _merge(schur, corners, diag, weights, shift,
+                                     floor, broken)
+        negatives = negatives + neg
+    return negatives, schur, corners
+
+
+# at extreme magnitudes (|entries| ~ 1e100) the closed-form products
+# overflow; such blocks are not certified and go through eigh
+@np.errstate(over="ignore", invalid="ignore")
+def _negative_counts(cells, diag, weights, shift):
+    """Negative eigenvalues, per shift s, of the matrix with diagonal
+    ``diag - s * weights`` and -1 on every edge of the unit ``cells`` (see
+    ``LatticeRegion.cells``), and whether the elimination broke down there.
+
+    Each merge adds three children's 3x3 corner Schur complements, then
+    eliminates the 3 inner corners and carries the 3 outer ones up; the
+    corners left at the top form the last block.  By Sylvester's law of
+    inertia the negative eigenvalues of these blocks add up to those of the
+    matrix.  A block with an eigenvalue within PIVOT_TOL * max(1, max|diag -
+    s * weights|) of zero is a breakdown.
+    """
+    k, n = len(shift), len(diag)
+    shift = shift[:, None]
+    scale = np.ones(k)
+    step = max(1, _BUDGET // k)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        scale = np.maximum(scale, np.abs(diag[part] - shift * weights[part]).max(axis=1))
+    floor = PIVOT_TOL * scale[:, None]
+    broken = np.zeros(k, dtype=bool)
+    trees = [_eliminate(tree, diag, weights, shift, floor, broken) for tree in cells]
+    negatives = sum(t[0] for t in trees)
     # a corner shared by the two halves of a ball enters once; the -1 of
     # the corners a truncated triangle drops is summed, then cut out
-    top, at = np.unique(corners, return_inverse=True)
-    block = np.diag(shifted[top])
-    np.add.at(block, (at.reshape(t, 3, 1), at.reshape(t, 1, 3)), schur[:, 0])
+    top, at = np.unique(np.vstack([t[2] for t in trees]), return_inverse=True)
+    block = np.zeros((k, len(top), len(top)))
+    block[:, np.arange(len(top)), np.arange(len(top))] = diag[top] - shift * weights[top]
+    for (_, schur, _), rows in zip(trees, at.reshape(-1, 3)):
+        s00, s11, s22, s01, s02, s12 = (np.broadcast_to(x, (k, 1))[:, 0] for x in schur)
+        full = np.stack([s00, s01, s02, s01, s11, s12, s02, s12, s22], axis=-1)
+        np.add.at(block, (slice(None), rows[:, None], rows), full.reshape(k, 3, 3))
+    block[broken] = 0.0
     keep = np.flatnonzero(top >= 0)
-    return total + _negatives(np.linalg.eigvalsh(block[np.ix_(keep, keep)]), floor)
+    values = np.linalg.eigvalsh(block[:, keep][:, :, keep])
+    broken |= np.any(np.abs(values) <= floor, axis=1)
+    return negatives + np.count_nonzero(values < 0.0, axis=1), broken
 
 
-def count_below(ham, energy: float, retries: int = 5) -> int:
-    """#{eigenvalues <= energy}: the negative inertia of the operator minus
-    (energy + eta), by :func:`_negative_count` over the unit cells of a
-    built region (the probabilistic Laplacian D^{-1} L as the congruent
-    pencil L - E*D), and densely for any other matrix.  On a breakdown the
-    shift is nudged by growing multiples of the tie guard; the ladder is
-    deterministic, so repeated runs agree bit for bit.
+def count_below(ham, energies, retries: int = 5):
+    """#{eigenvalues <= E} for a scalar E (an int) or a 1-D array of
+    energies (an int array): the negative inertia of the operator minus
+    (E + eta).
+
+    On a built region it is :func:`_negative_counts` over the unit cells,
+    all energies in one bottom-up pass (the probabilistic Laplacian
+    D^{-1} L as the congruent pencil L - E*D), with closed-form 3x3 pivots
+    and ``eigh`` on the blocks they cannot certify, in batches of at most
+    ``_BUDGET // 64`` energies; any other matrix counts densely.  Energies
+    whose elimination breaks down are counted densely, with one solve per
+    call, if the operator has at most DENSE_THRESHOLD rows.  On a larger
+    one only they are counted again, with the shift nudged by growing
+    multiples of the tie guard, which can count an eigenvalue a little
+    above E.  The ladder is deterministic, so repeated runs agree bit for
+    bit.
     """
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim > 1 or not np.all(np.isfinite(energies)):
+        raise ValidationError("energies must be a finite scalar or 1-D array")
+    grid = np.atleast_1d(energies)
     if not (isinstance(ham, HamiltonianMatrix) and ham.region.cells is not None):
-        return int(counts_from_eigenvalues(eigenvalues_dense(ham), [energy])[0])
+        counts = counts_from_eigenvalues(eigenvalues_dense(ham), grid)
+    else:
+        counts = _inertia_counts(ham, grid, retries)
+    return int(counts[0]) if energies.ndim == 0 else counts
+
+
+def _inertia_counts(ham, grid, retries):
     # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
-    diag, weights = ((ham.matrix.diagonal(), 1.0) if ham.symmetric
+    diag, weights = ((ham.matrix.diagonal(), np.ones(ham.dimension)) if ham.symmetric
                      else (ham.degree_weights, ham.degree_weights))
+    counts = np.zeros(grid.size, dtype=np.int64)
+    todo, batch = np.arange(grid.size), _BUDGET // 64
     for attempt in range(retries):
-        shifted = diag - (energy + tie_guard(energy) * 10**attempt) * weights
-        try:
-            return _negative_count(ham.region.cells, shifted, PIVOT_TOL * max(
-                1.0, float(np.max(np.abs(shifted)))))
-        except np.linalg.LinAlgError:
-            continue
-    raise RuntimeError(
-        f"inertia counting failed at E={energy} after {retries} shifted retries")
+        broken = np.zeros(todo.size, dtype=bool)
+        for lo in range(0, todo.size, batch):
+            at = todo[lo:lo + batch]
+            counts[at], broken[lo:lo + batch] = _negative_counts(
+                ham.region.cells, diag, weights,
+                grid[at] + tie_guard(grid[at]) * 10**attempt)
+        todo = todo[broken]
+        if not todo.size:
+            return counts
+        if ham.dimension <= DENSE_THRESHOLD:
+            counts[todo] = counts_from_eigenvalues(eigenvalues_dense(ham), grid[todo])
+            return counts
+    raise RuntimeError(f"inertia counting failed at E={grid[todo].tolist()} "
+                       f"after {retries} shifted retries")
 
 
 @dataclass
@@ -171,7 +326,7 @@ def counting_curve(ham, grid, method: str = "auto",
         counts = counts_from_eigenvalues(eigenvalues_dense(ham, threshold=max(
             threshold, mat.shape[0])), grid)
     elif method == "inertia":
-        counts = np.array([count_below(ham, e) for e in grid])
+        counts = count_below(ham, grid)
     else:
         raise ValidationError(f"unknown counting method {method!r}")
     return CountingFunction(grid, counts)
@@ -282,8 +437,8 @@ def verify_interlacing_bounds(dim, trials, seed=0, n_energies=100) -> list[Check
     (subtracted from) a block-diagonal matrix keeps the count below (above)
     the sum of the block counts.
     """
-    if dim > 200:
-        raise ValidationError("interlacing checks limited to dim <= 200")
+    if not 6 <= dim <= 200:
+        raise ValidationError("interlacing checks need 6 <= dim <= 200")
     rng = np.random.default_rng(seed)
     records = []
     for trial in range(trials):
@@ -338,8 +493,8 @@ def verify_interlacing_bounds(dim, trials, seed=0, n_energies=100) -> list[Check
 def verify_psd_product_bounds(dim, trials, seed=0) -> list[CheckRecord]:
     """Ordered-eigenvalue bounds for products of PSD matrices:
     smallest(A)*E_j(B) <= E_j(AB) <= largest(A)*E_j(B) for every j."""
-    if dim > 100:
-        raise ValidationError("product-bound checks limited to dim <= 100")
+    if not 1 <= dim <= 100:
+        raise ValidationError("product-bound checks need 1 <= dim <= 100")
     rng = np.random.default_rng(seed)
     records = []
     for trial in range(trials):

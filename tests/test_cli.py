@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gasketlab
 from gasketlab.cli import main, parse_distribution
 from gasketlab.errors import ValidationError
 
@@ -222,6 +231,18 @@ def test_non_finite_potential_usage_error(tmp_path, capsys, flags):
                  tmp_path)
 
 
+@pytest.mark.parametrize("args", [
+    ["--config", "missing.cfg", "lattice", "--level", "2"],
+    ["spectrum", "--level", "2", "--grid-n", "3", "--grid-lo", "0"],
+    ["spectrum", "--level", "2", "--grid-kind", "lin", "--grid-n", "3",
+     "--grid-hi", "nan"],
+    ["verify", "--suite", "psd", "--dim", "0"],
+    ["verify", "--suite", "interlacing", "--dim", "3"],
+    ["verify", "--suite", "psd", "--seed", "-1"]])
+def test_bad_input_usage_error(tmp_path, capsys, args):
+    _usage_error(capsys, [*args, "--out", "o"], tmp_path)
+
+
 def test_fit_on_a_saved_curve_matches_the_ids_fit(tmp_path):
     # the reloaded curve takes trials, level and region from run.config, so
     # the same points pass the minimum-count floor
@@ -234,3 +255,99 @@ def test_fit_on_a_saved_curve_matches_the_ids_fit(tmp_path):
     in_memory = json.loads((tmp_path / "run.fit.json").read_text())
     reloaded = json.loads((tmp_path / "f.json").read_text())
     assert reloaded == in_memory
+
+
+def test_inertia_counting_leaves_scipy_linalg_unloaded(tmp_path):
+    # only dense solves import scipy.linalg (about 8 MiB of RSS); these
+    # energies cause no breakdown, so nothing falls back on them
+    code = ("import sys\nfrom gasketlab.cli import main\n"
+            "rc = main(['spectrum', '--level', '4', '--inertia', '--grid-kind',"
+            " 'lin', '--grid-lo', '0.3', '--grid-hi', '7.3', '--grid-n', '4',"
+            " '--out', 's'])\nprint(rc, 'scipy.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(gasketlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1:] == ["0 False"], done.stderr
+
+
+NUMBERS = ["-1", "0", "0.5", "3", "nan", "inf", "-inf", "1e308", "x", ""]
+FUZZ_VALUES = {
+    "--level": ["-1", "0", "1", "2", "3", "13", "x", "nan"],
+    "--bc": ["simple", "neumann", "dirichlet", "robin"],
+    "--dist": ["const:0", "bernoulli:0,10,0.5", "uniform:0,1", "uniform:1,0",
+               "table:0:0.5,1:1", "bernoulli:0,nan,0.5", "const:x",
+               "bogus:1", "uniform:0,inf", "const:1e308"],
+    "--pot-scale": NUMBERS, "--grid-lo": NUMBERS, "--grid-hi": NUMBERS,
+    "--grid-n": ["-1", "0", "1", "3", "x"],
+    "--grid-kind": ["geom", "lin", "global", "log"],
+    "--trials": ["-1", "0", "1", "2", "x"],
+    "--trial": ["-1", "0", "1", "x"],
+    "--threads": ["-1", "0", "1", "2", "x"],
+    "--seed": ["-1", "0", "7", "x"],
+    "--region": ["half", "full", "ball"],
+    "--window": ["1e-3,5e-2", "0.3,2", "2,0.3", "abc", "nan,1", "1"],
+    "--fit": ["none", "power", "lifshitz", "exp"],
+    "--kind": ["power", "lifshitz", "exp", "bogus"],
+    "--depth": ["-1", "0", "1", "2", "x"],
+    "--scale": ["prob", "comb", "x"],
+    "--suite": ["psd", "branch", "interlacing", "bogus"],
+    "--dim": ["-1", "0", "1", "3", "x"],
+    "--n": ["-1", "0", "3", "x"], "--samples": ["-1", "0", "3", "x"],
+    "--dense-threshold": ["-1", "0", "10", "x"],
+    "--curve": ["missing.curve.csv", "."],
+    "--config": ["missing.cfg", "."],
+}
+REGION_FLAGS = ["--level", "--truncated", "--mirrored", "--ball",
+                "--half-lattice"]
+GRID_FLAGS = ["--grid-kind", "--grid-lo", "--grid-hi", "--grid-n"]
+#: Per command: arguments that keep a run small, and the flags to vary.
+FUZZ_COMMANDS = {
+    "lattice": (["--level", "2"], REGION_FLAGS),
+    "spectrum": (["--level", "2"], REGION_FLAGS + GRID_FLAGS + [
+        "--bc", "--dist", "--pot-scale", "--trial", "--prob", "--inertia",
+        "--export-matrix", "--dense-threshold"]),
+    "ids": (["--level", "2", "--dist", "const:0", "--trials", "2",
+             "--grid-n", "3"], GRID_FLAGS + [
+        "--level", "--bc", "--dist", "--pot-scale", "--trials", "--region",
+        "--fit", "--window", "--threads", "--dense-threshold", "--seed"]),
+    "decimate": (["--neumann", "--level", "2", "--depth", "1"], [
+        "--level", "--depth", "--scale", "--compare-dense", "--free"]),
+    "fit": (["--curve", "missing.curve.csv"], ["--curve", "--kind",
+                                               "--window"]),
+    "verify": (["--suite", "psd", "--dim", "3", "--trials", "2"], [
+        "--suite", "--dim", "--trials", "--n", "--samples", "--seed"]),
+    "bogus": ([], []),
+}
+
+
+def _fuzz_option(flags):
+    def option(flag):
+        if flag not in FUZZ_VALUES:
+            return st.just([flag])
+        return st.sampled_from(FUZZ_VALUES[flag]).map(lambda v: [flag, v])
+
+    return st.sampled_from(flags + ["--bogus", "--config"]).flatmap(option)
+
+
+fuzz_argv = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(
+    lambda command: st.lists(_fuzz_option(FUZZ_COMMANDS[command][1]),
+                             max_size=4).map(
+        lambda options: [command, *FUZZ_COMMANDS[command][0],
+                         *(token for option in options for token in option),
+                         "--out", "run"]))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(argv=fuzz_argv)
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as cwd, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = run(argv, cwd)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gasketlab import decimation, operators, spectra
-from gasketlab.errors import CapacityError
+from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import TriangleSpec, build_ball, build_triangle
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
 from gasketlab.spectra import (CheckRecord, compact_eigenfunction_at_six,
@@ -44,6 +45,11 @@ def test_count_below_fixture():
     assert count_below(diag, 2.0) == 2  # ties count as below
     assert count_below(diag, 0.0) == 0
     assert count_below(diag, 3.0) == 3
+    assert type(count_below(diag, 2.5)) is int
+    assert count_below(diag, [0.0, 2.0, 2.5, 3.0]).tolist() == [0, 2, 2, 3]
+    for bad in ([[1.0]], np.nan, [1.0, np.inf]):
+        with pytest.raises(ValidationError):
+            count_below(diag, bad)
 
 
 def test_count_below_simple_triangle():
@@ -229,9 +235,15 @@ def _oracle_regions(level):
 
 
 def _mismatches(ham, energies):
-    dense = counts_from_eigenvalues(eigenvalues_dense(ham), energies)
-    counts = [count_below(ham, e) for e in energies]
-    return [(e, c, d) for e, c, d in zip(energies, counts, dense) if c != d]
+    """(E, array call, scalar call, dense) wherever the three disagree.  The
+    dense counts that breakdowns fall back on reuse the oracle's solve."""
+    values = eigenvalues_dense(ham)
+    dense = counts_from_eigenvalues(values, energies)
+    with mock.patch.object(spectra, "eigenvalues_dense", lambda _: values):
+        batch = count_below(ham, np.asarray(energies))
+        single = [count_below(ham, e) for e in energies]
+    return [(e, b, c, d) for e, b, c, d in zip(energies, batch, single, dense)
+            if not b == c == d]
 
 
 @pytest.mark.parametrize("level", range(7))
@@ -272,3 +284,33 @@ def test_count_below_matches_dense_at_tie_energies(level, kind, bc, seed,
     region = _oracle_regions(level)[kind]
     values = np.random.default_rng(seed).choice([0.0, 10.0], len(region))
     assert _mismatches(assemble(region, bc, values), energies) == []
+
+
+def test_breakdown_counts_densely_below_the_dense_threshold():
+    # 2e-10 below an eigenvalue, with a pair 5.6e-9 above it: the pivot
+    # floor breaks the elimination, and a shifted retry would count the
+    # pair as well (84)
+    region = build_triangle(6)
+    ham = assemble(region, "neumann", np.zeros(len(region)))
+    assert count_below(ham, 0.637247428) == 82
+
+
+def test_array_call_walks_the_retry_ladder_like_scalar_calls(monkeypatch):
+    # the ids-l8 operator (9843 rows, above DENSE_THRESHOLD): at E = 5 and
+    # 15 equal-potential blocks break down, and only those energies are
+    # counted again at the next shift
+    region = build_triangle(TriangleSpec(8), half_lattice=True)
+    values = sample_potential(region, bernoulli(0.0, 10.0, 0.5, seed=0), 0)
+    ham = assemble(region, "simple", values)
+    energies = np.array([4.5, 5.0, 15.0])
+    single = [count_below(ham, e) for e in energies]
+    shifts = []
+    negative_counts = spectra._negative_counts
+
+    def recording(cells, diag, weights, shift):
+        shifts.append(shift)
+        return negative_counts(cells, diag, weights, shift)
+
+    monkeypatch.setattr(spectra, "_negative_counts", recording)
+    assert count_below(ham, energies).tolist() == single
+    assert len(shifts) > 1 and len(shifts[1]) < len(energies)
