@@ -155,16 +155,8 @@ def _merge(schur, corners, diag, weights, shift, floor, broken):
     def at(x):  # x is (energies, m), or (1, m) for the same at all energies
         return x[e if len(x) > 1 else 0, c]
 
-    if e.size:
-        # min |eigenvalue| <= 3 |det| / |minors|: where that bound, with the
-        # rounding of det and minors, is below floor / 2, the block breaks
-        # down whatever eigh would round its eigenvalues to
-        size, err = at(norm), 32 * np.finfo(float).eps * at(norm)
-        half = floor[e, 0] / 2
-        broken[e[(err <= half) & (3 * (np.abs(at(det)) + err * size * size)
-                                  < half * (np.abs(at(minors)) - err * size))]] = True
-        # the counts at an energy that broke down are thrown away
-        e, c = e[~broken[e]], c[~broken[e]]
+    # the counts at an energy that broke down earlier are thrown away
+    e, c = e[~broken[e]], c[~broken[e]]
     if e.size:
         inner = np.stack([at(x) for x in (p, u, v, u, q, w, v, w, r)], axis=-1)
         values, vectors = np.linalg.eigh(inner.reshape(-1, 3, 3))
@@ -249,10 +241,10 @@ def _negative_counts(cells, diag, weights, shift):
     return negatives + np.count_nonzero(values < 0.0, axis=1), broken
 
 
-def count_below(ham, energies, retries: int = 5):
-    """#{eigenvalues <= E} for a scalar E (an int) or a 1-D array of
-    energies (an int array): the negative inertia of the operator minus
-    (E + eta).
+def count_below(ham, energy, retries: int = 5):
+    """#{eigenvalues <= E} for a scalar ``energy`` E (an int) or a 1-D
+    array of energies (an int array): the negative inertia of the operator
+    minus (E + eta).
 
     On a built region it is :func:`_negative_counts` over the unit cells,
     all energies in one bottom-up pass (the probabilistic Laplacian
@@ -266,15 +258,15 @@ def count_below(ham, energies, retries: int = 5):
     above E.  The ladder is deterministic, so repeated runs agree bit for
     bit.
     """
-    energies = np.asarray(energies, dtype=float)
-    if energies.ndim > 1 or not np.all(np.isfinite(energies)):
-        raise ValidationError("energies must be a finite scalar or 1-D array")
-    grid = np.atleast_1d(energies)
+    energy = np.asarray(energy, dtype=float)
+    if energy.ndim > 1 or not np.all(np.isfinite(energy)):
+        raise ValidationError("energy must be a finite scalar or 1-D array")
+    grid = np.atleast_1d(energy)
     if not (isinstance(ham, HamiltonianMatrix) and ham.region.cells is not None):
         counts = counts_from_eigenvalues(eigenvalues_dense(ham), grid)
     else:
         counts = _inertia_counts(ham, grid, retries)
-    return int(counts[0]) if energies.ndim == 0 else counts
+    return int(counts[0]) if energy.ndim == 0 else counts
 
 
 def _inertia_counts(ham, grid, retries):

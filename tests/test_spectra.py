@@ -286,6 +286,41 @@ def test_count_below_matches_dense_at_tie_energies(level, kind, bc, seed,
     assert _mismatches(assemble(region, bc, values), energies) == []
 
 
+def test_shift_ladder_matches_dense_away_from_nearby_eigenvalues(monkeypatch):
+    # with DENSE_THRESHOLD at 0 every breakdown walks the shift ladder (the
+    # oracle's eigenvalues_dense keeps its own default threshold); the
+    # ladder may count eigenvalues up to 1e-5 (1 + |E|) above E, so the
+    # energies with one there are left out
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
+    broken = []
+    negative_counts = spectra._negative_counts
+
+    def recording(cells, diag, weights, shift):
+        counts, flags = negative_counts(cells, diag, weights, shift)
+        broken.append(np.count_nonzero(flags))
+        return counts, flags
+
+    monkeypatch.setattr(spectra, "_negative_counts", recording)
+    energies = np.array(sorted(set(TIE_ENERGIES) | {12.0, 15.0}))
+    reach = energies + 1e-5 * (1.0 + np.abs(energies))
+    bad = []
+    for level in (5, 6):
+        for name, region in _oracle_regions(level).items():
+            for spec in ORACLE_POTENTIALS[:2]:
+                values = sample_potential(region, spec)
+                for bc in operators.BOUNDARY_CONDITIONS:
+                    ham = assemble(region, bc, values)
+                    spectrum = eigenvalues_dense(ham)
+                    dense = counts_from_eigenvalues(spectrum, energies)
+                    clear = np.searchsorted(spectrum, reach, side="right") == dense
+                    ladder = count_below(ham, energies)
+                    bad += [(level, name, spec.distribution[0], bc, e, c, d)
+                            for e, c, d in zip(energies[clear], ladder[clear],
+                                               dense[clear]) if c != d]
+    assert bad == []
+    assert sum(broken) > 100
+
+
 def test_breakdown_counts_densely_below_the_dense_threshold():
     # 2e-10 below an eigenvalue, with a pair 5.6e-9 above it: the pivot
     # floor breaks the elimination, and a shifted retry would count the
