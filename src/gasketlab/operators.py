@@ -17,9 +17,9 @@ similar symmetric form instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .lattice import LatticeRegion
@@ -137,14 +137,17 @@ def sample_potential(region: LatticeRegion, spec: PotentialSpec,
 
 @dataclass(eq=False)
 class HamiltonianMatrix:
-    """A sparse operator on one region, with its assembly ingredients.
+    """An operator on one region, held as arrays: its ``diagonal`` (n,)
+    and, off the diagonal, -1 on every edge of ``region`` (-1/d_i in row i
+    of the probabilistic Laplacian).
 
     ``symmetric`` is False only for the probabilistic Laplacian, whose
     degree weights are kept so that the similar symmetric matrix
     D^{-1/2} L D^{-1/2} can be formed when eigenvalues are needed.
+    ``matrix``, the CSR with exact zeros dropped, is built on first access.
     """
 
-    matrix: sparse.csr_matrix
+    diagonal: np.ndarray
     region: LatticeRegion
     bc: str
     potential: np.ndarray
@@ -153,45 +156,56 @@ class HamiltonianMatrix:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.diagonal)
 
-    def symmetric_form(self) -> sparse.csr_matrix:
-        """A symmetric matrix with the same spectrum."""
+    def _couplings(self) -> np.ndarray:
+        """The off-diagonal value of each row: -1, or -1/d_i in row i of
+        the probabilistic Laplacian."""
+        if self.symmetric:
+            return np.full(self.dimension, -1.0)
+        return -(1.0 / self.degree_weights)
+
+    @cached_property
+    def matrix(self):
+        """The operator as a CSR matrix (scipy.sparse), exact zeros dropped."""
+        from scipy import sparse
+
+        n, (i, j) = self.dimension, self.region.edges.T
+        rows = np.concatenate([np.arange(n), i, j])
+        cols = np.concatenate([np.arange(n), j, i])
+        data = np.concatenate([self.diagonal, self._couplings()[rows[n:]]])
+        mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        mat.eliminate_zeros()
+        return mat
+
+    def symmetric_form(self):
+        """A symmetric CSR matrix with the same spectrum."""
         if self.symmetric:
             return self.matrix
+        from scipy import sparse
+
         d = self.degree_weights
         scale = sparse.diags(1.0 / np.sqrt(d))
         lap = sparse.diags(d) @ self.matrix  # recover the combinatorial part
         return (scale @ lap @ scale).tocsr()
 
     def export_coordinate_text(self, path) -> None:
-        """Write `i j value` rows, upper triangle only, canonical order."""
-        coo = sparse.triu(self.matrix).tocoo()
-        order = np.lexsort((coo.col, coo.row))
+        """Write `i j value` rows, upper triangle only, canonical order;
+        exact zeros on the diagonal are left out."""
+        keep = np.flatnonzero(self.diagonal != 0.0)
+        rows = np.concatenate([keep, self.region.edges[:, 0]])
+        cols = np.concatenate([keep, self.region.edges[:, 1]])
+        values = np.concatenate([self.diagonal[keep],
+                                 self._couplings()[self.region.edges[:, 0]]])
         with open(path, "w") as fh:
-            for k in order:
-                fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
+            for k in np.lexsort((cols, rows)):
+                fh.write(f"{rows[k]} {cols[k]} {values[k]:.17g}\n")
 
 
-def _operator(region: LatticeRegion, bc: str, potential) -> sparse.csr_matrix:
-    """CSR of -Laplacian(bc) + diag(potential), exact zeros dropped."""
-    reg, full = region.region_degree, region.full_degree
-    diag = {SIMPLE: full, NEUMANN: reg, DIRICHLET: 2.0 * full - reg}.get(bc)
-    if diag is None:
-        raise ValidationError(f"unknown boundary condition {bc!r}")
-    n = len(region)
-    i, j = region.edges.T
-    rows = np.concatenate([np.arange(n), i, j])
-    cols = np.concatenate([np.arange(n), j, i])
-    data = np.concatenate([diag + potential, np.full(2 * len(i), -1.0)])
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
-
-
-def laplacian(region: LatticeRegion, bc: str) -> sparse.csr_matrix:
-    """-Laplacian of the region under the given boundary condition."""
-    return _operator(region, bc, 0.0)
+def laplacian(region: LatticeRegion, bc: str):
+    """-Laplacian of the region under the given boundary condition, as a
+    CSR matrix (scipy.sparse)."""
+    return assemble(region, bc, np.zeros(len(region))).matrix
 
 
 def assemble(region: LatticeRegion, bc: str,
@@ -201,8 +215,11 @@ def assemble(region: LatticeRegion, bc: str,
     if potential.shape != (len(region),):
         raise ValidationError(
             f"potential length {potential.shape} != region size {len(region)}")
-    return HamiltonianMatrix(_operator(region, bc, potential), region, bc,
-                             potential)
+    reg, full = region.region_degree, region.full_degree
+    diag = {SIMPLE: full, NEUMANN: reg, DIRICHLET: 2.0 * full - reg}.get(bc)
+    if diag is None:
+        raise ValidationError(f"unknown boundary condition {bc!r}")
+    return HamiltonianMatrix(diag + potential, region, bc, potential)
 
 
 def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
@@ -214,10 +231,9 @@ def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
     reg = region.region_degree.astype(float)
     if np.any(reg == 0):
         raise ValidationError("region has an isolated vertex")
-    mat = _operator(region, NEUMANN, 0.0)
-    mat.data *= np.repeat(1.0 / reg, np.diff(mat.indptr))
-    return HamiltonianMatrix(mat, region, NEUMANN, np.zeros(len(region)),
-                             symmetric=False, degree_weights=reg)
+    return HamiltonianMatrix(reg * (1.0 / reg), region, NEUMANN,
+                             np.zeros(len(region)), symmetric=False,
+                             degree_weights=reg)
 
 
 def quadratic_form(ham: HamiltonianMatrix, f: np.ndarray) -> float:

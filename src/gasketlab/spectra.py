@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import operators
 from .errors import CapacityError, ValidationError
@@ -51,29 +50,40 @@ def tie_guard(energy):
     return 1e-9 * (1.0 + abs(energy))
 
 
-def _as_symmetric(ham) -> sparse.csr_matrix:
-    """Symmetric CSR with the spectrum of the argument."""
+def _dimension(ham) -> int:
+    """Rows of a HamiltonianMatrix, or of a square matrix of any kind."""
     if isinstance(ham, HamiltonianMatrix):
-        return ham.symmetric_form()
-    if sparse.issparse(ham):
-        return ham.tocsr()
-    arr = np.asarray(ham, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        return ham.dimension
+    shape = np.shape(ham)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("expected a square matrix")
-    return sparse.csr_matrix(arr)
+    return shape[0]
+
+
+def _dense_symmetric(ham) -> np.ndarray:
+    """Dense symmetric array with the spectrum of the argument."""
+    if isinstance(ham, HamiltonianMatrix):
+        if not ham.symmetric:
+            return ham.symmetric_form().toarray()
+        arr = np.diag(ham.diagonal)
+        i, j = ham.region.edges.T
+        arr[i, j] = arr[j, i] = -1.0
+        return arr
+    if hasattr(ham, "toarray"):  # a scipy.sparse matrix
+        return ham.toarray()
+    return np.asarray(ham, dtype=float)
 
 
 def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
     """All eigenvalues, ascending, by dense symmetric diagonalization."""
-    mat = _as_symmetric(ham)
-    n = mat.shape[0]
+    n = _dimension(ham)
     if n > threshold:
         raise CapacityError(
             f"dimension {n} exceeds the dense threshold {threshold}; "
             "use count_below / counting_curve instead")
     from scipy import linalg  # only dense solves need it
 
-    return linalg.eigvalsh(mat.toarray())
+    return linalg.eigvalsh(_dense_symmetric(ham))
 
 
 def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
@@ -271,7 +281,7 @@ def count_below(ham, energy, retries: int = 5):
 
 def _inertia_counts(ham, grid, retries):
     # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
-    diag, weights = ((ham.matrix.diagonal(), np.ones(ham.dimension)) if ham.symmetric
+    diag, weights = ((ham.diagonal, np.ones(ham.dimension)) if ham.symmetric
                      else (ham.degree_weights, ham.degree_weights))
     counts = np.zeros(grid.size, dtype=np.int64)
     todo, batch = np.arange(grid.size), _BUDGET // 64
@@ -311,12 +321,12 @@ def counting_curve(ham, grid, method: str = "auto",
     """Counting function on a grid, densely below the threshold and by
     inertia above it (or as forced by ``method``)."""
     grid = np.sort(np.asarray(grid, dtype=float))
-    mat = _as_symmetric(ham)
+    n = _dimension(ham)
     if method == "auto":
-        method = "dense" if mat.shape[0] <= threshold else "inertia"
+        method = "dense" if n <= threshold else "inertia"
     if method == "dense":
         counts = counts_from_eigenvalues(eigenvalues_dense(ham, threshold=max(
-            threshold, mat.shape[0])), grid)
+            threshold, n)), grid)
     elif method == "inertia":
         counts = count_below(ham, grid)
     else:
@@ -567,6 +577,8 @@ def zero_extension_residual(level: int, vector: np.ndarray) -> float:
     after extending a ball vector by zero."""
     inner = build_ball(level)
     outer = build_ball(level + 1)
+    from scipy import sparse
+
     shifted = operators.laplacian(outer, SIMPLE) - 6.0 * sparse.identity(len(outer))
     x = np.zeros(len(outer))
     x[outer.locate(inner.coords)] = vector

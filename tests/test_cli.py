@@ -257,19 +257,36 @@ def test_fit_on_a_saved_curve_matches_the_ids_fit(tmp_path):
     assert reloaded == in_memory
 
 
-def test_inertia_counting_leaves_scipy_linalg_unloaded(tmp_path):
-    # only dense solves import scipy.linalg (about 8 MiB of RSS); these
+INERTIA_GRID = ["--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
+                "--grid-n", "4"]
+
+
+@pytest.mark.parametrize("args, loaded", [
+    pytest.param(None, [], id="parser"),
+    pytest.param(["ids", "--level", "6", "--dist", "bernoulli:0,10,0.5",
+                  "--trials", "2", "--dense-threshold", "0", *INERTIA_GRID], [],
+                 id="ids-inertia"),
+    pytest.param(["spectrum", "--level", "4", "--inertia", *INERTIA_GRID], [],
+                 id="spectrum-inertia"),
+    pytest.param(["spectrum", "--level", "3", "--dist", "const:0"],
+                 ["scipy.linalg"], id="spectrum-dense"),
+])
+def test_scipy_modules_load_only_where_needed(tmp_path, args, loaded):
+    # neither import is needed to start, and counting reads the operator's
+    # arrays: scipy.sparse (about 0.2 s of start-up) stays unloaded, and
+    # scipy.linalg (about 8 MiB of RSS) loads only for dense solves; these
     # energies cause no breakdown, so nothing falls back on them
-    code = ("import sys\nfrom gasketlab.cli import main\n"
-            "rc = main(['spectrum', '--level', '4', '--inertia', '--grid-kind',"
-            " 'lin', '--grid-lo', '0.3', '--grid-hi', '7.3', '--grid-n', '4',"
-            " '--out', 's'])\nprint(rc, 'scipy.linalg' in sys.modules)\n")
+    call = f"main({args!r} + ['--out', 'o'])" if args else "0"
+    code = ("import sys\nfrom gasketlab.cli import build_parser, main\n"
+            f"build_parser()\nrc = {call}\n"
+            "print(rc, [m for m in ('scipy.linalg', 'scipy.sparse')"
+            " if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(gasketlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.splitlines()[-1:] == ["0 False"], done.stderr
+    assert done.stdout.splitlines()[-1:] == [f"0 {loaded}"], done.stderr
 
 
 NUMBERS = ["-1", "0", "0.5", "3", "nan", "inf", "-inf", "1e308", "x", ""]

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to the end.
-
-Demo 04 (about a minute of IDS sampling) is left out.
-"""
+"""Smoke test: every demo runs to the end."""
 
 import pathlib
 import runpy
@@ -15,6 +12,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     "01_build_the_lattice.py",
     "02_hamiltonians_and_spectra.py",
     "03_exact_decimation.py",
+    "04_density_of_states.py",
     "05_verify_the_inequalities.py",
 ])
 def test_demo_runs(tmp_path, monkeypatch, name):

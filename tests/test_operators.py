@@ -5,7 +5,8 @@ import pytest
 
 from gasketlab import operators, spectra
 from gasketlab.errors import ValidationError
-from gasketlab.lattice import LatticeRegion, build_triangle, subdivide
+from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
+                               build_triangle, subdivide)
 from gasketlab.operators import (assemble, bernoulli, constant, edge_energy,
                                  probabilistic_laplacian, quadratic_form,
                                  sample_potential, table_cdf, uniform)
@@ -109,6 +110,73 @@ def test_assembly_is_bit_identical():
     assert np.array_equal(a.matrix.data, b.matrix.data)
     assert np.array_equal(a.matrix.indices, b.matrix.indices)
     assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+
+
+def _bitwise_regions():
+    tri = build_triangle(3)
+    return {"full": tri,
+            "truncated": build_triangle(TriangleSpec(3, truncated=True)),
+            "mirrored": build_triangle(TriangleSpec(3, mirrored=True)),
+            "half": build_triangle(3, half_lattice=True),
+            "ball": build_ball(3),
+            "coords-only": LatticeRegion(tri.coords, tri.edges)}
+
+
+def _triplet_csr(region, diagonal, row_scale=None):
+    """An independent CSR: COO triplets summed into CSR, exact zeros
+    dropped, then each row scaled by ``row_scale``."""
+    from scipy import sparse
+
+    n = len(region)
+    i, j = region.edges.T
+    mat = sparse.csr_matrix(
+        (np.concatenate([diagonal, np.full(2 * len(i), -1.0)]),
+         (np.concatenate([np.arange(n), i, j]), np.concatenate([np.arange(n), j, i]))),
+        shape=(n, n))
+    mat.eliminate_zeros()
+    if row_scale is not None:
+        mat.data *= np.repeat(row_scale, np.diff(mat.indptr))
+    return mat
+
+
+@pytest.mark.parametrize("name", sorted(_bitwise_regions()))
+def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
+    import scipy.linalg
+
+    region = _bitwise_regions()[name]
+    # -4 cancels the diagonal at interior sites under every boundary rule
+    values = sample_potential(region, bernoulli(-4.0, 10.0, 0.5, seed=7))
+    reg, full = region.region_degree, region.full_degree
+    cases = [(assemble(region, bc, values), _triplet_csr(region, diag + values))
+             for bc, diag in (("simple", full), ("neumann", reg),
+                              ("dirichlet", 2.0 * full - reg))]
+    assert all(np.any(ham.diagonal == 0.0) for ham, _ in cases)
+    prob = probabilistic_laplacian(region)
+    cases.append((prob, _triplet_csr(region, reg + 0.0, 1.0 / reg)))
+    handed = []
+    monkeypatch.setattr(scipy.linalg, "eigvalsh",
+                        lambda a: handed.append(a) or np.zeros(len(a)))
+    grid = [0.31, 1.13, 4.7]
+    for ham, want in cases:
+        # counting reads the arrays; no CSR is built for a symmetric operator
+        spectra.count_below(ham, grid)
+        spectra.counting_curve(ham, grid, method="inertia")
+        spectra.counting_curve(ham, grid)
+        assert ham.symmetric == ("matrix" not in ham.__dict__)
+        assert np.array_equal(ham.diagonal, ham.matrix.diagonal())
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ham.matrix, attr), getattr(want, attr))
+        assert ham.matrix.data.tobytes() == want.data.tobytes()
+        assert handed[-1].tobytes() == ham.symmetric_form().toarray().tobytes()
+
+
+def test_probabilistic_inertia_count_builds_no_csr():
+    ham = probabilistic_laplacian(build_triangle(4))
+    grid = [0.31, 1.13]
+    counts = spectra.count_below(ham, grid)
+    assert "matrix" not in ham.__dict__
+    dense = spectra.counts_from_eigenvalues(spectra.eigenvalues_dense(ham), grid)
+    assert np.array_equal(counts, dense)
 
 
 def test_probabilistic_laplacian_small_cases():

@@ -24,6 +24,12 @@ from gasketlab.spectra import (CheckRecord, compact_eigenfunction_at_six,
 def test_dense_fixture():
     assert np.allclose(eigenvalues_dense(np.diag([3.0, 1.0, 2.0])),
                        [1.0, 2.0, 3.0])
+    region = build_triangle(2)
+    free = assemble(region, "simple", np.zeros(len(region)))
+    assert np.array_equal(eigenvalues_dense(operators.laplacian(region, "simple")),
+                          eigenvalues_dense(free))
+    with pytest.raises(ValidationError):
+        eigenvalues_dense(np.ones((2, 3)))
 
 
 def test_dense_threshold_capacity():
