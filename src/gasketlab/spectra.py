@@ -1,8 +1,12 @@
 """Eigenvalues, counting functions and mechanical inequality checks.
 
-Small operators are diagonalized densely.  Large ones are handled through
-inertia counting: the number of eigenvalues at or below E equals the number
-of negative eigenvalues of H - (E + eta) I.  On a gasket region every
+Small operators are counted from all their eigenvalues.  Eigenvalue
+outputs come from a dense ``eigvalsh``; counting curves of a gasket
+operator come from its band, rows sorted along the Euclidean x axis so
+that every edge spans few rows (bandwidth 30 at level 6), solved by
+``eigvals_banded``.  Large operators are handled through inertia counting:
+the number of eigenvalues at or below E equals the number of negative
+eigenvalues of H - (E + eta) I.  On a gasket region every
 sub-triangle meets the rest of the graph only at its 3 corners, so that
 matrix is eliminated bottom-up over the unit cells, three sibling triangles
 at a time, as in spectral decimation; Sylvester's law of inertia adds up
@@ -74,13 +78,17 @@ def _dense_symmetric(ham) -> np.ndarray:
     return np.asarray(ham, dtype=float)
 
 
-def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
-    """All eigenvalues, ascending, by dense symmetric diagonalization."""
+def _check_dense(ham, threshold: int) -> None:
     n = _dimension(ham)
     if n > threshold:
         raise CapacityError(
             f"dimension {n} exceeds the dense threshold {threshold}; "
             "use count_below / counting_curve instead")
+
+
+def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
+    """All eigenvalues, ascending, by dense symmetric diagonalization."""
+    _check_dense(ham, threshold)
     from scipy import linalg  # only dense solves need it
 
     return linalg.eigvalsh(_dense_symmetric(ham))
@@ -92,6 +100,39 @@ def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     shifted = grid + tie_guard(grid)
     return np.searchsorted(eigenvalues, shifted, side="left")
+
+
+def _sweep_band(ham: HamiltonianMatrix):
+    """The rows sorted by (2p + q, q), i.e. along the Euclidean x axis, and
+    the upper band of the operator's symmetric form in that order, stored
+    as LAPACK's: entry (i, j) in row w + i - j of column j.  Every edge
+    steps 2p + q by 2, 1 or -1, so the bandwidth w is 30 at level 6."""
+    p, q = ham.region.coords.T
+    order = np.lexsort((q, 2 * p + q))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    lo, hi = np.sort(rank[ham.region.edges], axis=1).T
+    width = int(np.max(hi - lo, initial=0))
+    band = np.zeros((width + 1, ham.dimension))
+    band[width] = ham.diagonal[order]
+    band[width - (hi - lo), hi] = -1.0 if ham.symmetric else -1.0 / np.sqrt(
+        ham.degree_weights[order[lo]] * ham.degree_weights[order[hi]])
+    return order, band
+
+
+def dense_counts(ham, grid, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
+    """Tie-guarded #{eigenvalue <= E} for each E of the grid, from every
+    eigenvalue: of a HamiltonianMatrix by ``eigvals_banded`` (LAPACK
+    ``?sbevd``) on its :func:`_sweep_band`, of any other matrix by
+    :func:`eigenvalues_dense`."""
+    if not isinstance(ham, HamiltonianMatrix):
+        return counts_from_eigenvalues(eigenvalues_dense(ham, threshold), grid)
+    _check_dense(ham, threshold)
+    from scipy import linalg  # only dense solves need it
+
+    band = _sweep_band(ham)[1]
+    return counts_from_eigenvalues(
+        linalg.eigvals_banded(band, overwrite_a_band=True), grid)
 
 
 #: Most elements a temporary of the elimination holds, whatever the level
@@ -325,8 +366,7 @@ def counting_curve(ham, grid, method: str = "auto",
     if method == "auto":
         method = "dense" if n <= threshold else "inertia"
     if method == "dense":
-        counts = counts_from_eigenvalues(eigenvalues_dense(ham, threshold=max(
-            threshold, n)), grid)
+        counts = dense_counts(ham, grid, threshold=max(threshold, n))
     elif method == "inertia":
         counts = count_below(ham, grid)
     else:
@@ -399,8 +439,7 @@ def verify_counting_bounds(level, potential_spec, trials, grid) -> list[CheckRec
         for bc in _BC_NAMES:
             for name, reg in (("full", parent), ("trunc", parent_trunc)):
                 ham = assemble(reg, bc, _restrict(parent, values, reg))
-                curves[(name, bc)] = counts_from_eigenvalues(
-                    eigenvalues_dense(ham), grid)
+                curves[(name, bc)] = dense_counts(ham, grid)
         keys = list(curves)
         for i, ki in enumerate(keys):
             for kj in keys[i + 1:]:
@@ -413,7 +452,7 @@ def verify_counting_bounds(level, potential_spec, trials, grid) -> list[CheckRec
                 total = np.zeros(len(grid), dtype=int)
                 for reg in regs:
                     ham = assemble(reg, bc, _restrict(parent, values, reg))
-                    total += counts_from_eigenvalues(eigenvalues_dense(ham), grid)
+                    total += dense_counts(ham, grid)
                 dev = int(np.max(np.abs(curves[(name, bc)] - total)))
                 records.append(CheckRecord(
                     "triple-split", f"L={level} trial={trial} {name}/{bc}",

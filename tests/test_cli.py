@@ -63,6 +63,15 @@ def test_spectrum_capacity_without_inertia(tmp_path):
     assert rc == 3
 
 
+def test_verify_counting_capacity(tmp_path, capsys):
+    # level-8 triangles have 9843 rows, above DENSE_THRESHOLD
+    rc = run(["verify", "--suite", "counting", "--levels", "8", "--out", "v"],
+             tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+
+
 def test_spectrum_counting_with_inertia(tmp_path):
     rc = run(["spectrum", "--level", "3", "--dist", "const:0", "--inertia",
               "--grid-kind", "lin", "--grid-lo", "0", "--grid-hi", "9",
@@ -270,6 +279,11 @@ INERTIA_GRID = ["--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
                  id="spectrum-inertia"),
     pytest.param(["spectrum", "--level", "3", "--dist", "const:0"],
                  ["scipy.linalg"], id="spectrum-dense"),
+    pytest.param(["spectrum", "--level", "4", "--prob", *INERTIA_GRID],
+                 ["scipy.linalg"], id="spectrum-prob-dense"),
+    pytest.param(["ids", "--level", "4", "--region", "full", "--dist",
+                  "uniform:0,1", "--trials", "2", *INERTIA_GRID],
+                 ["scipy.linalg"], id="ids-dense"),
 ])
 def test_scipy_modules_load_only_where_needed(tmp_path, args, loaded):
     # neither import is needed to start, and counting reads the operator's

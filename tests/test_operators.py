@@ -158,16 +158,42 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
                         lambda a: handed.append(a) or np.zeros(len(a)))
     grid = [0.31, 1.13, 4.7]
     for ham, want in cases:
-        # counting reads the arrays; no CSR is built for a symmetric operator
+        # counting reads the arrays; a CSR is built only where the
+        # probabilistic Laplacian is solved densely through symmetric_form
+        # (count_below on a region without cells)
         spectra.count_below(ham, grid)
         spectra.counting_curve(ham, grid, method="inertia")
         spectra.counting_curve(ham, grid)
-        assert ham.symmetric == ("matrix" not in ham.__dict__)
+        assert ("matrix" in ham.__dict__) == (
+            not ham.symmetric and region.cells is None)
         assert np.array_equal(ham.diagonal, ham.matrix.diagonal())
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(ham.matrix, attr), getattr(want, attr))
         assert ham.matrix.data.tobytes() == want.data.tobytes()
+        spectra.eigenvalues_dense(ham)
         assert handed[-1].tobytes() == ham.symmetric_form().toarray().tobytes()
+        # the band that dense counting solves is the same matrix, its rows
+        # in sweep order (the probabilistic couplings are rounded once, not
+        # through D^{-1/2} D D^{-1} D^{-1/2})
+        order, band = spectra._sweep_band(ham)
+        assert np.array_equal(np.sort(order), np.arange(len(region)))
+        want = _dense_band_rows(band)
+        dense = spectra._dense_symmetric(ham)[np.ix_(order, order)]
+        if ham.symmetric:
+            assert want.tobytes() == dense.tobytes()
+        else:
+            assert np.max(np.abs(want - dense)) <= 1e-15
+
+
+def _dense_band_rows(band):
+    """The symmetric matrix whose upper band is ``band`` in LAPACK's
+    storage (row w - k holds superdiagonal k from column k on)."""
+    width, n = len(band) - 1, band.shape[1]
+    full = np.zeros((n, n))
+    for k in range(width + 1):
+        i = np.arange(n - k)
+        full[i, i + k] = full[i + k, i] = band[width - k, k:]
+    return full
 
 
 def test_probabilistic_inertia_count_builds_no_csr():

@@ -1,3 +1,4 @@
+import functools
 import json
 from unittest import mock
 
@@ -35,6 +36,11 @@ def test_dense_fixture():
 def test_dense_threshold_capacity():
     with pytest.raises(CapacityError):
         eigenvalues_dense(np.eye(5), threshold=4)
+    ham = assemble(build_triangle(3), "simple", np.zeros(42))
+    for matrix, rows in ((np.eye(5), 5), (ham, 42)):
+        with pytest.raises(CapacityError):
+            spectra.dense_counts(matrix, [1.0], threshold=rows - 1)
+        assert spectra.dense_counts(matrix, [9.0], threshold=rows).tolist() == [rows]
 
 
 def test_dense_probabilistic_symmetrization():
@@ -240,10 +246,29 @@ def _oracle_regions(level):
     return regions
 
 
-def _mismatches(ham, energies):
+@functools.lru_cache(maxsize=None)
+def _oracle_operators(level):
+    """(region kind, potential, boundary rule, operator, eigvalsh spectrum)
+    of every oracle operator at one level; the count_below and dense_counts
+    oracle tests share the solves."""
+    cases = []
+    for name, region in _oracle_regions(level).items():
+        for spec in ORACLE_POTENTIALS:
+            values = sample_potential(region, spec)
+            for bc in operators.BOUNDARY_CONDITIONS:
+                ham = assemble(region, bc, values)
+                cases.append((name, spec.distribution[0], bc, ham,
+                              eigenvalues_dense(ham)))
+        ham = operators.probabilistic_laplacian(region)
+        cases.append((name, "prob", "", ham, eigenvalues_dense(ham)))
+    return cases
+
+
+def _mismatches(ham, energies, values=None):
     """(E, array call, scalar call, dense) wherever the three disagree.  The
     dense counts that breakdowns fall back on reuse the oracle's solve."""
-    values = eigenvalues_dense(ham)
+    if values is None:
+        values = eigenvalues_dense(ham)
     dense = counts_from_eigenvalues(values, energies)
     with mock.patch.object(spectra, "eigenvalues_dense", lambda _: values):
         batch = count_below(ham, np.asarray(energies))
@@ -258,15 +283,10 @@ def test_count_below_matches_dense_on_every_region_kind(level):
     # singular, and E = 4 is a double eigenvalue of the level-6 truncated
     # free Neumann triangle (dense count 457)
     bad = []
-    for name, region in _oracle_regions(level).items():
-        for spec in ORACLE_POTENTIALS:
-            values = sample_potential(region, spec)
-            for bc in operators.BOUNDARY_CONDITIONS:
-                bad += [(name, spec.distribution[0], bc, *m) for m in
-                        _mismatches(assemble(region, bc, values),
-                                    ORACLE_ENERGIES)]
-        bad += [(name, "prob", *m) for m in _mismatches(
-            operators.probabilistic_laplacian(region), PROB_ENERGIES)]
+    for name, potential, bc, ham, values in _oracle_operators(level):
+        energies = PROB_ENERGIES if potential == "prob" else ORACLE_ENERGIES
+        bad += [(name, potential, bc, *m)
+                for m in _mismatches(ham, energies, values)]
     assert bad == []
 
 
@@ -290,6 +310,35 @@ def test_count_below_matches_dense_at_tie_energies(level, kind, bc, seed,
     region = _oracle_regions(level)[kind]
     values = np.random.default_rng(seed).choice([0.0, 10.0], len(region))
     assert _mismatches(assemble(region, bc, values), energies) == []
+
+
+# the band solve of dense_counts against eigvalsh
+
+DENSE_ENERGIES = sorted(set(ORACLE_ENERGIES) | set(TIE_ENERGIES) | set(PROB_ENERGIES))
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_dense_counts_match_eigvalsh_on_every_region_kind(level):
+    # at the tie energies whole clusters of eigenvalues sit exactly at E
+    bad = [(name, potential, bc, e, b, d)
+           for name, potential, bc, ham, values in _oracle_operators(level)
+           for e, b, d in zip(DENSE_ENERGIES, spectra.dense_counts(ham, DENSE_ENERGIES),
+                              counts_from_eigenvalues(values, DENSE_ENERGIES))
+           if b != d]
+    assert bad == []
+
+
+def test_dense_counts_match_eigvalsh_at_every_free_eigenvalue():
+    # each energy is within 5e-10 of an eigenvalue, inside the tie guard
+    free = [case for case in _oracle_operators(6) if case[1] in ("constant", "prob")]
+    energies = np.unique(np.round(np.concatenate([c[4] for c in free]), 9))
+    assert len(energies) > 1000
+    bad = [(name, potential, bc, int(np.count_nonzero(b != d)))
+           for name, potential, bc, ham, values in free
+           for b, d in [(spectra.dense_counts(ham, energies),
+                         counts_from_eigenvalues(values, energies))]
+           if np.any(b != d)]
+    assert bad == []
 
 
 def test_shift_ladder_matches_dense_away_from_nearby_eigenvalues(monkeypatch):
