@@ -72,6 +72,11 @@ class PotentialSpec:
                 raise ValidationError("cdf table must be strictly increasing")
             if not 0 < cum[0] <= 1 or abs(cum[-1] - 1.0) > 1e-12:
                 raise ValidationError("cdf table must end at 1")
+        # finite parameters and scale can still overflow together
+        lo, hi = self.support()
+        if not np.all(np.isfinite([lo, hi, hi - lo])):
+            raise ValidationError(
+                f"{d!r} scaled by {self.scale} overflows: support [{lo}, {hi}]")
 
     def support(self) -> tuple[float, float]:
         """(inf, sup) of the support of the scaled distribution."""

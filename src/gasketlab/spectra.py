@@ -3,10 +3,11 @@
 Small operators are counted from all their eigenvalues.  Eigenvalue
 outputs come from a dense ``eigvalsh``; counting curves of a gasket
 operator come from its band, rows sorted along the Euclidean x axis so
-that every edge spans few rows (bandwidth 30 at level 6), solved by
-``eigvals_banded``.  Large operators are handled through inertia counting:
-the number of eigenvalues at or below E equals the number of negative
-eigenvalues of H - (E + eta) I.  On a gasket region every
+that every edge spans few rows (bandwidth 30 at level 6), solved by LAPACK
+``dsbevd`` through ctypes, which releases the interpreter lock, so trials
+on threads solve at the same time.  Large operators are handled through
+inertia counting: the number of eigenvalues at or below E equals the
+number of negative eigenvalues of H - (E + eta) I.  On a gasket region every
 sub-triangle meets the rest of the graph only at its 3 corners, so that
 matrix is eliminated bottom-up over the unit cells, three sibling triangles
 at a time, as in spectral decimation; Sylvester's law of inertia adds up
@@ -27,6 +28,7 @@ test-suite uses the same convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,26 +115,67 @@ def _sweep_band(ham: HamiltonianMatrix):
     rank[order] = np.arange(len(order))
     lo, hi = np.sort(rank[ham.region.edges], axis=1).T
     width = int(np.max(hi - lo, initial=0))
-    band = np.zeros((width + 1, ham.dimension))
+    band = np.zeros((width + 1, ham.dimension), order="F")
     band[width] = ham.diagonal[order]
     band[width - (hi - lo), hi] = -1.0 if ham.symmetric else -1.0 / np.sqrt(
         ham.degree_weights[order[lo]] * ham.degree_weights[order[hi]])
     return order, band
 
 
+@functools.cache
+def _dsbevd():
+    """LAPACK ``dsbevd``, the routine behind ``eigvals_banded``, as a
+    ctypes foreign function taken from scipy's ``cython_lapack`` capsule.
+    It is typed with ``CFUNCTYPE``, not ``PYFUNCTYPE``, so a call releases
+    the interpreter lock."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack  # only dense solves need it
+
+    capsule = cython_lapack.__pyx_capi__["dsbevd"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(pointer)
+
+
+def _band_eigenvalues(band) -> np.ndarray:
+    """All eigenvalues, ascending, of the symmetric matrix whose upper band
+    ``band`` is in LAPACK storage (see :func:`_sweep_band`), by
+    :func:`_dsbevd` with JOBZ = 'N', without the interpreter lock.  A
+    Fortran-ordered float band is solved in place, so it is overwritten;
+    any other is copied first."""
+    band = np.asfortranarray(band, dtype=float)
+    if band.ndim != 2 or not len(band):
+        raise ValueError("expected a 2-D band with at least one row")
+    if not np.all(np.isfinite(band)):
+        raise ValueError("array must not contain infs or NaNs")
+    rows, n = band.shape
+    eigenvalues, z, work = np.empty(n), np.empty(1), np.empty(max(1, 2 * n))
+    # N, KD, LDAB, LDZ (Z is not referenced for JOBZ = 'N'), LWORK, IWORK,
+    # LIWORK and INFO, each passed by reference
+    ints = np.array([n, rows - 1, rows, 1, work.size, 0, 1, 0], dtype=np.intc)
+    ref = [ints.ctypes.data + k * ints.itemsize for k in range(len(ints))]
+    _dsbevd()(b"N", b"U", ref[0], ref[1], band.ctypes.data, ref[2],
+              eigenvalues.ctypes.data, z.ctypes.data, ref[3], work.ctypes.data,
+              ref[4], ref[5], ref[6], ref[7])
+    if ints[-1]:
+        raise np.linalg.LinAlgError(f"dsbevd failed with INFO = {ints[-1]}")
+    return eigenvalues
+
+
 def dense_counts(ham, grid, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
     """Tie-guarded #{eigenvalue <= E} for each E of the grid, from every
-    eigenvalue: of a HamiltonianMatrix by ``eigvals_banded`` (LAPACK
-    ``?sbevd``) on its :func:`_sweep_band`, of any other matrix by
+    eigenvalue: of a HamiltonianMatrix by :func:`_band_eigenvalues` (LAPACK
+    ``dsbevd``, which releases the interpreter lock, so trials on threads
+    solve in parallel) on its :func:`_sweep_band`, of any other matrix by
     :func:`eigenvalues_dense`."""
     if not isinstance(ham, HamiltonianMatrix):
         return counts_from_eigenvalues(eigenvalues_dense(ham, threshold), grid)
     _check_dense(ham, threshold)
-    from scipy import linalg  # only dense solves need it
-
-    band = _sweep_band(ham)[1]
-    return counts_from_eigenvalues(
-        linalg.eigvals_banded(band, overwrite_a_band=True), grid)
+    return counts_from_eigenvalues(_band_eigenvalues(_sweep_band(ham)[1]), grid)
 
 
 #: Most elements a temporary of the elimination holds, whatever the level

@@ -188,6 +188,18 @@ def test_env_threads_overrides(tmp_path, monkeypatch):
     assert cfg["threads"] == "2"
 
 
+def test_ball_curve_is_byte_identical_for_any_threads(tmp_path, monkeypatch):
+    monkeypatch.delenv("GASKET_THREADS", raising=False)
+    curves = []
+    for threads in ("1", "3"):
+        (tmp_path / threads).mkdir()
+        assert run(["ids", "--level", "5", "--region", "full", "--dist",
+                    "bernoulli:0,10,0.5", "--grid-kind", "global",
+                    "--threads", threads, "--out", "run"], tmp_path / threads) == 0
+        curves.append((tmp_path / threads / "run.curve.csv").read_bytes())
+    assert curves[0] == curves[1]
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -247,7 +259,12 @@ def test_non_finite_potential_usage_error(tmp_path, capsys, flags):
      "--grid-hi", "nan"],
     ["verify", "--suite", "psd", "--dim", "0"],
     ["verify", "--suite", "interlacing", "--dim", "3"],
-    ["verify", "--suite", "psd", "--seed", "-1"]])
+    ["verify", "--suite", "psd", "--seed", "-1"],
+    # finite parameters whose scaled support or width overflows
+    ["ids", "--level", "3", "--dist", "const:1e308", "--pot-scale", "10",
+     "--grid-kind", "global"],
+    ["ids", "--level", "3", "--dist", "uniform:-1e308,1e308", "--grid-kind", "lin"],
+    ["spectrum", "--level", "3", "--dist", "const:1e308", "--pot-scale", "10"]])
 def test_bad_input_usage_error(tmp_path, capsys, args):
     _usage_error(capsys, [*args, "--out", "o"], tmp_path)
 
@@ -309,7 +326,8 @@ FUZZ_VALUES = {
     "--bc": ["simple", "neumann", "dirichlet", "robin"],
     "--dist": ["const:0", "bernoulli:0,10,0.5", "uniform:0,1", "uniform:1,0",
                "table:0:0.5,1:1", "bernoulli:0,nan,0.5", "const:x",
-               "bogus:1", "uniform:0,inf", "const:1e308"],
+               "bogus:1", "uniform:0,inf", "const:1e308",
+               "uniform:-1e308,1e308"],
     "--pot-scale": NUMBERS, "--grid-lo": NUMBERS, "--grid-hi": NUMBERS,
     "--grid-n": ["-1", "0", "1", "3", "x"],
     "--grid-kind": ["geom", "lin", "global", "log"],

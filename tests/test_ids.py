@@ -70,12 +70,16 @@ def test_half_and_full_regions():
 
 
 def test_threaded_estimate_matches_serial():
-    spec = bernoulli(0, 10, 0.5, seed=4)
-    grid = ids.global_grid(spec, 16)
-    serial = estimate_ids(3, "simple", spec, 6, grid, threads=1)
-    threaded = estimate_ids(3, "simple", spec, 6, grid, threads=4)
-    assert np.array_equal(serial.mean_counts, threaded.mean_counts)
-    assert np.array_equal(serial.std_errors, threaded.std_errors)
+    # the level-5 ball counts by band solves that run side by side
+    for level, kind, seed in ((3, "half", 4), (5, "full", 5)):
+        spec = bernoulli(0, 10, 0.5, seed=seed)
+        grid = ids.global_grid(spec, 16)
+        serial = estimate_ids(level, "simple", spec, 6, grid, region_kind=kind,
+                              threads=1)
+        threaded = estimate_ids(level, "simple", spec, 6, grid, region_kind=kind,
+                                threads=4)
+        assert np.array_equal(serial.mean_counts, threaded.mean_counts)
+        assert np.array_equal(serial.std_errors, threaded.std_errors)
 
 
 def test_convergence_between_levels():

@@ -1,5 +1,7 @@
 import functools
 import json
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -339,6 +341,65 @@ def test_dense_counts_match_eigvalsh_at_every_free_eigenvalue():
                          counts_from_eigenvalues(values, energies))]
            if np.any(b != d)]
     assert bad == []
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_band_eigenvalues_equal_eigvals_banded_bit_for_bit(level):
+    # the same LAPACK routine on the same band, called through ctypes
+    from scipy import linalg
+
+    bad = []
+    for name, potential, bc, ham, _ in _oracle_operators(level):
+        band = spectra._sweep_band(ham)[1]
+        expected = linalg.eigvals_banded(band)
+        if not np.array_equal(spectra._band_eigenvalues(band), expected):
+            bad.append((name, potential, bc))
+    assert bad == []
+
+
+def test_band_eigenvalues_of_small_and_non_finite_bands():
+    from scipy import linalg
+
+    for band in (np.array([[3.0, -1.0, 2.5, -1.0]]),  # bandwidth 0
+                 np.array([[7.0]]),  # n = 1
+                 np.array([[0.0], [-2.0]])):  # n = 1 in bandwidth-1 storage
+        assert np.array_equal(spectra._band_eigenvalues(band.copy()),
+                              linalg.eigvals_banded(band))
+    with pytest.raises(ValueError):
+        spectra._band_eigenvalues(np.array([[0.0, -1.0], [2.0, np.nan]]))
+
+
+def test_band_solve_releases_the_interpreter_lock():
+    # the main thread stamps the clock while a worker solves a level-6 ball
+    # band; a solve that held the lock would stall it for the whole window
+    region = build_ball(6)
+    band = spectra._sweep_band(assemble(region, "simple", np.zeros(len(region))))[1]
+    spectra._band_eigenvalues(band.copy(order="F"))  # load the binding first
+    ratios = []
+    for _ in range(3):
+        work, window = band.copy(order="F"), []
+
+        def solve():
+            window.append(time.perf_counter())
+            spectra._band_eigenvalues(work)
+            window.append(time.perf_counter())
+
+        worker = threading.Thread(target=solve)
+        # only gaps above 0.1 ms are kept, so the loop stores little
+        gaps, last = [], time.perf_counter()
+        deadline = last + 60.0
+        worker.start()
+        while worker.is_alive() and last < deadline:
+            now = time.perf_counter()
+            if now - last > 1e-4:
+                gaps.append((last, now))
+            last = now
+        worker.join(timeout=60.0)
+        assert not worker.is_alive()
+        start, end = window
+        longest = max((min(b, end) - max(a, start) for a, b in gaps), default=0.0)
+        ratios.append(longest / (end - start))
+    assert min(ratios) < 0.25, ratios
 
 
 def test_shift_ladder_matches_dense_away_from_nearby_eigenvalues(monkeypatch):
