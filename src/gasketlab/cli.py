@@ -128,16 +128,14 @@ def cmd_spectrum(args) -> int:
         ham = operators.assemble(region, args.bc, values)
     if args.grid_n > 0:
         grid = _parse_grid(args, potential)
-        method = "inertia" if args.inertia else "auto"
-        curve = spectra.counting_curve(ham, grid, method=method,
-                                       threshold=args.dense_threshold)
+        curve = spectra.counting_curve(ham, grid)
         curve.to_csv(args.out + ".counts.csv")
         print(f"counting curve on {len(grid)} energies -> {args.out}.counts.csv")
     else:
-        if ham.dimension > args.dense_threshold and not args.inertia:
+        if ham.dimension > args.dense_threshold:
             raise CapacityError(
-                f"dimension {ham.dimension} exceeds the dense threshold; "
-                "pass --inertia with an energy grid")
+                f"dimension {ham.dimension} exceeds the dense threshold "
+                f"{args.dense_threshold}; pass --grid-n for a counting curve")
         eigs = spectra.eigenvalues_dense(ham, threshold=args.dense_threshold)
         with open(args.out + ".eigs.csv", "w") as fh:
             fh.write("value\n")
@@ -151,6 +149,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_ids(args) -> int:
+    # GASKET_THREADS wins over --threads; the default is the hardware count
+    value = os.environ.get("GASKET_THREADS", args.threads)
+    try:
+        args.threads = (os.cpu_count() or 1) if value is None else int(value)
+    except ValueError as exc:
+        raise ValidationError(
+            f"GASKET_THREADS must be an integer, got {value!r}") from exc
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
     if args.grid_n < 1:
         raise ValidationError(f"--grid-n must be at least 1, got {args.grid_n}")
@@ -160,8 +165,7 @@ def cmd_ids(args) -> int:
         args.trials = 8 if args.level >= 8 else 32
     curve = ids.estimate_ids(args.level, args.bc, potential, args.trials,
                              grid, region_kind=args.region,
-                             threads=args.threads,
-                             threshold=args.dense_threshold)
+                             threads=args.threads, max_level=args.max_level)
     curve.to_csv(args.out + ".curve.csv")
     _write_config(args, args.out + ".config")
     print(f"IDS curve ({args.trials} trials, |region|={curve.region_size}) "
@@ -261,19 +265,16 @@ def cmd_decimate(args) -> int:
     return code
 
 
+SEED_HELP = "master seed; every random stream derives from it"
+
+
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed; every random stream derives from it")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for independent trials; default is "
-                        "the hardware count (GASKET_THREADS overrides)")
-    p.add_argument("--dense-threshold", type=int, default=spectra.DENSE_THRESHOLD)
-    p.add_argument("--max-level", type=int, default=lattice.MAX_LEVEL)
     p.add_argument("--out", default="gasket_run", help="output path prefix")
 
 
 def _add_region(p):
     p.add_argument("--level", type=int, required=True)
+    p.add_argument("--max-level", type=int, default=lattice.MAX_LEVEL)
     p.add_argument("--truncated", action="store_true")
     p.add_argument("--mirrored", action="store_true")
     p.add_argument("--ball", action="store_true")
@@ -309,10 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--prob", action="store_true",
                    help="degree-normalized free operator instead of H")
-    p.add_argument("--inertia", action="store_true",
-                   help="force factorization counting for the grid")
     p.add_argument("--export-matrix", action="store_true")
+    p.add_argument("--dense-threshold", type=int, default=spectra.DENSE_THRESHOLD,
+                   help="most rows whose eigenvalues are written")
     _add_grid(p, n=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -328,6 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", choices=("none", "power", "lifshitz", "exp"),
                    default="none")
     p.add_argument("--window", default="1e-3,5e-2")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for independent trials; default is "
+                        "the hardware count (GASKET_THREADS overrides)")
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
+    p.add_argument("--max-level", type=int, default=lattice.MAX_LEVEL)
     _add_grid(p)
     _add_common(p)
     p.set_defaults(func=cmd_ids)
@@ -342,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--grid-n", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
+    p.add_argument("--max-level", type=int, default=lattice.MAX_LEVEL,
+                   help="deepest level of the decay suite")
     _add_common(p)
     p.set_defaults(func=cmd_verify, out="verify_report.json")
 
@@ -353,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--scale", choices=("prob", "comb"), default="prob")
     p.add_argument("--compare-dense", action="store_true")
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_decimate)
 
@@ -368,21 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_tokens(path: str) -> list[str]:
+    """The flags a key=value file stands for.  Its ``command`` line, which
+    every written snapshot has, is skipped: the subcommand comes from the
+    command line."""
     tokens = []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            key, sep, value = (x.strip() for x in line.partition("="))
+            if (not sep or key.startswith("#") or key == "command"
+                    or value.lower() == "false"):
                 continue
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() == "true":
-                tokens.append(flag)
-            elif value.lower() == "false":
-                continue
-            else:
-                tokens.append(flag)
+            tokens.append("--" + key.replace("_", "-"))
+            if value.lower() != "true":
                 tokens.extend(value.split())
     return tokens
 
@@ -406,15 +414,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "GASKET_THREADS" in os.environ:
-            text = os.environ["GASKET_THREADS"]
-            try:
-                args.threads = int(text)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"GASKET_THREADS must be an integer, got {text!r}") from exc
-        elif args.threads is None:
-            args.threads = os.cpu_count() or 1
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -226,7 +226,7 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     pts = np.append(pts, BOTTOM)
     gens = np.append(gens, 0)
     if julia_samples > 0:
-        key = np.array([np.uint64(seed), np.uint64(1)], dtype=np.uint64)
+        key = np.array([seed & (2**64 - 1), 1], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         z = np.full(julia_samples, BOTTOM)
         for _ in range(julia_depth):

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .lattice import TriangleSpec, build_ball, build_triangle
-from .operators import NEUMANN, PotentialSpec, assemble, sample_potential
-from .spectra import DENSE_THRESHOLD, counting_curve, eigenvalues_dense
+from .lattice import (MAX_LEVEL, TriangleSpec, ball_count, build_ball,
+                      build_triangle, triangle_count)
+from .operators import (BOUNDARY_CONDITIONS, NEUMANN, PotentialSpec, assemble,
+                        sample_potential)
+from .spectra import counting_curve, eigenvalues_dense
 
 #: Volume growth exponent (base 2) of the gasket.
 ALPHA = math.log(3.0) / math.log(2.0)
@@ -65,7 +67,8 @@ def read_curve_csv(path) -> IdsCurve:
     """Load a curve written by :meth:`IdsCurve.to_csv`.  Trials, level, bc
     and region kind come from the ``<prefix>.config`` that ``gasketlab ids``
     writes beside ``<prefix>.curve.csv``, so the curve fits as it did in
-    memory; without that file they are unknown (no minimum-count floor)."""
+    memory (the region size is counted from level and kind, not built);
+    without that file they are unknown (no minimum-count floor)."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     config = {"trials": rows[0, 3] if rows.size else 1, "level": -1,
               "bc": "", "region": ""}
@@ -76,7 +79,7 @@ def read_curve_csv(path) -> IdsCurve:
     level, kind = int(config["level"]), config["region"]
     return IdsCurve(rows[:, 0], rows[:, 1], rows[:, 2], int(config["trials"]),
                     level, config["bc"], kind,
-                    len(_region_for(level, kind)) if kind else 0)
+                    _region_size(level, kind) if kind else 0)
 
 
 def tail_grid(lo: float = 1e-4, hi: float = 1e-1, n: int = 33) -> np.ndarray:
@@ -90,34 +93,41 @@ def global_grid(potential_spec: PotentialSpec, n: int = 129) -> np.ndarray:
     return np.linspace(0.0, 16.0 + max(hi, 0.0), n)
 
 
-def _region_for(level, region_kind):
+def _region_size(level, region_kind) -> int:
+    """Vertices of the region :func:`_region_for` builds, without building it."""
+    if region_kind not in ("half", "full"):
+        raise ValidationError(
+            f"region kind must be 'half' or 'full', got {region_kind!r}")
+    return (triangle_count if region_kind == "half" else ball_count)(level)
+
+
+def _region_for(level, region_kind, max_level):
+    _region_size(level, region_kind)  # rejects an unknown kind
     if region_kind == "half":
-        return build_triangle(TriangleSpec(level), half_lattice=True)
-    if region_kind == "full":
-        return build_ball(level)
-    raise ValidationError(f"region kind must be 'half' or 'full', got {region_kind!r}")
+        return build_triangle(TriangleSpec(level), half_lattice=True,
+                              max_level=max_level)
+    return build_ball(level, max_level=max_level)
 
 
 def estimate_ids(level, bc, potential_spec, trials, grid, *,
-                 region_kind: str = "half", method: str = "auto",
-                 threads: int = 1,
-                 threshold: int = DENSE_THRESHOLD) -> IdsCurve:
+                 region_kind: str = "half", threads: int = 1,
+                 max_level: int = MAX_LEVEL) -> IdsCurve:
     """Average the normalized counting function over independent trials.
 
     Trials are keyed by (seed, trial index) and reduced in fixed order, so
-    the result does not depend on scheduling or ``threads``.
+    the result does not depend on scheduling or ``threads``.  A level above
+    ``max_level`` is a CapacityError, as in the region builders.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
     grid = np.sort(np.asarray(grid, dtype=float))
-    region = _region_for(level, region_kind)
+    region = _region_for(level, region_kind, max_level)
     n = len(region)
 
     def one_trial(t):
         values = sample_potential(region, potential_spec, t)
         ham = assemble(region, bc, values)
-        return counting_curve(ham, grid, method=method,
-                              threshold=threshold).counts / n
+        return counting_curve(ham, grid).counts / n
 
     if threads > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -134,19 +144,15 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
 
 
 def bc_independence_report(level, potential_spec, trials, grid, *,
-                           region_kind: str = "half", method: str = "auto",
-                           threads: int = 1) -> dict:
+                           region_kind: str = "half", threads: int = 1) -> dict:
     """Compare the estimated curves across boundary conditions.
 
     The same potential samples are used for every boundary condition, so
     pointwise curve differences must stay within 9/|region| plus four
     combined standard errors.
     """
-    from .operators import BOUNDARY_CONDITIONS
-
     curves = {bc: estimate_ids(level, bc, potential_spec, trials, grid,
-                               region_kind=region_kind, method=method,
-                               threads=threads)
+                               region_kind=region_kind, threads=threads)
               for bc in BOUNDARY_CONDITIONS}
     n = next(iter(curves.values())).region_size
     pairs = []

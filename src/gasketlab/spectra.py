@@ -56,14 +56,16 @@ def tie_guard(energy):
     return 1e-9 * (1.0 + abs(energy))
 
 
-def _dimension(ham) -> int:
-    """Rows of a HamiltonianMatrix, or of a square matrix of any kind."""
-    if isinstance(ham, HamiltonianMatrix):
-        return ham.dimension
-    shape = np.shape(ham)
+def _check_dense(ham, threshold: int) -> None:
+    """Reject a non-square matrix, or one of more than ``threshold`` rows."""
+    shape = ((ham.dimension,) * 2 if isinstance(ham, HamiltonianMatrix)
+             else np.shape(ham))
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("expected a square matrix")
-    return shape[0]
+    if shape[0] > threshold:
+        raise CapacityError(
+            f"dimension {shape[0]} exceeds the dense threshold {threshold}; "
+            "use count_below / counting_curve instead")
 
 
 def _dense_symmetric(ham) -> np.ndarray:
@@ -78,14 +80,6 @@ def _dense_symmetric(ham) -> np.ndarray:
     if hasattr(ham, "toarray"):  # a scipy.sparse matrix
         return ham.toarray()
     return np.asarray(ham, dtype=float)
-
-
-def _check_dense(ham, threshold: int) -> None:
-    n = _dimension(ham)
-    if n > threshold:
-        raise CapacityError(
-            f"dimension {n} exceeds the dense threshold {threshold}; "
-            "use count_below / counting_curve instead")
 
 
 def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
@@ -335,7 +329,11 @@ def _negative_counts(cells, diag, weights, shift):
     return negatives + np.count_nonzero(values < 0.0, axis=1), broken
 
 
-def count_below(ham, energy, retries: int = 5):
+#: Shifts E + 10^k eta, k < _RETRIES, tried where the elimination breaks down.
+_RETRIES = 5
+
+
+def count_below(ham, energy):
     """#{eigenvalues <= E} for a scalar ``energy`` E (an int) or a 1-D
     array of energies (an int array): the negative inertia of the operator
     minus (E + eta).
@@ -347,10 +345,10 @@ def count_below(ham, energy, retries: int = 5):
     ``_BUDGET // 64`` energies; any other matrix counts densely.  Energies
     whose elimination breaks down are counted densely, with one solve per
     call, if the operator has at most DENSE_THRESHOLD rows.  On a larger
-    one only they are counted again, with the shift nudged by growing
-    multiples of the tie guard, which can count an eigenvalue a little
-    above E.  The ladder is deterministic, so repeated runs agree bit for
-    bit.
+    one only they are counted again, up to _RETRIES times, with the shift
+    nudged by growing multiples of the tie guard, which can count an
+    eigenvalue a little above E.  The ladder is deterministic, so repeated
+    runs agree bit for bit.
     """
     energy = np.asarray(energy, dtype=float)
     if energy.ndim > 1 or not np.all(np.isfinite(energy)):
@@ -359,17 +357,17 @@ def count_below(ham, energy, retries: int = 5):
     if not (isinstance(ham, HamiltonianMatrix) and ham.region.cells is not None):
         counts = counts_from_eigenvalues(eigenvalues_dense(ham), grid)
     else:
-        counts = _inertia_counts(ham, grid, retries)
+        counts = _inertia_counts(ham, grid)
     return int(counts[0]) if energy.ndim == 0 else counts
 
 
-def _inertia_counts(ham, grid, retries):
+def _inertia_counts(ham, grid):
     # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
     diag, weights = ((ham.diagonal, np.ones(ham.dimension)) if ham.symmetric
                      else (ham.degree_weights, ham.degree_weights))
     counts = np.zeros(grid.size, dtype=np.int64)
     todo, batch = np.arange(grid.size), _BUDGET // 64
-    for attempt in range(retries):
+    for attempt in range(_RETRIES):
         broken = np.zeros(todo.size, dtype=bool)
         for lo in range(0, todo.size, batch):
             at = todo[lo:lo + batch]
@@ -383,7 +381,7 @@ def _inertia_counts(ham, grid, retries):
             counts[todo] = counts_from_eigenvalues(eigenvalues_dense(ham), grid[todo])
             return counts
     raise RuntimeError(f"inertia counting failed at E={grid[todo].tolist()} "
-                       f"after {retries} shifted retries")
+                       f"after {_RETRIES} shifted retries")
 
 
 @dataclass
@@ -400,20 +398,15 @@ class CountingFunction:
                 fh.write(f"{e:.17g},{c}\n")
 
 
-def counting_curve(ham, grid, method: str = "auto",
-                   threshold: int = DENSE_THRESHOLD) -> CountingFunction:
-    """Counting function on a grid, densely below the threshold and by
-    inertia above it (or as forced by ``method``)."""
+def counting_curve(ham, grid) -> CountingFunction:
+    """Counting function on a grid.  This is the one place the method is
+    chosen, by size: :func:`dense_counts` for a generic matrix or an
+    operator of at most DENSE_THRESHOLD rows, :func:`count_below` above."""
     grid = np.sort(np.asarray(grid, dtype=float))
-    n = _dimension(ham)
-    if method == "auto":
-        method = "dense" if n <= threshold else "inertia"
-    if method == "dense":
-        counts = dense_counts(ham, grid, threshold=max(threshold, n))
-    elif method == "inertia":
+    if isinstance(ham, HamiltonianMatrix) and ham.dimension > DENSE_THRESHOLD:
         counts = count_below(ham, grid)
     else:
-        raise ValidationError(f"unknown counting method {method!r}")
+        counts = dense_counts(ham, grid)
     return CountingFunction(grid, counts)
 
 
@@ -482,7 +475,7 @@ def verify_counting_bounds(level, potential_spec, trials, grid) -> list[CheckRec
         for bc in _BC_NAMES:
             for name, reg in (("full", parent), ("trunc", parent_trunc)):
                 ham = assemble(reg, bc, _restrict(parent, values, reg))
-                curves[(name, bc)] = dense_counts(ham, grid)
+                curves[(name, bc)] = counting_curve(ham, grid).counts
         keys = list(curves)
         for i, ki in enumerate(keys):
             for kj in keys[i + 1:]:
@@ -495,7 +488,7 @@ def verify_counting_bounds(level, potential_spec, trials, grid) -> list[CheckRec
                 total = np.zeros(len(grid), dtype=int)
                 for reg in regs:
                     ham = assemble(reg, bc, _restrict(parent, values, reg))
-                    total += dense_counts(ham, grid)
+                    total += counting_curve(ham, grid).counts
                 dev = int(np.max(np.abs(curves[(name, bc)] - total)))
                 records.append(CheckRecord(
                     "triple-split", f"L={level} trial={trial} {name}/{bc}",

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasketlab
-from gasketlab.cli import main, parse_distribution
+from gasketlab.cli import build_parser, main, parse_distribution
 from gasketlab.errors import ValidationError
 
 
@@ -57,15 +58,19 @@ def test_spectrum_eigenvalues(tmp_path):
     assert np.allclose(values, [0.0, 3.0, 3.0], atol=1e-12)
 
 
-def test_spectrum_capacity_without_inertia(tmp_path):
+def test_spectrum_capacity_without_inertia(tmp_path, capsys):
+    # eigenvalues of a level-8 triangle (9843 rows) are above the dense
+    # threshold; a counting curve is not
     rc = run(["spectrum", "--level", "8", "--dist", "const:0", "--out", "s"],
              tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
     assert rc == 3
+    assert len(err) == 1 and "--grid-n" in err[0]
 
 
 def test_verify_counting_capacity(tmp_path, capsys):
-    # level-8 triangles have 9843 rows, above DENSE_THRESHOLD
-    rc = run(["verify", "--suite", "counting", "--levels", "8", "--out", "v"],
+    # level 13 is above the lattice guardrail MAX_LEVEL
+    rc = run(["verify", "--suite", "counting", "--levels", "13", "--out", "v"],
              tmp_path)
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 3
@@ -73,12 +78,14 @@ def test_verify_counting_capacity(tmp_path, capsys):
 
 
 def test_spectrum_counting_with_inertia(tmp_path):
-    rc = run(["spectrum", "--level", "3", "--dist", "const:0", "--inertia",
-              "--grid-kind", "lin", "--grid-lo", "0", "--grid-hi", "9",
+    # 9843 rows, above DENSE_THRESHOLD: the curve comes from the counter
+    rc = run(["spectrum", "--level", "8", "--dist", "const:0",
+              "--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "9.3",
               "--grid-n", "10", "--out", "s"], tmp_path)
     assert rc == 0
     rows = np.loadtxt(tmp_path / "s.counts.csv", delimiter=",", skiprows=1)
-    assert rows[-1, 1] == 42
+    assert np.all(np.diff(rows[:, 1]) >= 0)
+    assert rows[-1, 1] == 9843
 
 
 def test_decimate_compare_dense(tmp_path):
@@ -96,6 +103,13 @@ def test_decimate_free_band(tmp_path):
     rows = (tmp_path / "d.spectrum.csv").read_text().splitlines()[1:]
     values = np.array([float(r.split(",")[0]) for r in rows])
     assert values.min() >= -1e-12 and values.max() <= 6.0 + 1e-12
+
+
+def test_decimate_free_takes_any_seed(tmp_path):
+    # a negative seed wraps to 64 bits, as potential seeds do
+    for seed in ("-1", "7"):
+        assert run(["decimate", "--free", "--depth", "1", "--seed", seed,
+                    "--out", "d"], tmp_path) == 0
 
 
 def test_decimate_level_zero_usage_error(tmp_path):
@@ -157,6 +171,28 @@ def test_fit_command_roundtrip(tmp_path):
               "--window", "1e-2,1.0", "--out", "f.json"], tmp_path)
     assert rc == 0
     assert json.loads((tmp_path / "f.json").read_text())["n_points"] >= 5
+
+
+def test_ids_run_replays_from_its_config(tmp_path):
+    assert run(["ids", "--level", "3", "--dist", "bernoulli:0,10,0.5",
+                "--trials", "3", "--grid-kind", "global", "--grid-n", "12",
+                "--out", "r"], tmp_path) == 0
+    assert "command=ids\n" in (tmp_path / "r.config").read_text()
+    assert run(["ids", "--config", "r.config", "--out", "r2"], tmp_path) == 0
+    assert ((tmp_path / "r2.curve.csv").read_bytes()
+            == (tmp_path / "r.curve.csv").read_bytes())
+    assert ((tmp_path / "r2.config").read_text().replace("out=r2", "out=r")
+            == (tmp_path / "r.config").read_text())
+
+
+def test_ids_max_level_is_the_guardrail(tmp_path, capsys):
+    rc = run(["ids", "--level", "3", "--max-level", "2", "--dist", "const:0",
+              "--trials", "1", "--out", "i"], tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+    assert run(["ids", "--level", "3", "--max-level", "3", "--dist", "const:0",
+                "--trials", "1", "--out", "i"], tmp_path) == 0
 
 
 def test_config_file_with_override(tmp_path):
@@ -289,10 +325,10 @@ INERTIA_GRID = ["--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
 
 @pytest.mark.parametrize("args, loaded", [
     pytest.param(None, [], id="parser"),
-    pytest.param(["ids", "--level", "6", "--dist", "bernoulli:0,10,0.5",
-                  "--trials", "2", "--dense-threshold", "0", *INERTIA_GRID], [],
-                 id="ids-inertia"),
-    pytest.param(["spectrum", "--level", "4", "--inertia", *INERTIA_GRID], [],
+    # 9843 rows, above DENSE_THRESHOLD: counted by the counter
+    pytest.param(["ids", "--level", "8", "--dist", "bernoulli:0,10,0.5",
+                  "--trials", "2", *INERTIA_GRID], [], id="ids-inertia"),
+    pytest.param(["spectrum", "--level", "8", *INERTIA_GRID], [],
                  id="spectrum-inertia"),
     pytest.param(["spectrum", "--level", "3", "--dist", "const:0"],
                  ["scipy.linalg"], id="spectrum-dense"),
@@ -321,8 +357,11 @@ def test_scipy_modules_load_only_where_needed(tmp_path, args, loaded):
 
 
 NUMBERS = ["-1", "0", "0.5", "3", "nan", "inf", "-inf", "1e308", "x", ""]
+#: Values to try for every option that takes one; no run they make builds
+#: a region above level 3 or at level 13.
 FUZZ_VALUES = {
     "--level": ["-1", "0", "1", "2", "3", "13", "x", "nan"],
+    "--max-level": ["-1", "0", "2", "3", "x"],
     "--bc": ["simple", "neumann", "dirichlet", "robin"],
     "--dist": ["const:0", "bernoulli:0,10,0.5", "uniform:0,1", "uniform:1,0",
                "table:0:0.5,1:1", "bernoulli:0,nan,0.5", "const:x",
@@ -342,48 +381,69 @@ FUZZ_VALUES = {
     "--depth": ["-1", "0", "1", "2", "x"],
     "--scale": ["prob", "comb", "x"],
     "--suite": ["psd", "branch", "interlacing", "bogus"],
+    "--levels": ["-1", "0", "2", "3", "x"],
+    "--seeds": ["-1", "0", "1", "x"],
     "--dim": ["-1", "0", "1", "3", "x"],
     "--n": ["-1", "0", "3", "x"], "--samples": ["-1", "0", "3", "x"],
     "--dense-threshold": ["-1", "0", "10", "x"],
     "--curve": ["missing.curve.csv", "."],
     "--config": ["missing.cfg", "."],
+    # every run ends in --out run, which wins
+    "--out": ["run", "other"],
 }
-REGION_FLAGS = ["--level", "--truncated", "--mirrored", "--ball",
-                "--half-lattice"]
-GRID_FLAGS = ["--grid-kind", "--grid-lo", "--grid-hi", "--grid-n"]
-#: Per command: arguments that keep a run small, and the flags to vary.
-FUZZ_COMMANDS = {
-    "lattice": (["--level", "2"], REGION_FLAGS),
-    "spectrum": (["--level", "2"], REGION_FLAGS + GRID_FLAGS + [
-        "--bc", "--dist", "--pot-scale", "--trial", "--prob", "--inertia",
-        "--export-matrix", "--dense-threshold"]),
-    "ids": (["--level", "2", "--dist", "const:0", "--trials", "2",
-             "--grid-n", "3"], GRID_FLAGS + [
-        "--level", "--bc", "--dist", "--pot-scale", "--trials", "--region",
-        "--fit", "--window", "--threads", "--dense-threshold", "--seed"]),
-    "decimate": (["--neumann", "--level", "2", "--depth", "1"], [
-        "--level", "--depth", "--scale", "--compare-dense", "--free"]),
-    "fit": (["--curve", "missing.curve.csv"], ["--curve", "--kind",
-                                               "--window"]),
-    "verify": (["--suite", "psd", "--dim", "3", "--trials", "2"], [
-        "--suite", "--dim", "--trials", "--n", "--samples", "--seed"]),
-    "bogus": ([], []),
+#: Per command: arguments that keep a run small.
+FUZZ_BASE = {
+    "lattice": ["--level", "2"],
+    "spectrum": ["--level", "2"],
+    "ids": ["--level", "2", "--dist", "const:0", "--trials", "2", "--grid-n", "3"],
+    "decimate": ["--neumann", "--level", "2", "--depth", "1"],
+    "fit": ["--curve", "missing.curve.csv"],
+    "verify": ["--suite", "psd", "--dim", "3", "--trials", "2"],
+    "bogus": [],
 }
 
 
-def _fuzz_option(flags):
+def _parser_options():
+    """Per subcommand (and "bogus", which has none), every option the parser
+    declares, the top-level ones included, mapped to whether it takes a
+    value."""
+    parser = build_parser()
+
+    def options(p):
+        return {a.option_strings[-1]: a.nargs != 0 for a in p._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)}
+
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    top = options(parser)
+    return {"bogus": top, **{name: {**top, **options(p)}
+                             for name, p in sub.choices.items()}}
+
+
+PARSER_OPTIONS = _parser_options()
+
+
+def test_fuzz_covers_every_parser_option():
+    assert sorted(FUZZ_BASE) == sorted(PARSER_OPTIONS)
+    missing = sorted({flag for options in PARSER_OPTIONS.values()
+                      for flag, takes_value in options.items()
+                      if takes_value and flag not in FUZZ_VALUES})
+    assert missing == []
+
+
+def _fuzz_option(options):
     def option(flag):
-        if flag not in FUZZ_VALUES:
+        if not options.get(flag):  # a switch, or --bogus
             return st.just([flag])
         return st.sampled_from(FUZZ_VALUES[flag]).map(lambda v: [flag, v])
 
-    return st.sampled_from(flags + ["--bogus", "--config"]).flatmap(option)
+    return st.sampled_from(sorted(options) + ["--bogus"]).flatmap(option)
 
 
-fuzz_argv = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(
-    lambda command: st.lists(_fuzz_option(FUZZ_COMMANDS[command][1]),
+fuzz_argv = st.sampled_from(sorted(FUZZ_BASE)).flatmap(
+    lambda command: st.lists(_fuzz_option(PARSER_OPTIONS[command]),
                              max_size=4).map(
-        lambda options: [command, *FUZZ_COMMANDS[command][0],
+        lambda options: [command, *FUZZ_BASE[command],
                          *(token for option in options for token in option),
                          "--out", "run"]))
 

@@ -82,7 +82,7 @@ def test_matrix_export_digests(tmp_path, name):
 def test_inertia_counts_digest(tmp_path):
     out = tmp_path / "counts"
     assert main(["spectrum", "--level", "6", "--dist", "bernoulli:0,10,0.5",
-                 "--inertia", "--grid-kind", "global", "--grid-n", "33",
+                 "--grid-kind", "global", "--grid-n", "33",
                  "--out", str(out)]) == 0
     assert _sha256(tmp_path / "counts.counts.csv") == COUNTS_DIGEST
 

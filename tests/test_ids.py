@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gasketlab import decimation, ids, operators, spectra
+from gasketlab import decimation, ids, lattice, operators, spectra
 from gasketlab.errors import InsufficientDataError, ValidationError
 from gasketlab.ids import (IdsCurve, bc_independence_report, bracketing_scale,
                            bracketing_scale_upper, estimate_ids,
                            exponential_tail_fit, free_ids_exponent,
                            lifshitz_fit, read_curve_csv, temple_check,
                            temple_lower_bound, truncated_potential)
-from gasketlab.lattice import build_triangle
+from gasketlab.lattice import build_ball, build_triangle
 from gasketlab.operators import bernoulli, constant, uniform
 
 
@@ -215,3 +215,27 @@ def test_curve_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded.mean_counts, curve.mean_counts)
     assert np.array_equal(loaded.std_errors, curve.std_errors)
     assert loaded.trials == 3
+
+
+def test_curve_sidecar_counts_the_region_without_building_it(tmp_path, monkeypatch):
+    sizes = {(3, "half"): len(build_triangle(3)), (3, "full"): len(build_ball(3))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_curve_csv built a region")
+
+    for module in (ids, lattice):
+        monkeypatch.setattr(module, "build_triangle", refuse)
+        monkeypatch.setattr(module, "build_ball", refuse)
+    path = tmp_path / "r.curve.csv"
+    path.write_text("E,mean,stderr,trials\n0.5,0.25,0.01,8\n")
+
+    def region_size(level, kind):
+        (tmp_path / "r.config").write_text(
+            f"bc=simple\ncommand=ids\nlevel={level}\nregion={kind}\ntrials=8\n")
+        return read_curve_csv(path).region_size
+
+    assert region_size(12, "half") == 797163
+    for (level, kind), size in sizes.items():
+        assert region_size(level, kind) == size
+    with pytest.raises(ValidationError):
+        region_size(3, "ball")

@@ -162,7 +162,6 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
         # probabilistic Laplacian is solved densely through symmetric_form
         # (count_below on a region without cells)
         spectra.count_below(ham, grid)
-        spectra.counting_curve(ham, grid, method="inertia")
         spectra.counting_curve(ham, grid)
         assert ("matrix" in ham.__dict__) == (
             not ham.symmetric and region.cells is None)

@@ -101,24 +101,49 @@ def test_count_below_near_tie_retries():
 
 
 def test_counting_curve_methods_agree():
-    region = build_triangle(5)  # 366 vertices
+    region = build_triangle(5)  # 366 vertices: counted from the band
     values = sample_potential(region, uniform(0, 1, seed=2))
     ham = assemble(region, "simple", values)
     grid = np.linspace(-0.5, 9.5, 100)
-    dense = counting_curve(ham, grid, method="dense")
-    inertia = counting_curve(ham, grid, method="inertia")
-    assert np.array_equal(dense.counts, inertia.counts)
+    dense = counting_curve(ham, grid)
+    assert np.array_equal(dense.counts, count_below(ham, grid))
     assert np.all(np.diff(dense.counts) >= 0)
     assert dense.counts[-1] == len(region)
     assert dense.counts[0] == 0
 
 
-def test_counting_curve_auto_switches():
+def test_counting_curve_auto_switches(monkeypatch):
     region = build_triangle(3)
     ham = assemble(region, "neumann", np.zeros(len(region)))
-    small = counting_curve(ham, [1.0], threshold=10, method="auto")
-    big = counting_curve(ham, [1.0], threshold=4096, method="auto")
-    assert small.counts[0] == big.counts[0]
+    calls = []
+
+    def recording(name):
+        original = getattr(spectra, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("dense_counts", "count_below"):
+        monkeypatch.setattr(spectra, name, recording(name))
+    band = counting_curve(ham, [1.0])
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", len(region) - 1)
+    counter = counting_curve(ham, [1.0])
+    assert calls == ["dense_counts", "count_below"]
+    assert counter.counts[0] == band.counts[0]
+
+
+def test_counting_bounds_count_through_counting_curve(monkeypatch):
+    # with DENSE_THRESHOLD at 0 every operator of the suite is counted by
+    # count_below, which must give the band's records
+    spec = bernoulli(0.0, 10.0, 0.5, seed=1)
+    grid = np.linspace(0.3, 17.3, 18)
+    band = verify_counting_bounds(3, spec, 2, grid)
+    calls = []
+    original = spectra.count_below
+    monkeypatch.setattr(spectra, "count_below",
+                        lambda *args: calls.append(1) or original(*args))
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
+    counter = verify_counting_bounds(3, spec, 2, grid)
+    assert len(calls) == 2 * (6 + 6 * 3)  # per sample: 6 triangles, 18 children
+    assert [r.to_dict() for r in counter] == [r.to_dict() for r in band]
 
 
 def test_counting_curve_csv(tmp_path):
