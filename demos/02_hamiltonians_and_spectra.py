@@ -4,7 +4,7 @@ count eigenvalues two independent ways."""
 
 import numpy as np
 
-from gasketlab import spectra
+from gasketlab import spectra, verification
 from gasketlab.lattice import build_triangle
 from gasketlab.operators import (BOUNDARY_CONDITIONS, assemble, bernoulli,
                                  probabilistic_laplacian, quadratic_form,
@@ -49,7 +49,7 @@ print(f"normalized spectrum in [0, {wp[-1]:.3f}]; "
       f"constant vector residual {np.abs(prob.matrix @ np.ones(len(region))).max():.1e}")
 
 print("\n== compactly supported eigenfunctions at the top value 6 ==")
-basis = spectra.compact_eigenfunction_at_six(3)
-res = spectra.zero_extension_residual(3, basis[0])
+basis = verification.compact_eigenfunction_at_six(3)
+res = verification.zero_extension_residual(3, basis[0])
 print(f"radius-8 ball: kernel dimension {len(basis)}, "
       f"zero-extension residual {res:.1e}")

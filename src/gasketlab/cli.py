@@ -413,7 +413,10 @@ def main(argv=None) -> int:
                 return USAGE_ERROR
     parser = build_parser()
     args = parser.parse_args(argv)
+    folder = os.path.dirname(args.out)
     try:
+        if folder and not os.path.isdir(folder):
+            raise ValidationError(f"--out {args.out!r}: no directory {folder!r}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,12 +38,6 @@ def mirror(points) -> np.ndarray:
     return np.stack([-p - q, q], axis=-1)
 
 
-def euclidean(points) -> np.ndarray:
-    """Euclidean positions of basis coordinates (..., 2)."""
-    p, q = np.moveaxis(np.asarray(points), -1, 0)
-    return np.stack([p + 0.5 * q, q * np.sqrt(3.0) / 2.0], axis=-1)
-
-
 def _key(points) -> np.ndarray:
     # one int64 per point, ordered like (q, p) lexicographically while
     # |p|, |q| < 2^31

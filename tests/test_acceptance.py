@@ -123,9 +123,9 @@ def test_criterion_06_matrix_inequality_suites():
 def test_criterion_07_compact_eigenfunctions_at_six():
     results = []
     for level in (3, 4, 5):
-        basis = spectra.compact_eigenfunction_at_six(level)
+        basis = verification.compact_eigenfunction_at_six(level)
         nonempty = len(basis) >= 1
-        residual = max(spectra.zero_extension_residual(level, v)
+        residual = max(verification.zero_extension_residual(level, v)
                        for v in basis[:3]) if basis else np.inf
         translated = verification.translated_kernel_residual(level)
         results.append((level, len(basis), residual, translated))
@@ -137,7 +137,7 @@ def test_criterion_07_compact_eigenfunctions_at_six():
 
 
 def test_criterion_08_containment_bernoulli():
-    rep = spectra.spectrum_containment_check(
+    rep = verification.spectrum_containment_check(
         6, bernoulli(0.0, 10.0, 0.5, seed=0), 3)
     ok = rep["containment_pass"]
     assert report("8a (containment, 0-10 potential)", ok,
@@ -153,7 +153,7 @@ def test_criterion_08_containment_bernoulli():
     "suppressed exponentially (the tail phenomenon itself), so delta is "
     "~0.33-0.40 and the stated bound 0.2 cannot hold at this size")
 def test_criterion_08_proximity_uniform():
-    rep = spectra.spectrum_containment_check(6, uniform(0.0, 1.0, seed=0), 3)
+    rep = verification.spectrum_containment_check(6, uniform(0.0, 1.0, seed=0), 3)
     delta = rep["proximity_delta"]
     ok = delta <= 0.2
     report("8b (proximity, uniform potential)", ok, f"delta {delta:.3f}")

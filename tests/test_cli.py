@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasketlab
+from gasketlab import ids, spectra
 from gasketlab.cli import build_parser, main, parse_distribution
 from gasketlab.errors import ValidationError
 
@@ -71,6 +72,21 @@ def test_spectrum_capacity_without_inertia(tmp_path, capsys):
 def test_verify_counting_capacity(tmp_path, capsys):
     # level 13 is above the lattice guardrail MAX_LEVEL
     rc = run(["verify", "--suite", "counting", "--levels", "13", "--out", "v"],
+             tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+
+
+@pytest.mark.parametrize("suite", ["containment", "kernel6"])
+def test_verify_dense_suites_capacity(tmp_path, capsys, monkeypatch, suite):
+    # a level-9 ball has 59051 rows, 26 GiB as a dense array: the capacity
+    # guard must reject it before any dense array is built
+    def refuse(ham):
+        raise AssertionError("dense array built past the capacity guard")
+
+    monkeypatch.setattr(spectra, "_dense_symmetric", refuse)
+    rc = run(["verify", "--suite", suite, "--levels", "9", "--out", "v"],
              tmp_path)
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 3
@@ -303,6 +319,19 @@ def test_non_finite_potential_usage_error(tmp_path, capsys, flags):
     ["spectrum", "--level", "3", "--dist", "const:1e308", "--pot-scale", "10"]])
 def test_bad_input_usage_error(tmp_path, capsys, args):
     _usage_error(capsys, [*args, "--out", "o"], tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["lattice", "--level", "1"],
+    ["ids", "--level", "3", "--dist", "const:0", "--trials", "1"]])
+def test_out_in_a_missing_directory_usage_error(tmp_path, capsys, monkeypatch,
+                                                args):
+    # rejected before any work: ids would otherwise compute the whole curve
+    def refuse(*args, **kwargs):
+        raise AssertionError("the curve was computed")
+
+    monkeypatch.setattr(ids, "estimate_ids", refuse)
+    _usage_error(capsys, [*args, "--out", os.path.join("nodir", "x")], tmp_path)
 
 
 def test_fit_on_a_saved_curve_matches_the_ids_fit(tmp_path):

@@ -156,7 +156,7 @@ def test_free_spectrum_points_near_ball_eigenvalues():
 
     ball = build_ball(6)
     ham = operators.assemble(ball, "simple", np.zeros(len(ball)))
-    evals = spectra.eigenvalues_dense(ham, threshold=len(ball))
+    evals = spectra.eigenvalues_dense(ham)
     comb = free_spectrum_approx(3, julia_samples=0).combinatorial()
     delta = np.max(np.min(np.abs(comb[:, None] - evals[None, :]), axis=1))
     assert delta <= 0.1

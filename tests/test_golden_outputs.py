@@ -45,6 +45,10 @@ MATRIX_CASES = {
 
 COUNTS_DIGEST = "8346fdd10f044f119f0449ad0b4fa8e3b300a5b3d1ecf46095d4ee2701024886"
 
+#: The counting suite's deviations are integers, so its report is exact;
+#: the digest pins the record order and the instance strings.
+COUNTING_REPORT_DIGEST = "4c52e10ac7105cd5b5cd1eb217d11b98e5d42d1fae2ac7a6a25d12d3f828c9bd"
+
 POTENTIAL_CASES = {
     "constant": (operators.constant(2.5, seed=7),
                  "73026c23c296164e044b4eef5d54462c9fae4c924d0777fdfd4f73537caa9c73"),
@@ -85,6 +89,13 @@ def test_inertia_counts_digest(tmp_path):
                  "--grid-kind", "global", "--grid-n", "33",
                  "--out", str(out)]) == 0
     assert _sha256(tmp_path / "counts.counts.csv") == COUNTS_DIGEST
+
+
+def test_counting_report_digest(tmp_path):
+    out = tmp_path / "counting.json"
+    assert main(["verify", "--suite", "counting", "--levels", "2", "3",
+                 "--seeds", "2", "--out", str(out)]) == 0
+    assert _sha256(out) == COUNTING_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIAL_CASES))

@@ -158,13 +158,11 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
                         lambda a: handed.append(a) or np.zeros(len(a)))
     grid = [0.31, 1.13, 4.7]
     for ham, want in cases:
-        # counting reads the arrays; a CSR is built only where the
-        # probabilistic Laplacian is solved densely through symmetric_form
-        # (count_below on a region without cells)
+        # counting reads the arrays and builds no CSR, also on a region
+        # without cells, which count_below counts from the band
         spectra.count_below(ham, grid)
         spectra.counting_curve(ham, grid)
-        assert ("matrix" in ham.__dict__) == (
-            not ham.symmetric and region.cells is None)
+        assert "matrix" not in ham.__dict__
         assert np.array_equal(ham.diagonal, ham.matrix.diagonal())
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(ham.matrix, attr), getattr(want, attr))

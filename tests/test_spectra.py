@@ -1,5 +1,4 @@
 import functools
-import json
 import threading
 import time
 from unittest import mock
@@ -9,19 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gasketlab import decimation, operators, spectra
+from gasketlab import decimation, operators, spectra, verification
 from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import TriangleSpec, build_ball, build_triangle
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
-from gasketlab.spectra import (CheckRecord, compact_eigenfunction_at_six,
-                               count_below, counting_curve,
-                               counts_from_eigenvalues, eigenvalues_dense,
-                               localized_kernel_at_six, records_to_json,
-                               spectrum_containment_check,
-                               verify_counting_bounds,
-                               verify_interlacing_bounds,
-                               verify_psd_product_bounds,
-                               zero_extension_residual)
+from gasketlab.spectra import (count_below, counting_curve,
+                               counts_from_eigenvalues, eigenvalues_dense)
+from gasketlab.verification import (CheckRecord, compact_eigenfunction_at_six,
+                                    interlacing_suite,
+                                    localized_kernel_at_six, psd_suite,
+                                    spectrum_containment_check,
+                                    zero_extension_residual)
 
 
 def test_dense_fixture():
@@ -35,14 +32,16 @@ def test_dense_fixture():
         eigenvalues_dense(np.ones((2, 3)))
 
 
-def test_dense_threshold_capacity():
+def test_dense_threshold_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         eigenvalues_dense(np.eye(5), threshold=4)
     ham = assemble(build_triangle(3), "simple", np.zeros(42))
     for matrix, rows in ((np.eye(5), 5), (ham, 42)):
+        monkeypatch.setattr(spectra, "DENSE_THRESHOLD", rows - 1)
         with pytest.raises(CapacityError):
-            spectra.dense_counts(matrix, [1.0], threshold=rows - 1)
-        assert spectra.dense_counts(matrix, [9.0], threshold=rows).tolist() == [rows]
+            spectra.dense_counts(matrix, [1.0])
+        monkeypatch.setattr(spectra, "DENSE_THRESHOLD", rows)
+        assert spectra.dense_counts(matrix, [9.0]).tolist() == [rows]
 
 
 def test_dense_probabilistic_symmetrization():
@@ -135,13 +134,13 @@ def test_counting_bounds_count_through_counting_curve(monkeypatch):
     # count_below, which must give the band's records
     spec = bernoulli(0.0, 10.0, 0.5, seed=1)
     grid = np.linspace(0.3, 17.3, 18)
-    band = verify_counting_bounds(3, spec, 2, grid)
+    band = verification._counting_records("b", 3, spec, 2, grid)
     calls = []
     original = spectra.count_below
     monkeypatch.setattr(spectra, "count_below",
                         lambda *args: calls.append(1) or original(*args))
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
-    counter = verify_counting_bounds(3, spec, 2, grid)
+    counter = verification._counting_records("b", 3, spec, 2, grid)
     assert len(calls) == 2 * (6 + 6 * 3)  # per sample: 6 triangles, 18 children
     assert [r.to_dict() for r in counter] == [r.to_dict() for r in band]
 
@@ -156,14 +155,14 @@ def test_counting_curve_csv(tmp_path):
 def test_verify_counting_bounds_pass():
     spec = bernoulli(0.0, 10.0, 0.5, seed=17)
     grid = np.linspace(0.0, 26.0, 40)
-    records = verify_counting_bounds(3, spec, 3, grid)
+    records = verification._counting_records("b", 3, spec, 3, grid)
     assert records and all(r.passed for r in records)
     pair_ids = {r.check_id for r in records}
     assert pair_ids == {"bc-pair", "triple-split"}
 
 
 def test_verify_interlacing_bounds_pass():
-    records = verify_interlacing_bounds(50, 10, seed=1)
+    records = interlacing_suite(50, 10, seed=1)
     assert records and all(r.passed for r in records)
     assert {r.check_id for r in records} == {
         "projection-interlacing", "rank-perturbation",
@@ -181,7 +180,7 @@ def test_rank_zero_perturbation_changes_nothing():
 
 
 def test_verify_psd_product_bounds_pass():
-    records = verify_psd_product_bounds(40, 20, seed=2)
+    records = psd_suite(40, 20, seed=2)
     assert records and all(r.passed for r in records)
 
 
@@ -243,15 +242,11 @@ def test_containment_interval_reports_delta():
     assert 0.0 <= report["proximity_delta"] <= 1.0
 
 
-def test_check_record_serialization(tmp_path):
+def test_check_record_serialization():
     records = [CheckRecord("demo", "x", 1.0, 2.0),
                CheckRecord("demo", "y", 3.0, 2.0)]
     assert records[0].passed and not records[1].passed
-    path = tmp_path / "records.json"
-    records_to_json(records, path)
-    loaded = json.loads(path.read_text())
-    assert loaded[0]["passed"] is True
-    assert loaded[1]["passed"] is False
+    assert [r.to_dict()["passed"] for r in records] == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +288,11 @@ def _oracle_operators(level):
 
 def _mismatches(ham, energies, values=None):
     """(E, array call, scalar call, dense) wherever the three disagree.  The
-    dense counts that breakdowns fall back on reuse the oracle's solve."""
+    band solves that breakdowns fall back on reuse the oracle's solve."""
     if values is None:
         values = eigenvalues_dense(ham)
     dense = counts_from_eigenvalues(values, energies)
-    with mock.patch.object(spectra, "eigenvalues_dense", lambda _: values):
+    with mock.patch.object(spectra, "_band_eigenvalues", lambda _: values):
         batch = count_below(ham, np.asarray(energies))
         single = [count_below(ham, e) for e in energies]
     return [(e, b, c, d) for e, b, c, d in zip(energies, batch, single, dense)
