@@ -149,13 +149,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    # GASKET_THREADS wins over --threads; the default is the hardware count
-    value = os.environ.get("GASKET_THREADS", args.threads)
-    try:
-        args.threads = (os.cpu_count() or 1) if value is None else int(value)
-    except ValueError as exc:
-        raise ValidationError(
-            f"GASKET_THREADS must be an integer, got {value!r}") from exc
+    args.threads = ids.trial_threads(args.threads)
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
     if args.grid_n < 1:
         raise ValidationError(f"--grid-n must be at least 1, got {args.grid_n}")

@@ -109,6 +109,32 @@ def _region_for(level, region_kind, max_level):
     return build_ball(level, max_level=max_level)
 
 
+def trial_threads(requested=None) -> int:
+    """Worker threads for independent trials: ``GASKET_THREADS`` if it is
+    set, else ``requested`` (``--threads`` of ``ids``), else the hardware
+    count.  A value that is not an integer is a ValidationError."""
+    value = os.environ.get("GASKET_THREADS", requested)
+    try:
+        return (os.cpu_count() or 1) if value is None else int(value)
+    except ValueError as exc:
+        raise ValidationError(
+            f"GASKET_THREADS must be an integer, got {value!r}") from exc
+
+
+def _map_trials(one_trial, trials: int, threads: int) -> list:
+    """``[one_trial(t) for t in range(trials)]``, on ``threads`` worker
+    threads unless ``threads`` or ``trials`` is at most 1.  Results come
+    back in trial order, so a reduction over them does not depend on
+    scheduling.  The counts release the interpreter lock in their band
+    solves and numpy kernels, so trials on threads overlap.  It is private
+    so that the benchmark tracer (``bench/spans.py``) charges each trial's
+    spans to the call that started it."""
+    if threads <= 1 or trials <= 1:
+        return [one_trial(t) for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one_trial, range(trials)))
+
+
 def estimate_ids(level, bc, potential_spec, trials, grid, *,
                  region_kind: str = "half", threads: int = 1,
                  max_level: int = MAX_LEVEL) -> IdsCurve:
@@ -129,12 +155,7 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
         ham = assemble(region, bc, values)
         return counting_curve(ham, grid).counts / n
 
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
-    stacked = np.vstack(results)
+    stacked = np.vstack(_map_trials(one_trial, trials, threads))
     mean = stacked.mean(axis=0)
     if trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(trials)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
+from .lattice import MAX_LEVEL, ball_count
 from .operators import HamiltonianMatrix
 
 DENSE_THRESHOLD = 4096
@@ -54,8 +55,17 @@ def tie_guard(energy):
     return 1e-9 * (1.0 + abs(energy))
 
 
-def _check_dense(ham, threshold: int) -> None:
-    """Reject a non-square matrix, or one of more than ``threshold`` rows."""
+def _solve_advice(threshold: int) -> str:
+    """What a caller that needs every eigenvalue or an SVD can do: no count
+    would serve it, so name the largest ball that fits."""
+    fits = [k for k in range(MAX_LEVEL + 1) if ball_count(k) <= threshold]
+    where = f"balls up to level {fits[-1]}" if fits else "no ball"
+    return f"eigenvalue lists and SVDs need a dense solve, which fits {where}"
+
+
+def _check_dense(ham, threshold: int, advice: str) -> None:
+    """Reject a non-square matrix, or one of more than ``threshold`` rows
+    with the caller's ``advice`` on what to do instead."""
     shape = ((ham.dimension,) * 2 if isinstance(ham, HamiltonianMatrix)
              else np.shape(ham))
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -63,7 +73,7 @@ def _check_dense(ham, threshold: int) -> None:
     if shape[0] > threshold:
         raise CapacityError(
             f"dimension {shape[0]} exceeds the dense threshold {threshold}; "
-            "use count_below / counting_curve instead")
+            + advice)
 
 
 def _dense_symmetric(ham) -> np.ndarray:
@@ -83,13 +93,13 @@ def _dense_symmetric(ham) -> np.ndarray:
 def dense_array(ham) -> np.ndarray:
     """Dense symmetric array with the spectrum of the argument, a square
     matrix of at most DENSE_THRESHOLD rows."""
-    _check_dense(ham, DENSE_THRESHOLD)
+    _check_dense(ham, DENSE_THRESHOLD, _solve_advice(DENSE_THRESHOLD))
     return _dense_symmetric(ham)
 
 
 def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
     """All eigenvalues, ascending, by dense symmetric diagonalization."""
-    _check_dense(ham, threshold)
+    _check_dense(ham, threshold, _solve_advice(threshold))
     from scipy import linalg  # only dense solves need it
 
     return linalg.eigvalsh(_dense_symmetric(ham))
@@ -174,7 +184,8 @@ def dense_counts(ham, grid) -> np.ndarray:
     :func:`eigenvalues_dense`."""
     if not isinstance(ham, HamiltonianMatrix):
         return counts_from_eigenvalues(eigenvalues_dense(ham, DENSE_THRESHOLD), grid)
-    _check_dense(ham, DENSE_THRESHOLD)
+    _check_dense(ham, DENSE_THRESHOLD,
+                 "use count_below / counting_curve instead")
     return counts_from_eigenvalues(_band_eigenvalues(_sweep_band(ham)[1]), grid)
 
 

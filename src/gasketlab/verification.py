@@ -74,15 +74,19 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
 
 def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
     """The counting-suite records of potential ``name`` on one triangle
-    size, counted by :func:`spectra.counting_curve`."""
+    size, counted by :func:`spectra.counting_curve`.  Each trial samples
+    its potential, counts its 6 whole and 18 child operators and writes its
+    ``bc-pair`` and ``triple-split`` records on the trial threads of
+    :func:`ids.trial_threads`; the records are joined in trial order, so
+    the report is the same for any thread count."""
     parent = build_triangle(level)
     pieces = subdivide(parent, level - 1, "cover").pieces
     regions = {"full": (parent, [build_triangle(p) for p in pieces]),
                "trunc": (build_triangle(TriangleSpec(level, truncated=True)),
                          [build_triangle(replace(p, truncated=True))
                           for p in pieces])}
-    records = []
-    for trial in range(trials):
+
+    def one_trial(trial):
         values = sample_potential(parent, spec, trial)
 
         def counts(region, bc):
@@ -92,6 +96,7 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
         at = f"{name} L={level} trial={trial}"
         curves = {(kind, bc): counts(whole, bc) for bc in BOUNDARY_CONDITIONS
                   for kind, (whole, _) in regions.items()}
+        records = []
         keys = list(curves)
         for i, ki in enumerate(keys):
             for kj in keys[i + 1:]:
@@ -104,7 +109,10 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
             records.append(CheckRecord(
                 "triple-split", f"{at} {kind}/{bc}",
                 int(np.max(np.abs(curve - total))), 30))
-    return records
+        return records
+
+    per_trial = ids._map_trials(one_trial, trials, ids.trial_threads())
+    return [record for records in per_trial for record in records]
 
 
 def _goe(rng, dim, radius=10.0):

@@ -91,6 +91,10 @@ def test_verify_dense_suites_capacity(tmp_path, capsys, monkeypatch, suite):
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 3
     assert len(err) == 1 and err[0].startswith("capacity error:")
+    # no count would serve these suites, so the advice is not to count
+    assert "need a dense solve" in err[0]
+    assert "balls up to level 6" in err[0]
+    assert "count_below" not in err[0]
 
 
 def test_spectrum_counting_with_inertia(tmp_path):
@@ -287,6 +291,26 @@ def test_env_threads_not_an_integer_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GASKET_THREADS", "x")
     _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
                           "--trials", "1", "--out", "i"], tmp_path)
+
+
+def test_env_threads_not_an_integer_verify_usage_error(tmp_path, capsys,
+                                                       monkeypatch):
+    # the counting suite runs its trials on the same trial threads as ids
+    monkeypatch.setenv("GASKET_THREADS", "x")
+    _usage_error(capsys, ["verify", "--suite", "counting", "--levels", "2",
+                          "--seeds", "1", "--out", "v"], tmp_path)
+
+
+def test_counting_report_is_byte_identical_for_any_threads(tmp_path,
+                                                           monkeypatch):
+    reports = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("GASKET_THREADS", threads)
+        (tmp_path / threads).mkdir()
+        assert run(["verify", "--suite", "counting", "--levels", "3", "4",
+                    "--seeds", "4", "--out", "v.json"], tmp_path / threads) == 0
+        reports.append((tmp_path / threads / "v.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_ids_empty_grid_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_threaded_estimate_matches_serial():
                                 threads=4)
         assert np.array_equal(serial.mean_counts, threaded.mean_counts)
         assert np.array_equal(serial.std_errors, threaded.std_errors)
+
+
+def test_map_trials_returns_results_in_trial_order():
+    # later trials finish first on the threads, yet come back in order
+    def one_trial(t):
+        time.sleep(0.02 * (4 - t))
+        return t
+
+    for threads in (1, 3):
+        assert ids._map_trials(one_trial, 5, threads) == [0, 1, 2, 3, 4]
+    assert ids._map_trials(one_trial, 0, 3) == []
 
 
 def test_convergence_between_levels():

@@ -1,4 +1,5 @@
 import functools
+import sys
 import threading
 import time
 from unittest import mock
@@ -159,6 +160,23 @@ def test_verify_counting_bounds_pass():
     assert records and all(r.passed for r in records)
     pair_ids = {r.check_id for r in records}
     assert pair_ids == {"bc-pair", "triple-split"}
+
+
+def test_counting_suite_is_the_same_on_trial_threads(monkeypatch):
+    # more trial threads than cores, switching often: the threads share the
+    # regions and the grid, and the records must still come out the same
+    records = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("GASKET_THREADS", threads)
+            records[threads] = [r.to_dict() for r in verification.counting_suite(
+                levels=(4,), seeds=6)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(records["1"]) == (1 + 6 + 6) * (15 + 6)
+    assert records["1"] == records["3"]
 
 
 def test_verify_interlacing_bounds_pass():
