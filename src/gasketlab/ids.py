@@ -112,13 +112,20 @@ def _region_for(level, region_kind, max_level):
 def trial_threads(requested=None) -> int:
     """Worker threads for independent trials: ``GASKET_THREADS`` if it is
     set, else ``requested`` (``--threads`` of ``ids``), else the hardware
-    count.  A value that is not an integer is a ValidationError."""
+    count.  A value that is not an integer of at least 1 is a
+    ValidationError."""
     value = os.environ.get("GASKET_THREADS", requested)
+    if value is None:
+        return os.cpu_count() or 1
     try:
-        return (os.cpu_count() or 1) if value is None else int(value)
+        threads = int(value)
     except ValueError as exc:
         raise ValidationError(
             f"GASKET_THREADS must be an integer, got {value!r}") from exc
+    if threads < 1:
+        raise ValidationError("trial threads (GASKET_THREADS or --threads) "
+                              f"must be at least 1, got {value!r}")
+    return threads
 
 
 def _map_trials(one_trial, trials: int, threads: int) -> list:
@@ -126,7 +133,7 @@ def _map_trials(one_trial, trials: int, threads: int) -> list:
     threads unless ``threads`` or ``trials`` is at most 1.  Results come
     back in trial order, so a reduction over them does not depend on
     scheduling.  The counts release the interpreter lock in their band
-    solves and numpy kernels, so trials on threads overlap.  It is private
+    counts and numpy kernels, so trials on threads overlap.  It is private
     so that the benchmark tracer (``bench/spans.py``) charges each trial's
     spans to the call that started it."""
     if threads <= 1 or trials <= 1:

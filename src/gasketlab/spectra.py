@@ -1,12 +1,12 @@
 """Eigenvalues and eigenvalue counting functions.
 
-Eigenvalue outputs come from a dense ``eigvalsh``.  Small operators are
-counted from all their eigenvalues: a gasket operator from its band, rows
-sorted along the Euclidean x axis so that every edge spans few rows
-(bandwidth 30 at level 6), solved by LAPACK ``dsbevd`` through ctypes,
-which releases the interpreter lock, so trials on threads solve at the
-same time.  Large operators are handled through
-inertia counting: the number of eigenvalues at or below E equals the
+Eigenvalue outputs come from a dense ``eigvalsh``.  A small gasket
+operator is counted from its band, rows sorted along the Euclidean x axis
+so that every edge spans few rows (bandwidth 30 at level 6): counted by
+Sturm sequences on the ``dsbtrd`` tridiagonal form, without the
+interpreter lock (LAPACK through ctypes), so trials on threads count at
+the same time; no eigenvalue is computed.  Large operators are handled
+through inertia counting: the number of eigenvalues at or below E equals the
 number of negative eigenvalues of H - (E + eta) I.  On a gasket region every
 sub-triangle meets the rest of the graph only at its 3 corners, so that
 matrix is eliminated bottom-up over the unit cells, three sibling triangles
@@ -20,8 +20,8 @@ to singular for the closed form to be certain go through batched
 ``numpy.linalg.eigh``.  Energies go in batches and cells in subtrees, so
 no temporary holds more than a fixed number of elements at any level.  A
 block within the pivot floor of singular is a breakdown: a small operator
-is then counted from its eigenvalues at that energy, a large one again at
-a nudged shift.  The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E"
+is then counted from its band at that energy, a large one again at a
+nudged shift.  The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E"
 convention when E collides with an eigenvalue; every oracle comparison in
 the test-suite uses the same convention.  The inequality checks built on
 these counts live in :mod:`gasketlab.verification`.
@@ -132,61 +132,80 @@ def _sweep_band(ham: HamiltonianMatrix):
 
 
 @functools.cache
-def _dsbevd():
-    """LAPACK ``dsbevd``, the routine behind ``eigvals_banded``, as a
-    ctypes foreign function taken from scipy's ``cython_lapack`` capsule.
-    It is typed with ``CFUNCTYPE``, not ``PYFUNCTYPE``, so a call releases
-    the interpreter lock."""
+def _lapack(name: str, nargs: int):
+    """The LAPACK routine ``name`` of ``nargs`` arguments, each passed by
+    reference, as a ctypes foreign function taken from scipy's
+    ``cython_lapack`` capsule.  It is typed with ``CFUNCTYPE``, not
+    ``PYFUNCTYPE``, so a call releases the interpreter lock."""
     import ctypes
 
-    from scipy.linalg import cython_lapack  # only dense solves need it
+    from scipy.linalg import cython_lapack  # only band counts need it
 
-    capsule = cython_lapack.__pyx_capi__["dsbevd"]
+    capsule = cython_lapack.__pyx_capi__[name]
     api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    tag = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(pointer)
+        ("PyCapsule_GetPointer", api))(capsule, tag)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(pointer)
 
 
-def _band_eigenvalues(band) -> np.ndarray:
-    """All eigenvalues, ascending, of the symmetric matrix whose upper band
-    ``band`` is in LAPACK storage (see :func:`_sweep_band`), by
-    :func:`_dsbevd` with JOBZ = 'N', without the interpreter lock.  A
-    Fortran-ordered float band is solved in place, so it is overwritten;
-    any other is copied first."""
+def _band_counts(band, shifted) -> np.ndarray:
+    """#{eigenvalue <= s} for each s of ``shifted``, of the symmetric
+    matrix whose upper band ``band`` is in LAPACK storage (see
+    :func:`_sweep_band`), without the interpreter lock: ``dsbtrd`` reduces
+    the band to tridiagonal form, and one ``dlaebz`` call counts by Sturm
+    sequences at every s, a pivot within PIVMIN = max(1, max e^2) * tiny of
+    zero counted as negative, as in ``dstebz``.  A Fortran-ordered float
+    band is reduced in place, so it is overwritten; any other is copied."""
     band = np.asfortranarray(band, dtype=float)
-    if band.ndim != 2 or not len(band):
-        raise ValueError("expected a 2-D band with at least one row")
+    if band.ndim != 2 or not band.size:
+        raise ValueError("expected a 2-D band with at least one row and column")
     if not np.all(np.isfinite(band)):
         raise ValueError("array must not contain infs or NaNs")
-    rows, n = band.shape
-    eigenvalues, z, work = np.empty(n), np.empty(1), np.empty(max(1, 2 * n))
-    # N, KD, LDAB, LDZ (Z is not referenced for JOBZ = 'N'), LWORK, IWORK,
-    # LIWORK and INFO, each passed by reference
-    ints = np.array([n, rows - 1, rows, 1, work.size, 0, 1, 0], dtype=np.intc)
-    ref = [ints.ctypes.data + k * ints.itemsize for k in range(len(ints))]
-    _dsbevd()(b"N", b"U", ref[0], ref[1], band.ctypes.data, ref[2],
-              eigenvalues.ctypes.data, z.ctypes.data, ref[3], work.ctypes.data,
-              ref[4], ref[5], ref[6], ref[7])
-    if ints[-1]:
-        raise np.linalg.LinAlgError(f"dsbevd failed with INFO = {ints[-1]}")
-    return eigenvalues
+    (rows, n), pairs = band.shape, (len(shifted) + 1) // 2
+    # dlaebz counts at both ends AB(j, 1), AB(j, 2) of each of its MINP
+    # intervals, so the energies fill AB column by column
+    ab = np.resize(np.asarray(shifted, dtype=float), 2 * max(1, pairs))
+    d, e, spare = np.zeros(n), np.zeros(n), np.zeros(max(n, ab.size))
+    nab = np.zeros(ab.size, dtype=np.intc)
+    # N, KD, LDAB, LDQ and INFO of dsbtrd, then IJOB, NITMAX, MMAX, MINP,
+    # NBMIN, MOUT and INFO of dlaebz; the arrays neither routine references
+    # (Q for VECT = 'N'; E, NVAL, C, WORK and IWORK for IJOB = 1) get spares.
+    # Each .ctypes.data costs microseconds, so every address is taken once.
+    ints = np.array([n, rows - 1, rows, 1, 0, 1, 0, ab.size // 2, pairs, 0, 0, 0],
+                    dtype=np.intc)
+    ref = (ints.ctypes.data + ints.itemsize * np.arange(len(ints))).tolist()
+    at_band, at_d, at_e, at_ab, at_nab, at_spare = (
+        x.ctypes.data for x in (band, d, e, ab, nab, spare))
+    _lapack("dsbtrd", 12)(b"N", b"U", ref[0], ref[1], at_band, ref[2], at_d, at_e,
+                          at_spare, ref[3], at_spare, ref[4])
+    np.square(e, out=e)  # dlaebz reads E2 = e^2, and not e, for IJOB = 1
+    # ABSTOL, RELTOL and PIVMIN
+    tols = np.array([0.0, 0.0, max(1.0, e.max()) * np.finfo(float).tiny])
+    tol = (tols.ctypes.data + tols.itemsize * np.arange(3)).tolist()
+    _lapack("dlaebz", 20)(ref[5], ref[6], ref[0], ref[7], ref[8], ref[9], *tol,
+                          at_d, at_spare, at_e, at_nab, at_ab, at_spare, ref[10],
+                          at_nab, at_spare, at_nab, ref[11])
+    if ints[4] or ints[11]:
+        raise np.linalg.LinAlgError(
+            f"dsbtrd / dlaebz failed with INFO = {ints[4]} / {ints[11]}")
+    return nab[:len(shifted)].astype(np.int64)
 
 
 def dense_counts(ham, grid) -> np.ndarray:
-    """Tie-guarded #{eigenvalue <= E} for each E of the grid, from every
-    eigenvalue of an operator of at most DENSE_THRESHOLD rows: of a
-    HamiltonianMatrix by :func:`_band_eigenvalues` (LAPACK ``dsbevd``,
-    which releases the interpreter lock, so trials on threads solve in
-    parallel) on its :func:`_sweep_band`, of any other matrix by
-    :func:`eigenvalues_dense`."""
+    """Tie-guarded #{eigenvalue <= E} for each E of the grid, for a matrix
+    of at most DENSE_THRESHOLD rows: a HamiltonianMatrix counted by Sturm
+    sequences on the ``dsbtrd`` tridiagonal form of its
+    :func:`_sweep_band`, without the interpreter lock (so trials on threads
+    count in parallel; see :func:`_band_counts`), any other matrix from
+    every eigenvalue by :func:`eigenvalues_dense`."""
     if not isinstance(ham, HamiltonianMatrix):
         return counts_from_eigenvalues(eigenvalues_dense(ham, DENSE_THRESHOLD), grid)
     _check_dense(ham, DENSE_THRESHOLD,
                  "use count_below / counting_curve instead")
-    return counts_from_eigenvalues(_band_eigenvalues(_sweep_band(ham)[1]), grid)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    return _band_counts(_sweep_band(ham)[1], grid + tie_guard(grid))
 
 
 #: Most elements a temporary of the elimination holds, whatever the level
@@ -361,7 +380,7 @@ def count_below(ham, energy):
     and ``eigh`` on the blocks they cannot certify, in batches of at most
     ``_BUDGET // 64`` energies; any other matrix goes through
     :func:`dense_counts`.  Energies whose elimination breaks down go through
-    :func:`dense_counts` too, with one solve per call, if the operator has
+    :func:`dense_counts` too, with one band count per call, if the operator has
     at most DENSE_THRESHOLD rows.  On a larger
     one only they are counted again, up to _RETRIES times, with the shift
     nudged by growing multiples of the tie guard, which can count an

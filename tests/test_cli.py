@@ -301,6 +301,19 @@ def test_env_threads_not_an_integer_verify_usage_error(tmp_path, capsys,
                           "--seeds", "1", "--out", "v"], tmp_path)
 
 
+@pytest.mark.parametrize("env, args", [
+    ("-3", ["ids", "--level", "2", "--dist", "const:0", "--trials", "2"]),
+    (None, ["ids", "--level", "2", "--dist", "const:0", "--trials", "2",
+            "--threads", "0"]),
+    ("0", ["verify", "--suite", "counting", "--levels", "2", "--seeds", "1"])])
+def test_threads_below_one_usage_error(tmp_path, capsys, monkeypatch, env, args):
+    if env is None:
+        monkeypatch.delenv("GASKET_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GASKET_THREADS", env)
+    _usage_error(capsys, args + ["--out", "o"], tmp_path)
+
+
 def test_counting_report_is_byte_identical_for_any_threads(tmp_path,
                                                            monkeypatch):
     reports = []

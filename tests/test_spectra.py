@@ -306,11 +306,12 @@ def _oracle_operators(level):
 
 def _mismatches(ham, energies, values=None):
     """(E, array call, scalar call, dense) wherever the three disagree.  The
-    band solves that breakdowns fall back on reuse the oracle's solve."""
+    band counts that breakdowns fall back on reuse the oracle's solve."""
     if values is None:
         values = eigenvalues_dense(ham)
     dense = counts_from_eigenvalues(values, energies)
-    with mock.patch.object(spectra, "_band_eigenvalues", lambda _: values):
+    with mock.patch.object(spectra, "_band_counts",
+                           lambda _, shifted: np.searchsorted(values, shifted)):
         batch = count_below(ham, np.asarray(energies))
         single = [count_below(ham, e) for e in energies]
     return [(e, b, c, d) for e, b, c, d in zip(energies, batch, single, dense)
@@ -382,29 +383,35 @@ def test_dense_counts_match_eigvalsh_at_every_free_eigenvalue():
 
 
 @pytest.mark.parametrize("level", range(1, 7))
-def test_band_eigenvalues_equal_eigvals_banded_bit_for_bit(level):
-    # the same LAPACK routine on the same band, called through ctypes
+def test_band_counts_equal_eigvals_banded_counts(level):
+    # the Sturm count of the band against every eigenvalue of the same band,
+    # at the dense energies and at a tie on each of those eigenvalues
     from scipy import linalg
 
     bad = []
     for name, potential, bc, ham, _ in _oracle_operators(level):
         band = spectra._sweep_band(ham)[1]
-        expected = linalg.eigvals_banded(band)
-        if not np.array_equal(spectra._band_eigenvalues(band), expected):
+        values = linalg.eigvals_banded(band)
+        energies = np.concatenate([DENSE_ENERGIES, values])
+        counts = spectra._band_counts(band, energies + spectra.tie_guard(energies))
+        if not np.array_equal(counts, counts_from_eigenvalues(values, energies)):
             bad.append((name, potential, bc))
     assert bad == []
 
 
-def test_band_eigenvalues_of_small_and_non_finite_bands():
-    from scipy import linalg
-
-    for band in (np.array([[3.0, -1.0, 2.5, -1.0]]),  # bandwidth 0
-                 np.array([[7.0]]),  # n = 1
-                 np.array([[0.0], [-2.0]])):  # n = 1 in bandwidth-1 storage
-        assert np.array_equal(spectra._band_eigenvalues(band.copy()),
-                              linalg.eigvals_banded(band))
+def test_band_counts_of_small_and_non_finite_bands():
+    # a pivot exactly zero, at an eigenvalue of a diagonal, counts as <= s
+    for band, shifted, expected in (
+            (np.array([[3.0, -1.0, 2.5, -1.0]]),  # bandwidth 0
+             [-1.5, -1.0, 0.0, 2.5, 3.0, 4.0], [0, 2, 2, 3, 4, 4]),
+            (np.array([[7.0]]), [6.0, 7.0, 8.0], [0, 1, 1]),  # n = 1
+            (np.array([[0.0], [-2.0]]),  # n = 1 in bandwidth-1 storage
+             [-3.0, -2.0, 0.0], [0, 1, 1]),
+            (np.array([[0.0, -1.0], [2.0, 2.0]]), [], [])):  # no energies
+        counts = spectra._band_counts(band.copy(), np.array(shifted))
+        assert counts.tolist() == expected
     with pytest.raises(ValueError):
-        spectra._band_eigenvalues(np.array([[0.0, -1.0], [2.0, np.nan]]))
+        spectra._band_counts(np.array([[0.0, -1.0], [2.0, np.nan]]), [0.0])
 
 
 def test_band_solve_releases_the_interpreter_lock():
@@ -412,14 +419,15 @@ def test_band_solve_releases_the_interpreter_lock():
     # band; a solve that held the lock would stall it for the whole window
     region = build_ball(6)
     band = spectra._sweep_band(assemble(region, "simple", np.zeros(len(region))))[1]
-    spectra._band_eigenvalues(band.copy(order="F"))  # load the binding first
+    energies = np.linspace(-1.0, 26.0, 64)
+    spectra._band_counts(band.copy(order="F"), energies)  # load the bindings first
     ratios = []
     for _ in range(3):
         work, window = band.copy(order="F"), []
 
         def solve():
             window.append(time.perf_counter())
-            spectra._band_eigenvalues(work)
+            spectra._band_counts(work, energies)
             window.append(time.perf_counter())
 
         worker = threading.Thread(target=solve)
