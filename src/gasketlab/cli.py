@@ -132,11 +132,11 @@ def cmd_spectrum(args) -> int:
         curve.to_csv(args.out + ".counts.csv")
         print(f"counting curve on {len(grid)} energies -> {args.out}.counts.csv")
     else:
-        if ham.dimension > args.dense_threshold:
+        if ham.dimension > spectra.DENSE_THRESHOLD:
             raise CapacityError(
                 f"dimension {ham.dimension} exceeds the dense threshold "
-                f"{args.dense_threshold}; pass --grid-n for a counting curve")
-        eigs = spectra.eigenvalues_dense(ham, threshold=args.dense_threshold)
+                f"{spectra.DENSE_THRESHOLD}; pass --grid-n for a counting curve")
+        eigs = spectra.eigenvalues_dense(ham)
         with open(args.out + ".eigs.csv", "w") as fh:
             fh.write("value\n")
             for v in eigs:
@@ -305,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prob", action="store_true",
                    help="degree-normalized free operator instead of H")
     p.add_argument("--export-matrix", action="store_true")
-    p.add_argument("--dense-threshold", type=int, default=spectra.DENSE_THRESHOLD,
-                   help="most rows whose eigenvalues are written")
     _add_grid(p, n=0)
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     _add_common(p)

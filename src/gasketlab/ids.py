@@ -247,6 +247,8 @@ def temple_check(level, potential_spec, trial: int = 0) -> dict:
 
 
 def _usable_points(curve: IdsCurve, window):
+    """The (energies, mean counts) a fit of the window can use; fewer than
+    5 is an InsufficientDataError."""
     lo, hi = window
     if not lo < hi:
         raise ValidationError("window must satisfy lo < hi")
@@ -254,7 +256,11 @@ def _usable_points(curve: IdsCurve, window):
     mask = ((curve.energies >= lo) & (curve.energies <= hi)
             & (curve.mean_counts > floor) & (curve.mean_counts > 0.0)
             & (curve.mean_counts < 1.0))
-    return curve.energies[mask], curve.mean_counts[mask]
+    energies, counts = curve.energies[mask], curve.mean_counts[mask]
+    if len(energies) < 5:
+        raise InsufficientDataError(
+            f"only {len(energies)} usable points in window {window}")
+    return energies, counts
 
 
 def _linear_fit(x, y):
@@ -285,9 +291,6 @@ class LifshitzFit:
 def lifshitz_fit(curve: IdsCurve, window=DEFAULT_WINDOW) -> LifshitzFit:
     """Fit the double-log tail exponent on the usable window points."""
     energies, counts = _usable_points(curve, window)
-    if len(energies) < 5:
-        raise InsufficientDataError(
-            f"only {len(energies)} usable points in window {window}")
     slope, intercept, r2 = _linear_fit(np.log(energies),
                                        np.log(np.abs(np.log(counts))))
     return LifshitzFit(tuple(window), slope, intercept, r2, len(energies))
@@ -308,9 +311,6 @@ class PowerLawFit:
 def free_ids_exponent(curve: IdsCurve, window=DEFAULT_WINDOW) -> PowerLawFit:
     """Power-law fit of the zero-potential curve near the bottom."""
     energies, counts = _usable_points(curve, window)
-    if len(energies) < 5:
-        raise InsufficientDataError(
-            f"only {len(energies)} usable points in window {window}")
     slope, intercept, r2 = _linear_fit(np.log(energies), np.log(counts))
     return PowerLawFit(tuple(window), slope, math.exp(intercept), r2,
                        len(energies))
@@ -321,9 +321,6 @@ def exponential_tail_fit(curve: IdsCurve, window=DEFAULT_WINDOW,
     """Two-parameter stretched-exponential reference fit
     log N = m1 + m2 * E^-exponent.  Diagnostic only."""
     energies, counts = _usable_points(curve, window)
-    if len(energies) < 5:
-        raise InsufficientDataError(
-            f"only {len(energies)} usable points in window {window}")
     design = np.column_stack([np.ones_like(energies), energies ** -exponent])
     coef, *_ = np.linalg.lstsq(design, np.log(counts), rcond=None)
     fitted = design @ coef

@@ -183,17 +183,6 @@ class HamiltonianMatrix:
         mat.eliminate_zeros()
         return mat
 
-    def symmetric_form(self):
-        """A symmetric CSR matrix with the same spectrum."""
-        if self.symmetric:
-            return self.matrix
-        from scipy import sparse
-
-        d = self.degree_weights
-        scale = sparse.diags(1.0 / np.sqrt(d))
-        lap = sparse.diags(d) @ self.matrix  # recover the combinatorial part
-        return (scale @ lap @ scale).tocsr()
-
     def export_coordinate_text(self, path) -> None:
         """Write `i j value` rows, upper triangle only, canonical order;
         exact zeros on the diagonal are left out."""

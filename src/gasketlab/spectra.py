@@ -1,30 +1,33 @@
-"""Eigenvalues and eigenvalue counting functions.
+"""Eigenvalues and eigenvalue counting functions of gasket operators.
 
-Eigenvalue outputs come from a dense ``eigvalsh``.  A small gasket
-operator is counted from its band, rows sorted along the Euclidean x axis
-so that every edge spans few rows (bandwidth 30 at level 6): counted by
-Sturm sequences on the ``dsbtrd`` tridiagonal form, without the
-interpreter lock (LAPACK through ctypes), so trials on threads count at
-the same time; no eigenvalue is computed.  Large operators are handled
-through inertia counting: the number of eigenvalues at or below E equals the
-number of negative eigenvalues of H - (E + eta) I.  On a gasket region every
-sub-triangle meets the rest of the graph only at its 3 corners, so that
-matrix is eliminated bottom-up over the unit cells, three sibling triangles
-at a time, as in spectral decimation; Sylvester's law of inertia adds up
-the negative eigenvalues of the eliminated 3x3 blocks.  All energies of a
-call share one pass: each level keeps the six entries of its 3x3 corner
-Schur complements as (energies, cells) arrays, and each pivot block is
-counted (Descartes' rule on its characteristic polynomial) and inverted
-(adjugate over determinant) in closed form, elementwise.  Blocks too close
-to singular for the closed form to be certain go through batched
-``numpy.linalg.eigh``.  Energies go in batches and cells in subtrees, so
-no temporary holds more than a fixed number of elements at any level.  A
-block within the pivot floor of singular is a breakdown: a small operator
-is then counted from its band at that energy, a large one again at a
-nudged shift.  The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E"
-convention when E collides with an eigenvalue; every oracle comparison in
-the test-suite uses the same convention.  The inequality checks built on
-these counts live in :mod:`gasketlab.verification`.
+Every solve and count takes an :class:`operators.HamiltonianMatrix` and
+reads its arrays; the probabilistic Laplacian enters through its symmetric
+form D^{-1/2} L D^{-1/2}, whose edge values one expression gives to the
+dense array and the band alike.  Eigenvalue outputs come from a dense
+``eigvalsh``.  A small operator is counted from its band, rows sorted along
+the Euclidean x axis so that every edge spans few rows (bandwidth 30 at
+level 6): counted by Sturm sequences on the ``dsbtrd`` tridiagonal form,
+without the interpreter lock (LAPACK through ctypes), so trials on threads
+count at the same time; no eigenvalue is computed.  Large operators are
+handled through inertia counting: the number of eigenvalues at or below E
+equals the number of negative eigenvalues of H - (E + eta) I.  On a gasket
+region every sub-triangle meets the rest of the graph only at its 3
+corners, so that matrix is eliminated bottom-up over the unit cells, three
+sibling triangles at a time, as in spectral decimation; Sylvester's law of
+inertia adds up the negative eigenvalues of the eliminated 3x3 blocks.  All
+energies of a call share one pass: each level keeps the six entries of its
+3x3 corner Schur complements as (energies, cells) arrays, and each pivot
+block is counted (Descartes' rule on its characteristic polynomial) and
+inverted (adjugate over determinant) in closed form, elementwise.  Blocks
+too close to singular for the closed form to be certain go through batched
+``numpy.linalg.eigh``.  Energies go in batches and cells in subtrees, so no
+temporary holds more than a fixed number of elements at any level.  A block
+within the pivot floor of singular is a breakdown: a small operator is then
+counted from its band at that energy, a large one again at a nudged shift.
+The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E" convention when E
+collides with an eigenvalue; every oracle comparison in the test-suite uses
+the same convention.  Energies must be finite.  The inequality checks built
+on these counts live in :mod:`gasketlab.verification`.
 """
 
 from __future__ import annotations
@@ -55,54 +58,58 @@ def tie_guard(energy):
     return 1e-9 * (1.0 + abs(energy))
 
 
-def _solve_advice(threshold: int) -> str:
-    """What a caller that needs every eigenvalue or an SVD can do: no count
-    would serve it, so name the largest ball that fits."""
-    fits = [k for k in range(MAX_LEVEL + 1) if ball_count(k) <= threshold]
-    where = f"balls up to level {fits[-1]}" if fits else "no ball"
-    return f"eigenvalue lists and SVDs need a dense solve, which fits {where}"
+def _energies(energy) -> np.ndarray:
+    """``energy``, a finite scalar or 1-D array, as a 1-D float array."""
+    grid = np.asarray(energy, dtype=float)
+    if grid.ndim > 1 or not np.all(np.isfinite(grid)):
+        raise ValidationError("energy must be a finite scalar or 1-D array")
+    return np.atleast_1d(grid)
 
 
-def _check_dense(ham, threshold: int, advice: str) -> None:
-    """Reject a non-square matrix, or one of more than ``threshold`` rows
-    with the caller's ``advice`` on what to do instead."""
-    shape = ((ham.dimension,) * 2 if isinstance(ham, HamiltonianMatrix)
-             else np.shape(ham))
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValidationError("expected a square matrix")
-    if shape[0] > threshold:
+#: What a caller that needs every eigenvalue or an SVD can do: no count
+#: would serve it, so name the largest ball that fits.
+_SOLVE_ADVICE = (
+    "eigenvalue lists and SVDs need a dense solve, which fits balls up to level "
+    + str(max(k for k in range(MAX_LEVEL + 1) if ball_count(k) <= DENSE_THRESHOLD)))
+
+
+def _check_dense(ham: HamiltonianMatrix, advice: str) -> None:
+    """Reject an operator of more than DENSE_THRESHOLD rows with the
+    caller's ``advice`` on what to do instead."""
+    if ham.dimension > DENSE_THRESHOLD:
         raise CapacityError(
-            f"dimension {shape[0]} exceeds the dense threshold {threshold}; "
+            f"dimension {ham.dimension} exceeds the dense threshold {DENSE_THRESHOLD}; "
             + advice)
 
 
-def _dense_symmetric(ham) -> np.ndarray:
-    """Dense symmetric array with the spectrum of the argument."""
-    if isinstance(ham, HamiltonianMatrix):
-        if not ham.symmetric:
-            return ham.symmetric_form().toarray()
-        arr = np.diag(ham.diagonal)
-        i, j = ham.region.edges.T
-        arr[i, j] = arr[j, i] = -1.0
-        return arr
-    if hasattr(ham, "toarray"):  # a scipy.sparse matrix
-        return ham.toarray()
-    return np.asarray(ham, dtype=float)
+def _edge_values(ham: HamiltonianMatrix, i, j):
+    """The symmetric form's value on the edges (i, j): -1, or for the
+    probabilistic Laplacian -1/sqrt(d_i d_j), rounded once."""
+    if ham.symmetric:
+        return -1.0
+    return -1.0 / np.sqrt(ham.degree_weights[i] * ham.degree_weights[j])
 
 
-def dense_array(ham) -> np.ndarray:
-    """Dense symmetric array with the spectrum of the argument, a square
-    matrix of at most DENSE_THRESHOLD rows."""
-    _check_dense(ham, DENSE_THRESHOLD, _solve_advice(DENSE_THRESHOLD))
+def _dense_symmetric(ham: HamiltonianMatrix) -> np.ndarray:
+    """The operator's symmetric form as a dense array."""
+    arr = np.diag(ham.diagonal)
+    i, j = ham.region.edges.T
+    arr[i, j] = arr[j, i] = _edge_values(ham, i, j)
+    return arr
+
+
+def dense_array(ham: HamiltonianMatrix) -> np.ndarray:
+    """The operator's symmetric form as a dense array, for an operator of
+    at most DENSE_THRESHOLD rows."""
+    _check_dense(ham, _SOLVE_ADVICE)
     return _dense_symmetric(ham)
 
 
-def eigenvalues_dense(ham, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
+def eigenvalues_dense(ham: HamiltonianMatrix) -> np.ndarray:
     """All eigenvalues, ascending, by dense symmetric diagonalization."""
-    _check_dense(ham, threshold, _solve_advice(threshold))
     from scipy import linalg  # only dense solves need it
 
-    return linalg.eigvalsh(_dense_symmetric(ham))
+    return linalg.eigvalsh(dense_array(ham))
 
 
 def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
@@ -126,8 +133,7 @@ def _sweep_band(ham: HamiltonianMatrix):
     width = int(np.max(hi - lo, initial=0))
     band = np.zeros((width + 1, ham.dimension), order="F")
     band[width] = ham.diagonal[order]
-    band[width - (hi - lo), hi] = -1.0 if ham.symmetric else -1.0 / np.sqrt(
-        ham.degree_weights[order[lo]] * ham.degree_weights[order[hi]])
+    band[width - (hi - lo), hi] = _edge_values(ham, order[lo], order[hi])
     return order, band
 
 
@@ -193,18 +199,14 @@ def _band_counts(band, shifted) -> np.ndarray:
     return nab[:len(shifted)].astype(np.int64)
 
 
-def dense_counts(ham, grid) -> np.ndarray:
-    """Tie-guarded #{eigenvalue <= E} for each E of the grid, for a matrix
-    of at most DENSE_THRESHOLD rows: a HamiltonianMatrix counted by Sturm
-    sequences on the ``dsbtrd`` tridiagonal form of its
-    :func:`_sweep_band`, without the interpreter lock (so trials on threads
-    count in parallel; see :func:`_band_counts`), any other matrix from
-    every eigenvalue by :func:`eigenvalues_dense`."""
-    if not isinstance(ham, HamiltonianMatrix):
-        return counts_from_eigenvalues(eigenvalues_dense(ham, DENSE_THRESHOLD), grid)
-    _check_dense(ham, DENSE_THRESHOLD,
-                 "use count_below / counting_curve instead")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+def dense_counts(ham: HamiltonianMatrix, grid) -> np.ndarray:
+    """Tie-guarded #{eigenvalue <= E} for each E of the grid, for an
+    operator of at most DENSE_THRESHOLD rows: counted by Sturm sequences on
+    the ``dsbtrd`` tridiagonal form of its :func:`_sweep_band`, without the
+    interpreter lock, so trials on threads count in parallel (see
+    :func:`_band_counts`)."""
+    _check_dense(ham, "use count_below / counting_curve instead")
+    grid = _energies(grid)
     return _band_counts(_sweep_band(ham)[1], grid + tie_guard(grid))
 
 
@@ -369,7 +371,7 @@ def _negative_counts(cells, diag, weights, shift):
 _RETRIES = 5
 
 
-def count_below(ham, energy):
+def count_below(ham: HamiltonianMatrix, energy):
     """#{eigenvalues <= E} for a scalar ``energy`` E (an int) or a 1-D
     array of energies (an int array): the negative inertia of the operator
     minus (E + eta).
@@ -378,24 +380,22 @@ def count_below(ham, energy):
     all energies in one bottom-up pass (the probabilistic Laplacian
     D^{-1} L as the congruent pencil L - E*D), with closed-form 3x3 pivots
     and ``eigh`` on the blocks they cannot certify, in batches of at most
-    ``_BUDGET // 64`` energies; any other matrix goes through
+    ``_BUDGET // 64`` energies; a region without cells goes through
     :func:`dense_counts`.  Energies whose elimination breaks down go through
-    :func:`dense_counts` too, with one band count per call, if the operator has
-    at most DENSE_THRESHOLD rows.  On a larger
-    one only they are counted again, up to _RETRIES times, with the shift
-    nudged by growing multiples of the tie guard, which can count an
-    eigenvalue a little above E.  The ladder is deterministic, so repeated
-    runs agree bit for bit.
+    :func:`dense_counts` too, with one band count per call, if the operator
+    has at most DENSE_THRESHOLD rows.  On a larger one only they are counted
+    again, up to _RETRIES times, with the shift nudged by growing multiples
+    of the tie guard, which can count an eigenvalue a little above E.  The
+    ladder is deterministic, so repeated runs agree bit for bit.  A
+    non-finite or 2-D ``energy`` is a ValidationError, here as in
+    :func:`dense_counts` and :func:`counting_curve`.
     """
-    energy = np.asarray(energy, dtype=float)
-    if energy.ndim > 1 or not np.all(np.isfinite(energy)):
-        raise ValidationError("energy must be a finite scalar or 1-D array")
-    grid = np.atleast_1d(energy)
-    if not (isinstance(ham, HamiltonianMatrix) and ham.region.cells is not None):
+    grid = _energies(energy)
+    if ham.region.cells is None:
         counts = dense_counts(ham, grid)
     else:
         counts = _inertia_counts(ham, grid)
-    return int(counts[0]) if energy.ndim == 0 else counts
+    return int(counts[0]) if np.ndim(energy) == 0 else counts
 
 
 def _inertia_counts(ham, grid):
@@ -435,12 +435,12 @@ class CountingFunction:
                 fh.write(f"{e:.17g},{c}\n")
 
 
-def counting_curve(ham, grid) -> CountingFunction:
-    """Counting function on a grid.  This is the one place the method is
-    chosen, by size: :func:`dense_counts` for a generic matrix or an
+def counting_curve(ham: HamiltonianMatrix, grid) -> CountingFunction:
+    """Counting function on a grid of finite energies.  This is the one
+    place the method is chosen, by size: :func:`dense_counts` for an
     operator of at most DENSE_THRESHOLD rows, :func:`count_below` above."""
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if isinstance(ham, HamiltonianMatrix) and ham.dimension > DENSE_THRESHOLD:
+    grid = np.sort(_energies(grid))
+    if ham.dimension > DENSE_THRESHOLD:
         counts = count_below(ham, grid)
     else:
         counts = dense_counts(ham, grid)

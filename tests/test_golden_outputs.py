@@ -45,6 +45,16 @@ MATRIX_CASES = {
 
 COUNTS_DIGEST = "8346fdd10f044f119f0449ad0b4fa8e3b300a5b3d1ecf46095d4ee2701024886"
 
+#: Band counts of level-4 triangles on grids where whole clusters of
+#: eigenvalues sit exactly at E, so the digests pin the tie guard.
+TIE_CASES = {
+    "neumann": (["--bc", "neumann", "--dist", "const:0", "--grid-lo", "0",
+                 "--grid-hi", "8", "--grid-n", "33"],
+                "629a12ef5662b01b16071da8e22808c8c95dca2c5e60212f03d321ff1835bb50"),
+    "prob": (["--prob", "--grid-lo", "0", "--grid-hi", "2", "--grid-n", "9"],
+             "2be1534e0f651f84989d33da313920219c5d89f8eb462bf3ac2d080294e9562e"),
+}
+
 #: The counting suite's deviations are integers, so its report is exact;
 #: the digest pins the record order and the instance strings.
 COUNTING_REPORT_DIGEST = "4c52e10ac7105cd5b5cd1eb217d11b98e5d42d1fae2ac7a6a25d12d3f828c9bd"
@@ -89,6 +99,15 @@ def test_inertia_counts_digest(tmp_path):
                  "--grid-kind", "global", "--grid-n", "33",
                  "--out", str(out)]) == 0
     assert _sha256(tmp_path / "counts.counts.csv") == COUNTS_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CASES))
+def test_tie_counts_digests(tmp_path, name):
+    flags, digest = TIE_CASES[name]
+    out = tmp_path / name
+    assert main(["spectrum", "--level", "4", "--grid-kind", "lin", *flags,
+                 "--out", str(out)]) == 0
+    assert _sha256(tmp_path / f"{name}.counts.csv") == digest
 
 
 def test_counting_report_digest(tmp_path):

@@ -168,18 +168,15 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
             assert np.array_equal(getattr(ham.matrix, attr), getattr(want, attr))
         assert ham.matrix.data.tobytes() == want.data.tobytes()
         spectra.eigenvalues_dense(ham)
-        assert handed[-1].tobytes() == ham.symmetric_form().toarray().tobytes()
-        # the band that dense counting solves is the same matrix, its rows
-        # in sweep order (the probabilistic couplings are rounded once, not
-        # through D^{-1/2} D D^{-1} D^{-1/2})
+        dense = spectra._dense_symmetric(ham)
+        assert handed[-1].tobytes() == dense.tobytes()
+        # the band that dense counting solves is the same matrix bit for
+        # bit, its rows in sweep order (the probabilistic couplings are
+        # -1/sqrt(d_i d_j), rounded once, in both)
         order, band = spectra._sweep_band(ham)
         assert np.array_equal(np.sort(order), np.arange(len(region)))
-        want = _dense_band_rows(band)
-        dense = spectra._dense_symmetric(ham)[np.ix_(order, order)]
-        if ham.symmetric:
-            assert want.tobytes() == dense.tobytes()
-        else:
-            assert np.max(np.abs(want - dense)) <= 1e-15
+        assert (_dense_band_rows(band).tobytes()
+                == dense[np.ix_(order, order)].tobytes())
 
 
 def _dense_band_rows(band):

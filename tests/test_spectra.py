@@ -22,27 +22,31 @@ from gasketlab.verification import (CheckRecord, compact_eigenfunction_at_six,
                                     zero_extension_residual)
 
 
+def _simple_triangle():
+    """The level-0 triangle under the simple rule: spectrum {2, 5, 5}."""
+    return assemble(build_triangle(0), "simple", np.zeros(3))
+
+
 def test_dense_fixture():
-    assert np.allclose(eigenvalues_dense(np.diag([3.0, 1.0, 2.0])),
-                       [1.0, 2.0, 3.0])
+    assert np.allclose(eigenvalues_dense(_simple_triangle()), [2.0, 5.0, 5.0])
     region = build_triangle(2)
     free = assemble(region, "simple", np.zeros(len(region)))
-    assert np.array_equal(eigenvalues_dense(operators.laplacian(region, "simple")),
-                          eigenvalues_dense(free))
-    with pytest.raises(ValidationError):
-        eigenvalues_dense(np.ones((2, 3)))
+    assert np.array_equal(spectra.dense_array(free),
+                          operators.laplacian(region, "simple").toarray())
 
 
 def test_dense_threshold_capacity(monkeypatch):
-    with pytest.raises(CapacityError):
-        eigenvalues_dense(np.eye(5), threshold=4)
-    ham = assemble(build_triangle(3), "simple", np.zeros(42))
-    for matrix, rows in ((np.eye(5), 5), (ham, 42)):
+    for ham in (_simple_triangle(),
+                assemble(build_triangle(3), "simple", np.zeros(42))):
+        rows = ham.dimension
         monkeypatch.setattr(spectra, "DENSE_THRESHOLD", rows - 1)
-        with pytest.raises(CapacityError):
-            spectra.dense_counts(matrix, [1.0])
+        for dense in (eigenvalues_dense, spectra.dense_array,
+                      lambda h: spectra.dense_counts(h, [1.0])):
+            with pytest.raises(CapacityError):
+                dense(ham)
         monkeypatch.setattr(spectra, "DENSE_THRESHOLD", rows)
-        assert spectra.dense_counts(matrix, [9.0]).tolist() == [rows]
+        assert len(eigenvalues_dense(ham)) == rows
+        assert spectra.dense_counts(ham, [9.0]).tolist() == [rows]
 
 
 def test_dense_probabilistic_symmetrization():
@@ -54,16 +58,22 @@ def test_dense_probabilistic_symmetrization():
 
 
 def test_count_below_fixture():
-    diag = np.diag([1.0, 2.0, 3.0])
-    assert count_below(diag, 2.5) == 2
-    assert count_below(diag, 2.0) == 2  # ties count as below
-    assert count_below(diag, 0.0) == 0
-    assert count_below(diag, 3.0) == 3
-    assert type(count_below(diag, 2.5)) is int
-    assert count_below(diag, [0.0, 2.0, 2.5, 3.0]).tolist() == [0, 2, 2, 3]
-    for bad in ([[1.0]], np.nan, [1.0, np.inf]):
-        with pytest.raises(ValidationError):
-            count_below(diag, bad)
+    # the level-0 triangle under the Neumann rule: spectrum {0, 3, 3}
+    ham = assemble(build_triangle(0), "neumann", np.zeros(3))
+    assert count_below(ham, 1.5) == 1
+    assert count_below(ham, 0.0) == 1  # ties count as below
+    assert count_below(ham, -1.0) == 0
+    assert count_below(ham, 3.0) == 3
+    assert type(count_below(ham, 1.5)) is int
+    assert count_below(ham, [-1.0, 0.0, 1.5, 3.0]).tolist() == [0, 1, 1, 3]
+
+
+def test_non_finite_energies_are_rejected_by_every_count():
+    ham = _simple_triangle()
+    for count in (count_below, spectra.dense_counts, counting_curve):
+        for bad in ([[1.0]], np.nan, [1.0, np.inf], [1.0, np.nan, np.inf]):
+            with pytest.raises(ValidationError, match="finite scalar or 1-D"):
+                count(ham, bad)
 
 
 def test_count_below_simple_triangle():
@@ -93,11 +103,10 @@ def test_count_below_probabilistic():
 
 
 def test_count_below_near_tie_retries():
-    # E + eta lands within pivot tolerance of an eigenvalue
-    eta = spectra.tie_guard(1.0)
-    diag = np.diag([1.0 + eta, 2.0])
-    assert count_below(diag, 1.0) in (0, 1)
-    assert count_below(diag, 1.5) == 1
+    # E + eta lands within pivot tolerance of the eigenvalue 2
+    energy = (2.0 - 1e-9) / (1.0 + 1e-9)
+    assert count_below(_simple_triangle(), energy) in (0, 1)
+    assert count_below(_simple_triangle(), 3.5) == 1
 
 
 def test_counting_curve_methods_agree():
@@ -147,10 +156,10 @@ def test_counting_bounds_count_through_counting_curve(monkeypatch):
 
 
 def test_counting_curve_csv(tmp_path):
-    curve = counting_curve(np.diag([1.0, 2.0]), [0.5, 1.5, 2.5])
+    curve = counting_curve(_simple_triangle(), [5.5, 1.5, 2.5])
     path = tmp_path / "counts.csv"
     curve.to_csv(path)
-    assert path.read_text().splitlines() == ["E,count", "0.5,0", "1.5,1", "2.5,2"]
+    assert path.read_text().splitlines() == ["E,count", "1.5,0", "2.5,1", "5.5,3"]
 
 
 def test_verify_counting_bounds_pass():
@@ -449,10 +458,19 @@ def test_band_solve_releases_the_interpreter_lock():
 
 
 def test_shift_ladder_matches_dense_away_from_nearby_eigenvalues(monkeypatch):
-    # with DENSE_THRESHOLD at 0 every breakdown walks the shift ladder (the
-    # oracle's eigenvalues_dense keeps its own default threshold); the
-    # ladder may count eigenvalues up to 1e-5 (1 + |E|) above E, so the
-    # energies with one there are left out
+    # with DENSE_THRESHOLD at 0 every breakdown walks the shift ladder, so
+    # the oracle spectra are solved before it is set; the ladder may count
+    # eigenvalues up to 1e-5 (1 + |E|) above E, so the energies with one
+    # there are left out
+    cases = []
+    for level in (5, 6):
+        for name, region in _oracle_regions(level).items():
+            for spec in ORACLE_POTENTIALS[:2]:
+                values = sample_potential(region, spec)
+                for bc in operators.BOUNDARY_CONDITIONS:
+                    ham = assemble(region, bc, values)
+                    cases.append((level, name, spec.distribution[0], bc, ham,
+                                  eigenvalues_dense(ham)))
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
     broken = []
     negative_counts = spectra._negative_counts
@@ -466,19 +484,12 @@ def test_shift_ladder_matches_dense_away_from_nearby_eigenvalues(monkeypatch):
     energies = np.array(sorted(set(TIE_ENERGIES) | {12.0, 15.0}))
     reach = energies + 1e-5 * (1.0 + np.abs(energies))
     bad = []
-    for level in (5, 6):
-        for name, region in _oracle_regions(level).items():
-            for spec in ORACLE_POTENTIALS[:2]:
-                values = sample_potential(region, spec)
-                for bc in operators.BOUNDARY_CONDITIONS:
-                    ham = assemble(region, bc, values)
-                    spectrum = eigenvalues_dense(ham)
-                    dense = counts_from_eigenvalues(spectrum, energies)
-                    clear = np.searchsorted(spectrum, reach, side="right") == dense
-                    ladder = count_below(ham, energies)
-                    bad += [(level, name, spec.distribution[0], bc, e, c, d)
-                            for e, c, d in zip(energies[clear], ladder[clear],
-                                               dense[clear]) if c != d]
+    for *case, ham, spectrum in cases:
+        dense = counts_from_eigenvalues(spectrum, energies)
+        clear = np.searchsorted(spectrum, reach, side="right") == dense
+        ladder = count_below(ham, energies)
+        bad += [(*case, e, c, d) for e, c, d in zip(energies[clear], ladder[clear],
+                                                    dense[clear]) if c != d]
     assert bad == []
     assert sum(broken) > 100
 
