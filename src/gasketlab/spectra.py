@@ -20,14 +20,15 @@ energies of a call share one pass: each level keeps the six entries of its
 block is counted (Descartes' rule on its characteristic polynomial) and
 inverted (adjugate over determinant) in closed form, elementwise.  Blocks
 too close to singular for the closed form to be certain go through batched
-``numpy.linalg.eigh``.  Energies go in batches and cells in subtrees, so no
-temporary holds more than a fixed number of elements at any level.  A block
-within the pivot floor of singular is a breakdown: a small operator is then
-counted from its band at that energy, a large one again at a nudged shift.
-The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E" convention when E
-collides with an eigenvalue; every oracle comparison in the test-suite uses
-the same convention.  Energies must be finite.  The inequality checks built
-on these counts live in :mod:`gasketlab.verification`.
+``numpy.linalg.eigh``: their eigen-directions above the pivot floor are
+eliminated, and those within it are delayed, carried up as extra rows of
+the parent's block (delayed pivots, as in multifrontal LDL^T), so a block
+that is singular at E costs no second pass.  Energies go in batches and
+cells in subtrees, so no temporary holds more than a fixed number of
+elements at any level.  The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E"
+convention when E collides with an eigenvalue; every oracle comparison in
+the test-suite uses the same convention.  Energies must be finite.  The
+inequality checks built on these counts live in :mod:`gasketlab.verification`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .operators import HamiltonianMatrix
 
 DENSE_THRESHOLD = 4096
 
-#: Relative pivot size treated as a breakdown, about sqrt(eps).  Inverting
+#: Relative size of the pivot floor, about sqrt(eps): an eigen-direction of
+#: a pivot block within it of zero is delayed, not eliminated.  Inverting
 #: a pivot block with smallest eigenvalue lam puts errors ~ eps * scale / lam
 #: into the Schur complement above it.  Equal-potential cells make blocks
 #: exactly singular at some energies (E = 2 or 12 under a 0/10 potential),
@@ -231,16 +233,104 @@ _CERTAIN = 1e-3
 #: is kept as.
 _ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
+#: The rows of a merge's front that hold the corners 0, 1, 2 of child t:
+#: the outer corners are rows 0, 1, 2, the inner corners rows 3, 4, 5.
+_SLOTS = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
-def _merge(schur, corners, diag, weights, shift, floor, broken):
+#: No delayed rows (see :func:`_merge`).
+_NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
+            np.zeros((0, 3)))
+
+
+def _symmetric(x00, x11, x22, x01, x02, x12):
+    """The (len, 3, 3) symmetric matrices with the six given entries."""
+    return np.stack([x00, x01, x02, x01, x11, x12, x02, x12, x22],
+                    axis=-1).reshape(-1, 3, 3)
+
+
+def _rows_of(keys, wanted):
+    """The positions in ``keys`` that hold each key of ``wanted``, as the
+    (order, start, number) of ``keys[order]``, sorted, where key
+    ``wanted[i]`` takes positions ``start[i]`` up to ``start[i] + number[i]``."""
+    order = np.argsort(keys, kind="stable")
+    start = np.searchsorted(keys[order], wanted)
+    return order, start, np.searchsorted(keys[order], wanted, side="right") - start
+
+
+def _split_by(keys):
+    """(key, positions) for each distinct value of the int array ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    values, first = np.unique(keys[order], return_index=True)
+    return zip(values.tolist(), np.split(order, first[1:]))
+
+
+def _eigh(blocks):
+    """``numpy.linalg.eigh`` of a stack of blocks, each distinct block
+    solved once."""
+    flat = np.ascontiguousarray(blocks).reshape(len(blocks), -1)
+    _, first, inverse = np.unique(flat.view(np.dtype((np.void, 8 * flat.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    values, vectors = np.linalg.eigh(blocks[first])
+    return values[inverse.ravel()], vectors[inverse.ravel()]
+
+
+def _directions(sure, pivot, inverse, link, rows):
+    """The eigen-directions of the pivot blocks of some (energy, parent)
+    pairs: each direction's pair, eigenvalue and coupling to the pair's 3
+    outer corners.
+
+    ``pivot`` holds each pair's (3, 3) block P on its inner corners and
+    ``link`` the couplings of these to the outer corners; ``rows`` holds the
+    children's delayed rows, as (value, coupling to the 6 corners of the
+    front, start, number).  Where P is certain (``sure``) it is eliminated
+    in closed form already, with ``inverse`` P^-1, and the block is that of
+    the delayed rows, diag(values) - Y P^-1 Y^T, Y their couplings to the
+    inner corners; elsewhere it is P together with them.  The pairs go in
+    groups of one size.
+    """
+    value, front, start, number = rows
+    owner, values, couplings = [], [], []
+    # the pairs where P is certain go by d delayed rows, the others by -1 - d
+    for kind, g in _split_by(np.where(sure, number, -1 - number)):
+        d = max(kind, -1 - kind)
+        at = start[g, None] + np.arange(d)
+        y, z = front[at, 3:], front[at, :3]
+        if kind >= 0:
+            yp = y @ inverse[g]
+            block = -(yp @ np.swapaxes(y, -1, -2))
+            block.reshape(len(g), -1)[:, ::d + 1] += value[at]
+            near = z - yp @ link[g]
+        else:
+            block = np.zeros((len(g), 3 + d, 3 + d))
+            block[:, :3, :3], block[:, 3:, :3] = pivot[g], y
+            block[:, :3, 3:] = np.swapaxes(y, -1, -2)
+            block[:, 3 + np.arange(d), 3 + np.arange(d)] = value[at]
+            near = np.concatenate([link[g], z], axis=1)
+        # blocks of equal-potential cells repeat at the first merge
+        lam, vectors = (_eigh if d == 0 else np.linalg.eigh)(block)
+        owner.append(np.repeat(g, lam.shape[1]))
+        values.append(lam.ravel())
+        couplings.append((np.swapaxes(vectors, -1, -2) @ near).reshape(-1, 3))
+    return tuple(np.concatenate(x) for x in (owner, values, couplings))
+
+
+def _merge(schur, corners, delayed, diag, weights, shift, floor):
     """Eliminate the 3 inner corners of every triple of sibling triangles.
 
     ``schur`` holds the six entries of the children's corner Schur
     complements as (energies, 3m) arrays, ``corners`` their (3m, 3) corner
-    rows.  Returns the negative eigenvalues of the eliminated blocks per
-    energy, the six (energies, m) entries on the outer corners and their
-    (m, 3) rows; sets ``broken`` at the energies where a block has an
-    eigenvalue within ``floor`` of zero.
+    rows and ``delayed`` their delayed rows.  Returns the negative
+    eigenvalues of the eliminated directions per energy, the six (energies,
+    m) entries on the outer corners, their (m, 3) rows and the parents'
+    delayed rows.
+
+    A pivot block's eigen-direction within ``floor`` of zero is not
+    eliminated but delayed: kept as a row (energy, triangle, value, coupling
+    to the triangle's 3 corners) of the parent's pivot block, next to the
+    parent's inner corners.  The delayed rows of a triangle are mutually
+    uncoupled.  A delayed row whose coupling is within the floor too is
+    rounding away from an eigen-direction of the whole matrix, so its sign
+    is counted where it appears.
     """
     kids = corners.reshape(-1, 3, 3)
     (a00, a11, a22, a01, a02, a12), (b00, b11, b22, b01, b02, b12), (
@@ -257,9 +347,9 @@ def _merge(schur, corners, diag, weights, shift, floor, broken):
     j33, j44, j55 = q * r - w * w, p * r - v * v, p * q - u * u
     j34, j35, j45 = v * w - u * r, u * w - q * v, u * v - p * w
     det = p * j33 + u * j34 + v * j35
-    norm = np.maximum(np.maximum(np.abs(p) + np.abs(u) + np.abs(v),
-                                 np.abs(u) + np.abs(q) + np.abs(w)),
-                      np.abs(v) + np.abs(w) + np.abs(r))
+    au, av, aw = np.abs(u), np.abs(v), np.abs(w)
+    norm = np.maximum(np.maximum(np.abs(p) + au + av, au + np.abs(q) + aw),
+                      av + aw + np.abs(r))
     certain = ((np.abs(det) > norm * norm * np.maximum(_CERTAIN * norm, 2.0 * floor))
                & np.isfinite(det))
     # Descartes: sign changes of (1, trace, minors, det) count the negative
@@ -268,61 +358,132 @@ def _merge(schur, corners, diag, weights, shift, floor, broken):
     negatives = np.where(det > 0, np.where((trace > 0) & (minors > 0), 0, 2),
                          np.where((trace < 0) & (minors > 0), 3, 1))
     inv = certain / np.where(certain, det, 1.0)
+    # each temporary goes once used: the live (energies, m) arrays bound
+    # the peak memory
+    del au, av, aw, det, norm, trace, minors
     # adj(A) times the coupling columns (a01, a02, 0), (b01, 0, b12) and
     # (0, c02, c12), one column at a time to bound the live temporaries
     s00 = a00 - (a01 * (j33 * a01 + j34 * a02) + a02 * (j34 * a01 + j44 * a02)) * inv
     y = (j33 * b01 + j35 * b12, j34 * b01 + j45 * b12, j35 * b01 + j55 * b12)
     s11, s01 = b11 - (b01 * y[0] + b12 * y[2]) * inv, -(a01 * y[0] + a02 * y[1]) * inv
+    del y
     y = (j34 * c02 + j35 * c12, j44 * c02 + j45 * c12, j45 * c02 + j55 * c12)
     out = [s00, s11, c22 - (c02 * y[1] + c12 * y[2]) * inv, s01,
            -(a01 * y[0] + a02 * y[1]) * inv, -(b01 * y[0] + b12 * y[2]) * inv]
-    e, c = np.nonzero(~certain)
+    corners = kids[:, [0, 1, 2], [0, 1, 2]]
+    del y
+    m, side = len(kids), ~certain
+    side[delayed[0], delayed[1] // 3] = True
+    e, c = np.nonzero(side)
+    if not e.size:
+        return negatives.sum(axis=1), out, corners, _NO_ROWS
+    pair = e * m + c
 
     def at(x):  # x is (energies, m), or (1, m) for the same at all energies
-        return x[e if len(x) > 1 else 0, c]
+        return x.take(pair if len(x) > 1 else c)
 
-    # the counts at an energy that broke down earlier are thrown away
-    e, c = e[~broken[e]], c[~broken[e]]
-    if e.size:
-        inner = np.stack([at(x) for x in (p, u, v, u, q, w, v, w, r)], axis=-1)
-        values, vectors = np.linalg.eigh(inner.reshape(-1, 3, 3))
-        small = np.abs(values) <= floor[e]
-        broken[e[small.any(axis=1)]] = True
-        couple = np.zeros((e.size, 3, 3))
-        couple[:, 0, 0], couple[:, 0, 1] = at(a01), at(b01)
-        couple[:, 1, 0], couple[:, 1, 2] = at(a02), at(c02)
-        couple[:, 2, 1], couple[:, 2, 2] = at(b12), at(c12)
-        x = np.swapaxes(vectors, -1, -2) @ couple
-        update = np.swapaxes(x, -1, -2) @ (x / np.where(small, 1.0, values)[..., None])
-        outer = (at(a00), at(b11), at(c22), 0.0, 0.0, 0.0)
-        for s, o, (i, j) in zip(out, outer, _ENTRIES):
-            s[e, c] = o - update[:, i, j]
-        negatives[e, c] = np.count_nonzero(values < 0.0, axis=1)
-    return negatives.sum(axis=1), out, kids[:, [0, 1, 2], [0, 1, 2]]
+    # the children's delayed rows, each pair's together, in the corner
+    # numbering of the front
+    order, start, number = _rows_of(delayed[0] * m + delayed[1] // 3, pair)
+    front = np.zeros((len(order), 6))
+    front[np.arange(len(order))[:, None], _SLOTS[delayed[1][order] % 3]] = (
+        delayed[3][order])
+    zero, sure = np.zeros(e.size), certain.take(pair)
+    inverse = _symmetric(*(at(x) for x in (j33, j44, j55, j34, j35, j45)))
+    link = np.stack([at(a01), at(b01), zero, at(a02), zero, at(c02), zero, at(b12),
+                     at(c12)], axis=-1).reshape(-1, 3, 3)
+    owner, value, coupling = _directions(
+        sure, _symmetric(*(at(x) for x in (p, q, r, u, v, w))),
+        inverse * at(inv)[:, None, None], link,
+        (delayed[2][order], front, start, number))
+    # a direction above the floor is eliminated: its sign is counted and
+    # x x^T / value taken off the outer corners; one within the floor is
+    # counted here if it no longer couples, else delayed
+    small = np.abs(value) <= floor.take(e.take(owner))
+    scaled = coupling / np.where(small, np.inf, value)[:, None]
+    count = np.where(sure, at(negatives), 0) + np.bincount(
+        owner, weights=(value < 0.0) & ~small, minlength=e.size).astype(np.int64)
+    base = (at(a00), at(b11), at(c22), zero, zero, zero)
+    for s, b, (i, j) in zip(out, base, _ENTRIES):
+        s[e, c] = np.where(sure, at(s), b) - np.bincount(
+            owner, weights=coupling[:, i] * scaled[:, j], minlength=e.size)
+    # the near-null directions: a pair keeps at most 3 coupled ones, and one
+    # whose coupling is within the floor as well is counted here
+    folded, owner, value, coupling = _fold(owner[small], value[small], coupling[small],
+                                           e.size)
+    free = np.abs(coupling).max(axis=1) <= floor.take(e.take(owner))
+    negatives[e, c] = count + folded + np.bincount(
+        owner, weights=free & (value < 0.0), minlength=e.size).astype(np.int64)
+    owner = owner[~free]
+    return (negatives.sum(axis=1), out, corners,
+            (e[owner], c[owner], value[~free], coupling[~free]))
 
 
-def _eliminate(corners, diag, weights, shift, floor, broken):
-    """Merge the unit cells with rows ``corners`` (3^j, 3), one subtree, up
-    to its 3 outer corners: the negatives per energy, the six (energies, 1)
-    entries of the corner Schur complement and the (1, 3) corner rows.  A
-    subtree too wide for the element budget is done as its 3 children."""
+def _fold(owner, value, coupling, pairs):
+    """The near-null directions of ``pairs`` pairs, each with its pair, its
+    value and its coupling to the pair's 3 outer corners, folded to at most
+    3 a pair.
+
+    The coupling x (s, 3) of a pair's s > 3 directions maps s - 3 of their
+    combinations, its left singular vectors past the third, to zero: these
+    are eigen-directions of the whole matrix up to the floor, which bounds
+    every entry of the compression of diag(values) to them, so their signs
+    are counted here, as the negative eigenvalues of that compression.  The
+    other 3 are made mutually uncoupled again.  Returns the negatives per
+    pair and the directions left.
+    """
+    count = np.zeros(pairs, dtype=np.int64)
+    number = np.bincount(owner, minlength=pairs)
+    many = number[owner] > 3
+    if not many.any():
+        return count, owner, value, coupling
+    left = [(owner[~many], value[~many], coupling[~many])]
+    owner, value, coupling = owner[many], value[many], coupling[many]
+    crowded = np.flatnonzero(number > 3)
+    order, start, number = _rows_of(owner, crowded)
+    for s, g in _split_by(number):
+        rows = order[start[g, None] + np.arange(s)]
+        basis = np.linalg.svd(coupling[rows])[0]
+        folded = np.swapaxes(basis, -1, -2) @ (value[rows][..., None] * basis)
+        count[crowded[g]] = np.count_nonzero(
+            np.linalg.eigvalsh(folded[:, 3:, 3:]) < 0.0, axis=1)
+        lam, vectors = np.linalg.eigh(folded[:, :3, :3])
+        link = np.swapaxes(basis[..., :3], -1, -2) @ coupling[rows]
+        left.append((np.repeat(crowded[g], 3), lam.ravel(),
+                     (np.swapaxes(vectors, -1, -2) @ link).reshape(-1, 3)))
+    return (count, *(np.concatenate(x) for x in zip(*left)))
+
+
+def _eliminate(corners, diag, weights, shift, floor, fit=1):
+    """Merge the unit cells with rows ``corners`` (3^j, 3), one subtree,
+    until at most ``fit`` triangles are left: the negatives per energy, the
+    six (energies, triangles) entries of their corner Schur complements,
+    their (triangles, 3) corner rows and the delayed rows left.  A subtree
+    too wide for the element budget is first merged as its 3 children, each
+    until the three together take at most a third of the budget, so the
+    children held while a sibling is merged stay small against its
+    temporaries."""
     negatives = np.zeros(len(shift), dtype=np.int64)
     if len(shift) * len(corners) > 3 * _BUDGET:
-        parts = [_eliminate(part, diag, weights, shift, floor, broken)
+        parts = [_eliminate(part, diag, weights, shift, floor,
+                            _BUDGET // (9 * len(shift)))
                  for part in np.split(corners, 3)]
         negatives = sum(p[0] for p in parts)
         schur = [np.hstack(entry) for entry in zip(*(p[1] for p in parts))]
         corners = np.vstack([p[2] for p in parts])
+        delayed = [np.concatenate(x) for x in zip(*(p[3] for p in parts))]
+        delayed[1] = np.concatenate([p[3][1] + t * len(p[2])
+                                     for t, p in enumerate(parts)])
     else:
         # a unit cell's block is its 3 edges; each diagonal entry is added
         # whole when its vertex is eliminated
         zero, edge = np.zeros((1, len(corners))), np.full((1, len(corners)), -1.0)
-        schur = (zero, zero, zero, edge, edge, edge)
-    while len(corners) > 1:
-        neg, schur, corners = _merge(schur, corners, diag, weights, shift,
-                                     floor, broken)
+        schur, delayed = (zero, zero, zero, edge, edge, edge), _NO_ROWS
+    while len(corners) > fit:
+        neg, schur, corners, delayed = _merge(schur, corners, delayed, diag, weights,
+                                              shift, floor)
         negatives = negatives + neg
-    return negatives, schur, corners
+    return negatives, schur, corners, delayed
 
 
 # at extreme magnitudes (|entries| ~ 1e100) the closed-form products
@@ -331,14 +492,15 @@ def _eliminate(corners, diag, weights, shift, floor, broken):
 def _negative_counts(cells, diag, weights, shift):
     """Negative eigenvalues, per shift s, of the matrix with diagonal
     ``diag - s * weights`` and -1 on every edge of the unit ``cells`` (see
-    ``LatticeRegion.cells``), and whether the elimination broke down there.
+    ``LatticeRegion.cells``).
 
     Each merge adds three children's 3x3 corner Schur complements, then
     eliminates the 3 inner corners and carries the 3 outer ones up; the
-    corners left at the top form the last block.  By Sylvester's law of
-    inertia the negative eigenvalues of these blocks add up to those of the
-    matrix.  A block with an eigenvalue within PIVOT_TOL * max(1, max|diag -
-    s * weights|) of zero is a breakdown.
+    corners left at the top, with the delayed rows, form the last block.
+    By Sylvester's law of inertia the negative eigenvalues of the
+    eliminated directions add up to those of the matrix.  A direction with
+    an eigenvalue within PIVOT_TOL * max(1, max|diag - s * weights|) of
+    zero is delayed to the parent's block (see :func:`_merge`).
     """
     k, n = len(shift), len(diag)
     shift = shift[:, None]
@@ -348,27 +510,35 @@ def _negative_counts(cells, diag, weights, shift):
         part = slice(lo, lo + step)
         scale = np.maximum(scale, np.abs(diag[part] - shift * weights[part]).max(axis=1))
     floor = PIVOT_TOL * scale[:, None]
-    broken = np.zeros(k, dtype=bool)
-    trees = [_eliminate(tree, diag, weights, shift, floor, broken) for tree in cells]
+    trees = [_eliminate(tree, diag, weights, shift, floor) for tree in cells]
     negatives = sum(t[0] for t in trees)
     # a corner shared by the two halves of a ball enters once; the -1 of
     # the corners a truncated triangle drops is summed, then cut out
     top, at = np.unique(np.vstack([t[2] for t in trees]), return_inverse=True)
-    block = np.zeros((k, len(top), len(top)))
-    block[:, np.arange(len(top)), np.arange(len(top))] = diag[top] - shift * weights[top]
-    for (_, schur, _), rows in zip(trees, at.reshape(-1, 3)):
-        s00, s11, s22, s01, s02, s12 = (np.broadcast_to(x, (k, 1))[:, 0] for x in schur)
-        full = np.stack([s00, s01, s02, s01, s11, s12, s02, s12, s22], axis=-1)
-        np.add.at(block, (slice(None), rows[:, None], rows), full.reshape(k, 3, 3))
-    block[broken] = 0.0
+    size = len(top)
+    block = np.zeros((k, size, size))
+    block[:, np.arange(size), np.arange(size)] = diag[top] - shift * weights[top]
+    for (_, schur, _, _), rows in zip(trees, at.reshape(-1, 3)):
+        full = _symmetric(*(np.broadcast_to(x, (k, 1))[:, 0] for x in schur))
+        np.add.at(block, (slice(None), rows[:, None], rows), full)
+    # the delayed rows left in each tree join the block
+    e, _, value, coupling = (np.concatenate(x) for x in zip(*(t[3] for t in trees)))
+    corner = at.reshape(-1, 3)[np.concatenate(
+        [np.full(len(t[3][0]), i) for i, t in enumerate(trees)])]
+    order, start, number = _rows_of(e, np.arange(k))
     keep = np.flatnonzero(top >= 0)
-    values = np.linalg.eigvalsh(block[:, keep][:, :, keep])
-    broken |= np.any(np.abs(values) <= floor, axis=1)
-    return negatives + np.count_nonzero(values < 0.0, axis=1), broken
-
-
-#: Shifts E + 10^k eta, k < _RETRIES, tried where the elimination breaks down.
-_RETRIES = 5
+    for d, g in _split_by(number):
+        rows, band = order[start[g, None] + np.arange(d)], size + np.arange(d)
+        last = np.zeros((len(g), size + d, size + d))
+        last[:, :size, :size] = block[g]
+        pair = np.arange(len(g))[:, None, None]
+        last[pair, band[:, None], corner[rows]] = coupling[rows]
+        last[pair, corner[rows], band[:, None]] = coupling[rows]
+        last[:, band, band] = value[rows]
+        cut = np.concatenate([keep, band])
+        negatives[g] += np.count_nonzero(
+            np.linalg.eigvalsh(last[:, cut][:, :, cut]) < 0.0, axis=1)
+    return negatives
 
 
 def count_below(ham: HamiltonianMatrix, energy):
@@ -381,44 +551,26 @@ def count_below(ham: HamiltonianMatrix, energy):
     D^{-1} L as the congruent pencil L - E*D), with closed-form 3x3 pivots
     and ``eigh`` on the blocks they cannot certify, in batches of at most
     ``_BUDGET // 64`` energies; a region without cells goes through
-    :func:`dense_counts`.  Energies whose elimination breaks down go through
-    :func:`dense_counts` too, with one band count per call, if the operator
-    has at most DENSE_THRESHOLD rows.  On a larger one only they are counted
-    again, up to _RETRIES times, with the shift nudged by growing multiples
-    of the tie guard, which can count an eigenvalue a little above E.  The
-    ladder is deterministic, so repeated runs agree bit for bit.  A
-    non-finite or 2-D ``energy`` is a ValidationError, here as in
-    :func:`dense_counts` and :func:`counting_curve`.
+    :func:`dense_counts`.  A pivot block singular at E (equal-potential
+    cells at a tie energy) has its near-null directions delayed to the
+    parent's block, so every count takes the one pass, at E + eta itself,
+    and an array call counts as its scalar calls do.  A non-finite or 2-D
+    ``energy`` is a ValidationError, here as in :func:`dense_counts` and
+    :func:`counting_curve`.
     """
     grid = _energies(energy)
     if ham.region.cells is None:
         counts = dense_counts(ham, grid)
     else:
-        counts = _inertia_counts(ham, grid)
+        # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
+        diag, weights = ((ham.diagonal, np.ones(ham.dimension)) if ham.symmetric
+                         else (ham.degree_weights, ham.degree_weights))
+        shifted, batch = grid + tie_guard(grid), _BUDGET // 64
+        counts = np.zeros(grid.size, dtype=np.int64)
+        for lo in range(0, grid.size, batch):
+            counts[lo:lo + batch] = _negative_counts(ham.region.cells, diag, weights,
+                                                     shifted[lo:lo + batch])
     return int(counts[0]) if np.ndim(energy) == 0 else counts
-
-
-def _inertia_counts(ham, grid):
-    # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
-    diag, weights = ((ham.diagonal, np.ones(ham.dimension)) if ham.symmetric
-                     else (ham.degree_weights, ham.degree_weights))
-    counts = np.zeros(grid.size, dtype=np.int64)
-    todo, batch = np.arange(grid.size), _BUDGET // 64
-    for attempt in range(_RETRIES):
-        broken = np.zeros(todo.size, dtype=bool)
-        for lo in range(0, todo.size, batch):
-            at = todo[lo:lo + batch]
-            counts[at], broken[lo:lo + batch] = _negative_counts(
-                ham.region.cells, diag, weights,
-                grid[at] + tie_guard(grid[at]) * 10**attempt)
-        todo = todo[broken]
-        if not todo.size:
-            return counts
-        if ham.dimension <= DENSE_THRESHOLD:
-            counts[todo] = dense_counts(ham, grid[todo])
-            return counts
-    raise RuntimeError(f"inertia counting failed at E={grid[todo].tolist()} "
-                       f"after {_RETRIES} shifted retries")
 
 
 @dataclass

@@ -407,8 +407,8 @@ INERTIA_GRID = ["--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
 def test_scipy_modules_load_only_where_needed(tmp_path, args, loaded):
     # neither import is needed to start, and counting reads the operator's
     # arrays: scipy.sparse (about 0.2 s of start-up) stays unloaded, and
-    # scipy.linalg (about 8 MiB of RSS) loads only for dense solves; these
-    # energies cause no breakdown, so nothing falls back on them
+    # scipy.linalg (about 8 MiB of RSS) loads only for dense solves; a
+    # built region is counted by elimination alone, at tie energies too
     call = f"main({args!r} + ['--out', 'o'])" if args else "0"
     code = ("import sys\nfrom gasketlab.cli import build_parser, main\n"
             f"build_parser()\nrc = {call}\n"

@@ -314,13 +314,17 @@ def _oracle_operators(level):
 
 
 def _mismatches(ham, energies, values=None):
-    """(E, array call, scalar call, dense) wherever the three disagree.  The
-    band counts that breakdowns fall back on reuse the oracle's solve."""
+    """(E, array call, scalar call, dense) wherever the three disagree.  A
+    built region is counted by the elimination alone, so reaching the band
+    count fails."""
     if values is None:
         values = eigenvalues_dense(ham)
     dense = counts_from_eigenvalues(values, energies)
-    with mock.patch.object(spectra, "_band_counts",
-                           lambda _, shifted: np.searchsorted(values, shifted)):
+
+    def band(*_):
+        raise AssertionError("count_below reached the band count")
+
+    with mock.patch.object(spectra, "_band_counts", band):
         batch = count_below(ham, np.asarray(energies))
         single = [count_below(ham, e) for e in energies]
     return [(e, b, c, d) for e, b, c, d in zip(energies, batch, single, dense)
@@ -457,68 +461,80 @@ def test_band_solve_releases_the_interpreter_lock():
     assert min(ratios) < 0.25, ratios
 
 
-def test_shift_ladder_matches_dense_away_from_nearby_eigenvalues(monkeypatch):
-    # with DENSE_THRESHOLD at 0 every breakdown walks the shift ladder, so
-    # the oracle spectra are solved before it is set; the ladder may count
-    # eigenvalues up to 1e-5 (1 + |E|) above E, so the energies with one
-    # there are left out
-    cases = []
-    for level in (5, 6):
-        for name, region in _oracle_regions(level).items():
-            for spec in ORACLE_POTENTIALS[:2]:
-                values = sample_potential(region, spec)
-                for bc in operators.BOUNDARY_CONDITIONS:
-                    ham = assemble(region, bc, values)
-                    cases.append((level, name, spec.distribution[0], bc, ham,
-                                  eigenvalues_dense(ham)))
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
-    broken = []
-    negative_counts = spectra._negative_counts
+def test_delayed_pivots_match_dense_at_tie_energies(monkeypatch):
+    # every count at the tie energies equals the eigvalsh count, with no
+    # window left out around nearby eigenvalues; the cases delay pivots
+    delayed = []
+    merge = spectra._merge
 
-    def recording(cells, diag, weights, shift):
-        counts, flags = negative_counts(cells, diag, weights, shift)
-        broken.append(np.count_nonzero(flags))
-        return counts, flags
+    def recording(schur, corners, rows, *args):
+        delayed.append(len(rows[0]))
+        return merge(schur, corners, rows, *args)
 
-    monkeypatch.setattr(spectra, "_negative_counts", recording)
-    energies = np.array(sorted(set(TIE_ENERGIES) | {12.0, 15.0}))
-    reach = energies + 1e-5 * (1.0 + np.abs(energies))
-    bad = []
-    for *case, ham, spectrum in cases:
-        dense = counts_from_eigenvalues(spectrum, energies)
-        clear = np.searchsorted(spectrum, reach, side="right") == dense
-        ladder = count_below(ham, energies)
-        bad += [(*case, e, c, d) for e, c, d in zip(energies[clear], ladder[clear],
-                                                    dense[clear]) if c != d]
+    monkeypatch.setattr(spectra, "_merge", recording)
+    energies = sorted(set(TIE_ENERGIES) | {12.0, 15.0})
+    bad = [(level, name, potential, bc, *m)
+           for level in (5, 6)
+           for name, potential, bc, ham, values in _oracle_operators(level)
+           if potential in ("constant", "bernoulli")
+           for m in _mismatches(ham, energies, values)]
     assert bad == []
-    assert sum(broken) > 100
+    assert sum(delayed) > 100
 
 
-def test_breakdown_counts_densely_below_the_dense_threshold():
-    # 2e-10 below an eigenvalue, with a pair 5.6e-9 above it: the pivot
-    # floor breaks the elimination, and a shifted retry would count the
-    # pair as well (84)
+def test_count_below_separates_an_eigenvalue_from_a_pair_just_above():
+    # 2e-10 below an eigenvalue, with a pair 5.6e-9 above it: both lie
+    # within the pivot floor of the shift, and a count at a shift nudged
+    # past the pair would give 84
     region = build_triangle(6)
     ham = assemble(region, "neumann", np.zeros(len(region)))
     assert count_below(ham, 0.637247428) == 82
 
 
-def test_array_call_walks_the_retry_ladder_like_scalar_calls(monkeypatch):
-    # the ids-l8 operator (9843 rows, above DENSE_THRESHOLD): at E = 5 and
-    # 15 equal-potential blocks break down, and only those energies are
-    # counted again at the next shift
+def test_array_call_is_one_pass_like_scalar_calls(monkeypatch):
+    # the ids-l8 operator (9843 rows): at 8 of the energies 0..26 some pivot
+    # blocks are singular, and all 27 energies still take one elimination
+    # pass
     region = build_triangle(TriangleSpec(8), half_lattice=True)
     values = sample_potential(region, bernoulli(0.0, 10.0, 0.5, seed=0), 0)
     ham = assemble(region, "simple", values)
-    energies = np.array([4.5, 5.0, 15.0])
+    energies = np.arange(27.0)
     single = [count_below(ham, e) for e in energies]
-    shifts = []
+    passes = []
     negative_counts = spectra._negative_counts
 
     def recording(cells, diag, weights, shift):
-        shifts.append(shift)
+        passes.append(len(shift))
         return negative_counts(cells, diag, weights, shift)
 
     monkeypatch.setattr(spectra, "_negative_counts", recording)
     assert count_below(ham, energies).tolist() == single
-    assert len(shifts) > 1 and len(shifts[1]) < len(energies)
+    assert passes == [27]
+    # the band counts 5850 up to 13 + 100 eta and 5851 from 13 + 1000 eta:
+    # one eigenvalue lies between 1.4e-6 and 1.4e-5 above 13
+    assert single[13] == 5850
+
+
+def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
+    # the localized eigenfunctions at E = 5 and 6 grow like 3^level; their
+    # near-null directions are counted where they stop coupling, so at most
+    # 3 delayed rows per energy reach the top block of a triangle (366
+    # would at level 7 if they were all carried up)
+    region = build_triangle(7)
+    left = []
+    eliminate = spectra._eliminate
+
+    def recording(*args):
+        result = eliminate(*args)
+        if len(args) == 5:  # a whole tree, merged to its top triangle
+            left.append(np.bincount(result[3][0], minlength=len(args[3])).max(
+                initial=0))
+        return result
+
+    monkeypatch.setattr(spectra, "_eliminate", recording)
+    energies = [5.0, 6.0]
+    for bc in operators.BOUNDARY_CONDITIONS:
+        ham = assemble(region, bc, np.zeros(len(region)))
+        assert count_below(ham, energies).tolist() == spectra.dense_counts(
+            ham, energies).tolist()
+    assert len(left) == 3 and max(left) <= 3
