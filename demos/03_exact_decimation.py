@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Exact eigenvalues from preimage iteration of R(z) = z(4z+5).
+"""Exact eigenvalues by spectral decimation through R(z) = z(4z+5).
 
-The degree-normalized Neumann spectrum on a side-2^level triangle is the
-preimage tree of {0, -3/4} to depth level-1 plus the isolated point -3/2.
-Iterating the larger inverse branch f contracts by about 1/5 per step,
-which sets every 5^(-level) rate below.
+The degree-normalized Neumann spectrum on a side-2^level triangle comes
+from one recursion over levels: both preimages under R of every point of
+the level below carry its multiplicity, and 0, -5/4, -3/4 and the top
+point -3/2 enter with closed-form multiplicities.  Iterating the larger
+inverse branch f contracts by about 1/5 per step, which sets every
+5^(-level) rate below.
 """
 
 import numpy as np
 
 from gasketlab import decimation, operators, spectra
 from gasketlab.decimation import (branch_iteration_bounds, dirichlet_ground,
-                                  f, neumann_gap, neumann_spectrum)
+                                  f, neumann_counts, neumann_gap)
 from gasketlab.lattice import TriangleSpec, build_triangle
 
 print("== inverse branch ==")
@@ -22,12 +24,13 @@ print("\n== exact spectrum vs dense diagonalization ==")
 for level in (1, 2, 3, 4):
     region = build_triangle(level)
     dense = spectra.eigenvalues_dense(operators.probabilistic_laplacian(region))
-    exact = np.sort(-neumann_spectrum(level).points)
-    gaps = np.abs(dense[:, None] - exact[None, :])
-    hausdorff = max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
-    print(f"level {level}: {len(exact):2d} distinct values, "
-          f"set distance to the {len(dense)}-point dense spectrum: "
-          f"{hausdorff:.1e}")
+    values, mult = neumann_counts(level)
+    nearest = np.abs(dense[:, None] - values[None, :]).argmin(axis=1)
+    distance = np.abs(dense - values[nearest]).max()
+    same = np.array_equal(np.bincount(nearest, minlength=len(values)), mult)
+    print(f"level {level}: {len(values):2d} distinct values; the {len(dense)} "
+          f"dense eigenvalues lie within {distance:.1e} of them, "
+          f"multiplicities equal: {same}")
 
 print("\n== spectral gap and ground state decay like 5^-level ==")
 print("level   neumann gap     ratio    dirichlet ground   ratio")

@@ -1,9 +1,10 @@
-"""Exact free-Laplacian spectra by preimage iteration of R(z) = z(4z+5).
+"""Exact free-Laplacian spectra by spectral decimation through R(z) = z(4z+5).
 
-Eigenvalues of the degree-normalized Neumann operator on gasket triangles
-are generated by pulling the base points {0, -3/4} back through the two
-inverse branches of R, together with the isolated top point -3/2.  The
-larger inverse branch
+The eigenvalues of the degree-normalized Neumann operator on the level-k
+triangle (the probabilistic Laplacian, negated) and their multiplicities
+follow from one recursion over levels that pulls level k-1 back through
+the two inverse branches of R (Fukushima & Shima 1992, Teplyaev 1998).
+The larger inverse branch
 
     f(x) = (-5 + sqrt(25 + 16x)) / 8 = 2x / (5 + sqrt(25 + 16x))
 
@@ -26,9 +27,6 @@ BOTTOM = -1.5
 
 #: f is real only for x >= -25/16.
 F_DOMAIN_MIN = -25.0 / 16.0
-
-#: Switch f-iteration to software high precision beyond this many steps.
-HIGH_PRECISION_STEPS = 12
 
 DEDUP_TOL = 1e-12
 
@@ -59,30 +57,27 @@ def lower_branch(x):
     return out if np.ndim(x) else float(out)
 
 
+def _preimages(z):
+    return np.concatenate([f(z), lower_branch(z)])
+
+
 def iterate_f(x: float, n: int) -> float:
-    """n-fold composition of f, in high precision when n is large."""
+    """n-fold composition of f in double precision."""
     if n < 0:
         raise ValidationError("iteration count must be >= 0")
-    if n <= HIGH_PRECISION_STEPS:
-        y = float(x)
-        for _ in range(n):
-            y = f(y)
-        return y
-    from mpmath import mp, mpf, sqrt
-
-    with mp.workdps(40):
-        y = mpf(x)
-        for _ in range(n):
-            y = 2 * y / (5 + sqrt(25 + 16 * y))
-        return float(y)
+    y = float(x)
+    for _ in range(n):
+        y = f(y)
+    return y
 
 
 @dataclass
 class DecimationSpectrum:
     """Spectrum points in the normalized (nonpositive) convention.
 
-    ``generations[i]`` is the preimage depth of ``points[i]``; the Julia
-    approximation points of :func:`free_spectrum_approx` carry -1.
+    ``generations[i]`` is the minimal preimage depth of ``points[i]`` over
+    {0, -3/4} (0 for -3/2); the Julia approximation points of
+    :func:`free_spectrum_approx` carry -1.
     """
 
     points: np.ndarray
@@ -111,43 +106,44 @@ class DecimationSpectrum:
                 fh.write(f"{v:.17g},{g},{scale}\n")
 
 
-def _dedup(points, generations):
-    order = np.argsort(points)
-    pts, gens = [], []
-    for idx in order:
-        if pts and abs(points[idx] - pts[-1]) <= DEDUP_TOL:
-            continue
-        pts.append(points[idx])
-        gens.append(generations[idx])
-    return np.array(pts), np.array(gens, dtype=int)
+def _neumann_levels(level: int):
+    """Points, multiplicities and generations of the level-``level``
+    normalized Neumann spectrum.
 
-
-def _preimage_tree(base, depth):
-    """All preimages of ``base`` up to ``depth`` compositions, tagged by
-    generation."""
-    points = [(b, 0) for b in base]
-    frontier = list(base)
-    for m in range(1, depth + 1):
-        nxt = []
-        for y in frontier:
-            nxt.extend((f(y), lower_branch(y)))
-        points.extend((z, m) for z in nxt)
-        frontier = nxt
-    pts = np.array([p for p, _ in points])
-    gens = np.array([g for _, g in points])
-    return _dedup(pts, gens)
+    Level 0 is 0 and -3/2, with multiplicities 1 and 2.  Level k pulls
+    every other level-(k-1) point back through both branches (multiplicity
+    kept, generation + 1) and adds 0: 1, -5/4: (3^(k-1) - 1)/2 (none at
+    k = 1), -3/4: (3^(k-1) + 3)/2 and -3/2: (3^k + 3)/2; -1/2 = f(-3/2)
+    is not an eigenvalue.
+    """
+    if level < 1:
+        raise ValidationError("level must be >= 1")
+    points, mult, gens = np.array([0.0, BOTTOM]), np.array([1, 2]), np.array([0, 0])
+    for k in range(1, level + 1):
+        inner = (points != 0.0) & (points != BOTTOM)
+        points = np.concatenate([[0.0, -1.25, -0.75, BOTTOM],
+                                 _preimages(points[inner])])
+        mult = np.concatenate([[1, (3**(k - 1) - 1) // 2, (3**(k - 1) + 3) // 2,
+                                (3**k + 3) // 2], np.tile(mult[inner], 2)])
+        gens = np.concatenate([[0, 1, 0, 0], np.tile(gens[inner] + 1, 2)])
+        keep = mult > 0
+        points, mult, gens = points[keep], mult[keep], gens[keep]
+    return points, mult, gens
 
 
 def neumann_spectrum(level: int) -> DecimationSpectrum:
     """Eigenvalue set of the degree-normalized Neumann operator on the
-    level-``level`` triangle: {-3/2} plus the preimage tree of {0, -3/4}
-    to depth level-1."""
-    if level < 1:
-        raise ValidationError("level must be >= 1")
-    pts, gens = _preimage_tree([0.0, -0.75], level - 1)
-    pts = np.append(pts, BOTTOM)
-    gens = np.append(gens, 0)
-    return DecimationSpectrum(*_dedup(pts, gens))
+    level-``level`` triangle."""
+    points, _, gens = _neumann_levels(level)
+    return DecimationSpectrum(points, gens)
+
+
+def neumann_counts(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct eigenvalues of the probabilistic Laplacian on the
+    level-``level`` triangle, ascending, and their exact multiplicities."""
+    points, mult, _ = _neumann_levels(level)
+    order = np.argsort(-points)
+    return -points[order], mult[order]
 
 
 def neumann_gap(level: int) -> float:
@@ -182,27 +178,22 @@ def branch_iteration_bounds(n: int, samples) -> dict:
     """
     if n > 60:
         raise ValidationError("iteration bound check limited to n <= 60")
-    samples = np.asarray(samples, dtype=float)
-    if np.any(samples < -1.0) or np.any(samples > 0.0):
+    x = np.asarray(samples, dtype=float)
+    if np.any(x < -1.0) or np.any(x > 0.0):
         raise ValidationError("samples must lie in [-1, 0]")
-    worst_lower = np.inf
-    worst_upper = np.inf
-    worst_sharp = np.inf
-    checked = 0
-    for x in samples:
-        y = x
-        for m in range(1, n + 1):
-            y = f(y)
-            lower = 4.0 / 5.0**m * x
-            upper = 1.0 / 5.0**m * x
-            sharp = 5.0**-m * x * (1.0 - iteration_sum(m) * x)
-            worst_lower = min(worst_lower, y - lower)
-            worst_upper = min(worst_upper, upper - y)
-            worst_sharp = min(worst_sharp, y - sharp)
-            checked += 1
+    worst_lower = worst_upper = worst_sharp = np.inf
+    y = x
+    for m in range(1, n + 1):
+        y = f(y)
+        lower = 4.0 / 5.0**m * x
+        upper = 1.0 / 5.0**m * x
+        sharp = 5.0**-m * x * (1.0 - iteration_sum(m) * x)
+        worst_lower = np.min(y - lower, initial=worst_lower)
+        worst_upper = np.min(upper - y, initial=worst_upper)
+        worst_sharp = np.min(y - sharp, initial=worst_sharp)
     tol = 1e-13
     return {
-        "checked": checked,
+        "checked": max(n, 0) * x.size,
         "worst_lower_margin": worst_lower,
         "worst_upper_margin": worst_upper,
         "worst_sharp_margin": worst_sharp,
@@ -215,16 +206,20 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
                          julia_depth: int = 40, seed: int = 0) -> DecimationSpectrum:
     """Approximate spectrum of the free operator on the infinite lattice.
 
-    The explicit part is {-3/2} plus the preimage tree of {-3/4} truncated
-    at ``depth``; its limit points are approximated by a seeded random
+    The explicit part is {-3/2} plus the preimages of -3/4 to ``depth``
+    compositions; its limit points are approximated by a seeded random
     backward orbit of the two inverse branches started from -3/2 (tagged
-    generation -1).  On the (-4x) scale everything lies in [0, 6].
+    generation -1).  Points within DEDUP_TOL of a smaller one are dropped.
+    On the (-4x) scale everything lies in [0, 6].
     """
     if depth > 20:
         raise ValidationError("preimage depth limited to 20")
-    pts, gens = _preimage_tree([-0.75], depth)
-    pts = np.append(pts, BOTTOM)
-    gens = np.append(gens, 0)
+    layers = [np.array([-0.75])]
+    for _ in range(depth):
+        layers.append(_preimages(layers[-1]))
+    pts = np.concatenate(layers + [[BOTTOM]])
+    gens = np.concatenate([np.full(len(z), g) for g, z in enumerate(layers)]
+                          + [[0]])
     if julia_samples > 0:
         key = np.array([seed & (2**64 - 1), 1], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -234,4 +229,7 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
             z = np.where(take_upper, f(z), lower_branch(z))
         pts = np.append(pts, z)
         gens = np.append(gens, np.full(julia_samples, -1))
-    return DecimationSpectrum(*_dedup(pts, gens))
+    order = np.argsort(pts, kind="stable")
+    pts, gens = pts[order], gens[order]
+    keep = np.concatenate([[True], np.diff(pts) > DEDUP_TOL])
+    return DecimationSpectrum(pts[keep], gens[keep])

@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from gasketlab import operators, spectra
-from gasketlab.decimation import (R, branch_iteration_bounds, dirichlet_ground,
-                                  f, free_spectrum_approx, iterate_f,
-                                  iteration_sum, lower_branch, neumann_gap,
-                                  neumann_spectrum)
+from gasketlab.decimation import (BOTTOM, R, branch_iteration_bounds,
+                                  dirichlet_ground, f, free_spectrum_approx,
+                                  iterate_f, iteration_sum, lower_branch,
+                                  neumann_counts, neumann_gap, neumann_spectrum)
 from gasketlab.errors import ValidationError
 from gasketlab.lattice import TriangleSpec, build_triangle
 
@@ -48,15 +49,59 @@ def test_neumann_spectrum_level_two_second_largest():
 
 
 def test_generation_roundtrip():
+    # the generation is the minimal preimage depth over {0, -3/4}
     for level in (2, 3, 4, 5):
         spectrum = neumann_spectrum(level)
         for point, gen in zip(spectrum.points, spectrum.generations):
-            if abs(point + 1.5) <= 1e-12:
+            if point == BOTTOM:
                 continue
-            y = point
+            orbit = [point]
             for _ in range(gen):
-                y = R(y)
-            assert min(abs(y), abs(y + 0.75)) <= 1e-12
+                orbit.append(R(orbit[-1]))
+            at_base = [min(abs(y), abs(y + 0.75)) <= 1e-12 for y in orbit]
+            assert at_base[-1] and not any(at_base[:-1]), (level, point, gen)
+
+
+@pytest.mark.parametrize(
+    "level", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_neumann_counts_equal_dense_multiplicities(level):
+    values, mult = neumann_counts(level)
+    assert np.all(np.diff(values) > 0)
+    assert np.array_equal(values, -neumann_spectrum(level).points[::-1])
+    evals = spectra.eigenvalues_dense(
+        operators.probabilistic_laplacian(build_triangle(level)))
+    nearest = np.argmin(np.abs(evals[:, None] - values[None, :]), axis=1)
+    assert np.max(np.abs(evals - values[nearest])) <= 1e-9
+    assert np.array_equal(np.bincount(nearest, minlength=len(values)), mult)
+
+
+def test_multiplicities_sum_to_the_vertex_count():
+    for level in range(1, 15):
+        assert neumann_counts(level)[1].sum() == (3 ** (level + 1) + 3) // 2
+
+
+@pytest.mark.parametrize("level", [8, pytest.param(10, marks=pytest.mark.slow)])
+def test_count_below_equals_exact_free_counts(level):
+    # every distinct eigenvalue of the free probabilistic Laplacian is a
+    # tie energy: at level 8, 384 of them, 3/2 with multiplicity 3282
+    ham = operators.probabilistic_laplacian(build_triangle(level))
+    values, mult = neumann_counts(level)
+    assert np.array_equal(spectra.count_below(ham, values), np.cumsum(mult))
+
+
+@pytest.mark.slow
+def test_count_below_equals_exact_free_counts_at_level_12():
+    # 797,163 rows; 3/2 has multiplicity 265,722.  The points are matched to
+    # 1e-12: a loose match (np.isclose's default rtol) takes in neighbours
+    ham = operators.probabilistic_laplacian(build_triangle(12))
+    values, mult = neumann_counts(12)
+    cumulative = np.cumsum(mult)
+    targets = np.array([0.75, 1.25, 1.5])
+    index = [np.flatnonzero(np.abs(values - x) <= 1e-12) for x in targets]
+    assert all(len(i) == 1 for i in index)
+    expected = cumulative[np.concatenate(index)]
+    assert np.array_equal(spectra.count_below(ham, targets), expected)
+    assert expected[-1] == ham.dimension
 
 
 def test_points_live_in_the_normalized_band():
@@ -107,13 +152,14 @@ def test_ground_formula_matches_dense():
         assert abs(dense - dirichlet_ground(level)) <= 1e-9
 
 
-def test_high_precision_iteration_agrees_with_double():
-    # the rationalized branch is stable, so both paths should agree closely
-    for x in (-0.75, -0.5, -1.0):
-        low = x
-        for _ in range(15):
-            low = f(low)
-        assert iterate_f(x, 15) == pytest.approx(low, rel=1e-12)
+def test_iterate_f_matches_forty_digit_iteration():
+    # the rationalized branch is stable: double precision holds to a few ulps
+    for x in (-0.75, -0.5, -1.0, -1e-3):
+        with mpmath.mp.workdps(40):
+            y = mpmath.mpf(x)
+            for n in range(61):
+                assert iterate_f(x, n) == pytest.approx(float(y), rel=1e-14)
+                y = 2 * y / (5 + mpmath.sqrt(25 + 16 * y))
     assert iterate_f(-0.75, 0) == -0.75
 
 
@@ -177,6 +223,8 @@ def test_csv_export(tmp_path):
 def test_level_validation():
     with pytest.raises(ValidationError):
         neumann_spectrum(0)
+    with pytest.raises(ValidationError):
+        neumann_counts(0)
     with pytest.raises(ValidationError):
         neumann_gap(0)
     with pytest.raises(ValidationError):

@@ -102,11 +102,14 @@ def test_count_below_probabilistic():
             evals, [energy])[0]
 
 
-def test_count_below_near_tie_retries():
-    # E + eta lands within pivot tolerance of the eigenvalue 2
+def test_count_below_counts_an_eigenvalue_within_rounding_of_e_plus_eta():
+    # E + eta = 1.9999999999999998, within rounding of the eigenvalue 2
+    ham = _simple_triangle()
     energy = (2.0 - 1e-9) / (1.0 + 1e-9)
-    assert count_below(_simple_triangle(), energy) in (0, 1)
-    assert count_below(_simple_triangle(), 3.5) == 1
+    assert count_below(ham, energy) == 1
+    assert spectra.dense_counts(ham, [energy]).tolist() == [1]
+    assert counts_from_eigenvalues(eigenvalues_dense(ham), [energy]).tolist() == [1]
+    assert count_below(ham, 3.5) == 1
 
 
 def test_counting_curve_methods_agree():
