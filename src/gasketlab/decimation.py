@@ -212,8 +212,8 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     generation -1).  Points within DEDUP_TOL of a smaller one are dropped.
     On the (-4x) scale everything lies in [0, 6].
     """
-    if depth > 20:
-        raise ValidationError("preimage depth limited to 20")
+    if not 0 <= depth <= 20:
+        raise ValidationError(f"preimage depth must be in 0..20, got {depth}")
     layers = [np.array([-0.75])]
     for _ in range(depth):
         layers.append(_preimages(layers[-1]))

@@ -15,15 +15,19 @@ region every sub-triangle meets the rest of the graph only at its 3
 corners, so that matrix is eliminated bottom-up over the unit cells, three
 sibling triangles at a time, as in spectral decimation; Sylvester's law of
 inertia adds up the negative eigenvalues of the eliminated 3x3 blocks.  All
-energies of a call share one pass: each level keeps the six entries of its
-3x3 corner Schur complements as (energies, cells) arrays, and each pivot
-block is counted (Descartes' rule on its characteristic polynomial) and
-inverted (adjugate over determinant) in closed form, elementwise.  Blocks
+energies of a call, and all operators of a call on one region (the trials
+of a curve), share one pass: each (operator, energy) pair is a row, each
+level keeps the six entries of its 3x3 corner Schur complements as (rows,
+cells) arrays, and each pivot block is counted (Descartes' rule on its
+characteristic polynomial) and inverted (adjugate over determinant) in
+closed form, elementwise.  An energy outside an operator's Gershgorin
+interval (centres diag / w, radii region degree / w) by more than two tie
+guards has count n above it and 0 below it, and takes no row.  Blocks
 too close to singular for the closed form to be certain go through batched
 ``numpy.linalg.eigh``: their eigen-directions above the pivot floor are
 eliminated, and those within it are delayed, carried up as extra rows of
 the parent's block (delayed pivots, as in multifrontal LDL^T), so a block
-that is singular at E costs no second pass.  Energies go in batches and
+that is singular at E costs no second pass.  Rows go in batches and
 cells in subtrees, so no temporary holds more than a fixed number of
 elements at any level.  The tie guard eta = 1e-9 (1 + |E|) fixes the "<= E"
 convention when E collides with an eigenvalue; every oracle comparison in
@@ -213,11 +217,11 @@ def dense_counts(ham: HamiltonianMatrix, grid) -> np.ndarray:
 
 
 #: Most elements a temporary of the elimination holds, whatever the level
-#: or grid size: energies go in batches of at most _BUDGET // 64, cells in
-#: subtrees whose first merge has at most _BUDGET // energies blocks.  A
-#: larger budget runs faster but raises peak memory; a much smaller one
-#: makes numpy calls so short that the interpreter lock serializes
-#: concurrent trial threads.
+#: or grid size: (operator, energy) rows go in passes of at most
+#: _BUDGET // 64, cells in subtrees whose first merge has at most
+#: _BUDGET // rows blocks.  A larger budget makes fewer, longer numpy calls
+#: but raises peak memory; the trials of a counter-sized curve are rows of
+#: one pass, not threads, so the calls need not be long enough to overlap.
 _BUDGET = 2**15
 
 #: A 3x3 pivot block A is counted and inverted in closed form when
@@ -317,15 +321,17 @@ def _directions(sure, pivot, inverse, link, rows):
 def _merge(schur, corners, delayed, diag, weights, shift, floor):
     """Eliminate the 3 inner corners of every triple of sibling triangles.
 
-    ``schur`` holds the six entries of the children's corner Schur
-    complements as (energies, 3m) arrays, ``corners`` their (3m, 3) corner
+    A row of the pass is one (operator, energy) pair: ``diag`` and
+    ``weights`` are (operators, 1, n) and ``shift`` (operators, energies,
+    1).  ``schur`` holds the six entries of the children's corner Schur
+    complements as (rows, 3m) arrays, ``corners`` their (3m, 3) corner
     rows and ``delayed`` their delayed rows.  Returns the negative
-    eigenvalues of the eliminated directions per energy, the six (energies,
-    m) entries on the outer corners, their (m, 3) rows and the parents'
+    eigenvalues of the eliminated directions per row, the six (rows, m)
+    entries on the outer corners, their (m, 3) rows and the parents'
     delayed rows.
 
     A pivot block's eigen-direction within ``floor`` of zero is not
-    eliminated but delayed: kept as a row (energy, triangle, value, coupling
+    eliminated but delayed: kept as a row (row, triangle, value, coupling
     to the triangle's 3 corners) of the parent's pivot block, next to the
     parent's inner corners.  The delayed rows of a triangle are mutually
     uncoupled.  A delayed row whose coupling is within the floor too is
@@ -340,8 +346,9 @@ def _merge(schur, corners, delayed, diag, weights, shift, floor):
     # outer corners 0, 1, 2 of the children meet no other child, and the
     # couplings between inner and outer corners are the rows of
     # [[a01, b01, 0], [a02, 0, c02], [0, b12, c12]]
-    p, q, r = (x + y + (diag[i] - shift * weights[i]) for x, y, i in (
-        (a11, b00, kids[:, 0, 1]), (a22, c00, kids[:, 0, 2]), (b22, c11, kids[:, 1, 2])))
+    p, q, r = (x + y + (diag[..., i] - shift * weights[..., i]).reshape(-1, len(i))
+               for x, y, i in ((a11, b00, kids[:, 0, 1]), (a22, c00, kids[:, 0, 2]),
+                               (b22, c11, kids[:, 1, 2])))
     u, v, w = a12, b02, c01
     # adjugate, determinant and 2x2 minor sum of [[p, u, v], [u, q, w], [v, w, r]]
     j33, j44, j55 = q * r - w * w, p * r - v * v, p * q - u * u
@@ -379,7 +386,7 @@ def _merge(schur, corners, delayed, diag, weights, shift, floor):
         return negatives.sum(axis=1), out, corners, _NO_ROWS
     pair = e * m + c
 
-    def at(x):  # x is (energies, m), or (1, m) for the same at all energies
+    def at(x):  # x is (rows, m), or (1, m) for the same in every row
         return x.take(pair if len(x) > 1 else c)
 
     # the children's delayed rows, each pair's together, in the corner
@@ -456,17 +463,17 @@ def _fold(owner, value, coupling, pairs):
 
 def _eliminate(corners, diag, weights, shift, floor, fit=1):
     """Merge the unit cells with rows ``corners`` (3^j, 3), one subtree,
-    until at most ``fit`` triangles are left: the negatives per energy, the
-    six (energies, triangles) entries of their corner Schur complements,
+    until at most ``fit`` triangles are left: the negatives per row, the
+    six (rows, triangles) entries of their corner Schur complements,
     their (triangles, 3) corner rows and the delayed rows left.  A subtree
     too wide for the element budget is first merged as its 3 children, each
     until the three together take at most a third of the budget, so the
     children held while a sibling is merged stay small against its
     temporaries."""
-    negatives = np.zeros(len(shift), dtype=np.int64)
-    if len(shift) * len(corners) > 3 * _BUDGET:
+    negatives = np.zeros(shift.size, dtype=np.int64)
+    if shift.size * len(corners) > 3 * _BUDGET:
         parts = [_eliminate(part, diag, weights, shift, floor,
-                            _BUDGET // (9 * len(shift)))
+                            _BUDGET // (9 * shift.size))
                  for part in np.split(corners, 3)]
         negatives = sum(p[0] for p in parts)
         schur = [np.hstack(entry) for entry in zip(*(p[1] for p in parts))]
@@ -490,9 +497,11 @@ def _eliminate(corners, diag, weights, shift, floor, fit=1):
 # overflow; such blocks are not certified and go through eigh
 @np.errstate(over="ignore", invalid="ignore")
 def _negative_counts(cells, diag, weights, shift):
-    """Negative eigenvalues, per shift s, of the matrix with diagonal
-    ``diag - s * weights`` and -1 on every edge of the unit ``cells`` (see
-    ``LatticeRegion.cells``).
+    """Negative eigenvalues, per (operator t, shift s) pair, of the matrix
+    with diagonal ``diag[t] - s * weights[t]`` and -1 on every edge of the
+    unit ``cells`` (see ``LatticeRegion.cells``): ``diag`` and ``weights``
+    are (operators, n), ``shift`` is (operators, shifts), and the counts
+    come back in the shape of ``shift``.  Each pair is one row of the pass.
 
     Each merge adds three children's 3x3 corner Schur complements, then
     eliminates the 3 inner corners and carries the 3 outer ones up; the
@@ -502,14 +511,15 @@ def _negative_counts(cells, diag, weights, shift):
     an eigenvalue within PIVOT_TOL * max(1, max|diag - s * weights|) of
     zero is delayed to the parent's block (see :func:`_merge`).
     """
-    k, n = len(shift), len(diag)
-    shift = shift[:, None]
-    scale = np.ones(k)
+    k, n = shift.size, diag.shape[1]
+    diag, weights, shift = diag[:, None], weights[:, None], shift[..., None]
+    scale = np.ones(shift.shape[:2])
     step = max(1, _BUDGET // k)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        scale = np.maximum(scale, np.abs(diag[part] - shift * weights[part]).max(axis=1))
-    floor = PIVOT_TOL * scale[:, None]
+        scale = np.maximum(scale, np.abs(diag[..., part] - shift * weights[..., part])
+                           .max(axis=-1))
+    floor = PIVOT_TOL * scale.reshape(k, 1)
     trees = [_eliminate(tree, diag, weights, shift, floor) for tree in cells]
     negatives = sum(t[0] for t in trees)
     # a corner shared by the two halves of a ball enters once; the -1 of
@@ -517,7 +527,8 @@ def _negative_counts(cells, diag, weights, shift):
     top, at = np.unique(np.vstack([t[2] for t in trees]), return_inverse=True)
     size = len(top)
     block = np.zeros((k, size, size))
-    block[:, np.arange(size), np.arange(size)] = diag[top] - shift * weights[top]
+    block[:, np.arange(size), np.arange(size)] = (
+        diag[..., top] - shift * weights[..., top]).reshape(k, size)
     for (_, schur, _, _), rows in zip(trees, at.reshape(-1, 3)):
         full = _symmetric(*(np.broadcast_to(x, (k, 1))[:, 0] for x in schur))
         np.add.at(block, (slice(None), rows[:, None], rows), full)
@@ -538,39 +549,93 @@ def _negative_counts(cells, diag, weights, shift):
         cut = np.concatenate([keep, band])
         negatives[g] += np.count_nonzero(
             np.linalg.eigvalsh(last[:, cut][:, :, cut]) < 0.0, axis=1)
-    return negatives
+    return negatives.reshape(shift.shape[:2])
 
 
-def count_below(ham: HamiltonianMatrix, energy):
+def _stacked_counts(hams, grid) -> np.ndarray:
+    """The (operators, energies) counts of operators built on one region
+    with cells: every (operator, energy) pair the Gershgorin bounds leave
+    open is a row of :func:`_negative_counts`, at most ``_BUDGET // 64``
+    rows a pass."""
+    region, n = hams[0].region, hams[0].dimension
+    # D^{-1} L as the pencil L - E*D: the diagonal of the Neumann Laplacian
+    # L is D itself
+    diag = np.array([h.diagonal if h.symmetric else h.degree_weights for h in hams])
+    weights = np.broadcast_to(1.0, diag.shape)
+    if not all(h.symmetric for h in hams):
+        weights = np.array([np.ones(n) if h.symmetric else h.degree_weights
+                            for h in hams])
+    # Gershgorin: the pencil's eigenvalues lie in [lo, hi] (centres
+    # diag / w, radii region degree / w), so beyond the bounds by more than
+    # their rounding plus a tie guard every count is n or 0
+    lo = ((diag - region.region_degree) / weights).min(axis=1)
+    hi = ((diag + region.region_degree) / weights).max(axis=1)
+    shifted = grid + tie_guard(grid)
+    above = shifted > (hi + 2.0 * tie_guard(hi))[:, None]
+    decided = above | (shifted < (lo - 2.0 * tie_guard(lo))[:, None])
+    counts = np.where(above, n, 0)
+    open_ = np.flatnonzero(~decided.all(axis=0))
+    if not open_.size:
+        return counts
+    rows = _BUDGET // 64
+    for t in range(0, len(hams), rows):
+        group = slice(t, t + rows)
+        size = len(diag[group])
+        for part in np.array_split(open_, -(-open_.size * size // rows)):
+            counted = _negative_counts(region.cells, diag[group], weights[group],
+                                       np.broadcast_to(shifted[part], (size, part.size)))
+            counts[group, part] = np.where(decided[group, part], counts[group, part],
+                                           counted)
+    return counts
+
+
+def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
     """#{eigenvalues <= E} for a scalar ``energy`` E (an int) or a 1-D
     array of energies (an int array): the negative inertia of the operator
-    minus (E + eta).
+    minus (E + eta).  ``ham`` is an operator, or a list of operators built
+    on one region, which are counted together and give one row of counts
+    per operator.
 
     On a built region it is :func:`_negative_counts` over the unit cells,
-    all energies in one bottom-up pass (the probabilistic Laplacian
-    D^{-1} L as the congruent pencil L - E*D), with closed-form 3x3 pivots
-    and ``eigh`` on the blocks they cannot certify, in batches of at most
-    ``_BUDGET // 64`` energies; a region without cells goes through
-    :func:`dense_counts`.  A pivot block singular at E (equal-potential
-    cells at a tie energy) has its near-null directions delayed to the
-    parent's block, so every count takes the one pass, at E + eta itself,
-    and an array call counts as its scalar calls do.  A non-finite or 2-D
-    ``energy`` is a ValidationError, here as in :func:`dense_counts` and
-    :func:`counting_curve`.
+    every (operator, energy) pair a row of one bottom-up pass (the
+    probabilistic Laplacian D^{-1} L as the congruent pencil L - E*D), with
+    closed-form 3x3 pivots and ``eigh`` on the blocks they cannot certify,
+    in passes of at most ``_BUDGET // 64`` rows; an energy outside the
+    Gershgorin bounds of an operator is n or 0 without a row.  A region
+    without cells goes through :func:`dense_counts`.  A pivot block
+    singular at E (equal-potential cells at a tie energy) has its near-null
+    directions delayed to the parent's block, so every count takes the one
+    pass, at E + eta itself, and an array call counts as its scalar calls
+    and as a list call do.  A non-finite or 2-D ``energy`` is a
+    ValidationError, here as in :func:`dense_counts` and
+    :func:`counting_curve`; so is a list of operators on different regions.
     """
+    hams = ham if isinstance(ham, list) else [ham]
     grid = _energies(energy)
-    if ham.region.cells is None:
-        counts = dense_counts(ham, grid)
+    if any(h.region is not hams[0].region for h in hams):
+        raise ValidationError("count_below counts operators built on one region")
+    if hams[0].region.cells is None:
+        counts = np.array([dense_counts(h, grid) for h in hams])
     else:
-        # D^{-1} L: the diagonal of the Neumann Laplacian L is D itself
-        diag, weights = ((ham.diagonal, np.ones(ham.dimension)) if ham.symmetric
-                         else (ham.degree_weights, ham.degree_weights))
-        shifted, batch = grid + tie_guard(grid), _BUDGET // 64
-        counts = np.zeros(grid.size, dtype=np.int64)
-        for lo in range(0, grid.size, batch):
-            counts[lo:lo + batch] = _negative_counts(ham.region.cells, diag, weights,
-                                                     shifted[lo:lo + batch])
-    return int(counts[0]) if np.ndim(energy) == 0 else counts
+        counts = _stacked_counts(hams, grid)
+    if isinstance(ham, list):
+        return counts
+    return int(counts[0, 0]) if np.ndim(energy) == 0 else counts[0]
+
+
+#: Most diagonal entries the trial operators of one counter pass hold
+#: together (8 MiB of float64): one level-12 operator, three at level 11.
+_STACK = 2**20
+
+
+def trials_per_pass(rows: int) -> int:
+    """How many trial operators of ``rows`` rows a counting curve counts
+    in one pass.  This is the one place the counting method is chosen, by
+    size: 0 for at most DENSE_THRESHOLD rows, which :func:`dense_counts`
+    counts one operator at a time from its band (so trials may run on
+    threads); above, as many as hold ``_STACK`` diagonal entries, at least
+    1, which :func:`count_below` takes as rows of one elimination."""
+    return 0 if rows <= DENSE_THRESHOLD else max(1, _STACK // rows)
 
 
 @dataclass
@@ -588,12 +653,8 @@ class CountingFunction:
 
 
 def counting_curve(ham: HamiltonianMatrix, grid) -> CountingFunction:
-    """Counting function on a grid of finite energies.  This is the one
-    place the method is chosen, by size: :func:`dense_counts` for an
-    operator of at most DENSE_THRESHOLD rows, :func:`count_below` above."""
+    """Counting function on a grid of finite energies, by the method
+    :func:`trials_per_pass` chooses for the operator's size."""
     grid = np.sort(_energies(grid))
-    if ham.dimension > DENSE_THRESHOLD:
-        counts = count_below(ham, grid)
-    else:
-        counts = dense_counts(ham, grid)
-    return CountingFunction(grid, counts)
+    count = count_below if trials_per_pass(ham.dimension) else dense_counts
+    return CountingFunction(grid, count(ham, grid))

@@ -137,6 +137,16 @@ def test_decimate_level_zero_usage_error(tmp_path):
                tmp_path) == 2
 
 
+def test_decimate_negative_depth_usage_error(tmp_path, capsys):
+    _usage_error(capsys, ["decimate", "--free", "--depth", "-3", "--out", "d"],
+                 tmp_path)
+
+
+def test_containment_negative_depth_usage_error(tmp_path, capsys):
+    _usage_error(capsys, ["verify", "--suite", "containment", "--levels", "3",
+                          "--depth", "-1", "--out", "v.json"], tmp_path)
+
+
 def test_verify_psd(tmp_path):
     rc = run(["verify", "--suite", "psd", "--dim", "40", "--trials", "25",
               "--out", "r.json"], tmp_path)
@@ -252,6 +262,20 @@ def test_ball_curve_is_byte_identical_for_any_threads(tmp_path, monkeypatch):
         assert run(["ids", "--level", "5", "--region", "full", "--dist",
                     "bernoulli:0,10,0.5", "--grid-kind", "global",
                     "--threads", threads, "--out", "run"], tmp_path / threads) == 0
+        curves.append((tmp_path / threads / "run.curve.csv").read_bytes())
+    assert curves[0] == curves[1]
+
+
+def test_counter_curve_is_byte_identical_for_any_threads(tmp_path, monkeypatch):
+    # 9843 rows, above DENSE_THRESHOLD: the trials are rows of one pass
+    monkeypatch.delenv("GASKET_THREADS", raising=False)
+    curves = []
+    for threads in ("1", "4"):
+        (tmp_path / threads).mkdir()
+        assert run(["ids", "--level", "8", "--dist", "bernoulli:0,10,0.5",
+                    "--bc", "simple", "--grid-kind", "global", "--grid-n", "27",
+                    "--trials", "3", "--threads", threads, "--out", "run"],
+                   tmp_path / threads) == 0
         curves.append((tmp_path / threads / "run.curve.csv").read_bytes())
     assert curves[0] == curves[1]
 

@@ -196,6 +196,20 @@ def test_free_spectrum_stays_in_band():
     assert np.array_equal(spectrum.points, again.points)
 
 
+def test_free_spectrum_keeps_julia_points_apart_by_the_dedup_tolerance():
+    # 16 explicit points and 2000 Julia samples, none within 1e-12 of
+    # another: a coarser dedup (1e-9 keeps 1999, 1e-3 keeps 64) drops some
+    spectrum = free_spectrum_approx(3, julia_samples=2000, seed=1)
+    assert len(spectrum) == 2016
+    assert np.count_nonzero(spectrum.generations == -1) == 2000
+    assert np.all(np.diff(spectrum.points) > 1e-12)
+
+
+def test_free_spectrum_rejects_a_negative_depth():
+    with pytest.raises(ValidationError):
+        free_spectrum_approx(-1, julia_samples=0)
+
+
 def test_free_spectrum_points_near_ball_eigenvalues():
     # every explicit point should be close to a free-ball eigenvalue
     from gasketlab.lattice import build_ball

@@ -496,8 +496,8 @@ def test_count_below_separates_an_eigenvalue_from_a_pair_just_above():
 
 def test_array_call_is_one_pass_like_scalar_calls(monkeypatch):
     # the ids-l8 operator (9843 rows): at 8 of the energies 0..26 some pivot
-    # blocks are singular, and all 27 energies still take one elimination
-    # pass
+    # blocks are singular, and every energy the Gershgorin bounds leave
+    # open still takes one elimination pass
     region = build_triangle(TriangleSpec(8), half_lattice=True)
     values = sample_potential(region, bernoulli(0.0, 10.0, 0.5, seed=0), 0)
     ham = assemble(region, "simple", values)
@@ -507,12 +507,14 @@ def test_array_call_is_one_pass_like_scalar_calls(monkeypatch):
     negative_counts = spectra._negative_counts
 
     def recording(cells, diag, weights, shift):
-        passes.append(len(shift))
+        passes.append(shift.shape)
         return negative_counts(cells, diag, weights, shift)
 
     monkeypatch.setattr(spectra, "_negative_counts", recording)
     assert count_below(ham, energies).tolist() == single
-    assert passes == [27]
+    # every eigenvalue is at most 4 + 10 + 4 = 18 (Gershgorin), so the
+    # energies 19..26 are counted n without a row of the pass
+    assert passes == [(1, 19)]
     # the band counts 5850 up to 13 + 100 eta and 5851 from 13 + 1000 eta:
     # one eigenvalue lies between 1.4e-6 and 1.4e-5 above 13
     assert single[13] == 5850
@@ -541,3 +543,78 @@ def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
         assert count_below(ham, energies).tolist() == spectra.dense_counts(
             ham, energies).tolist()
     assert len(left) == 3 and max(left) <= 3
+
+
+def _gershgorin_bounds(ham):
+    """The Gershgorin interval of the operator's pencil."""
+    degree = ham.region.region_degree
+    if not ham.symmetric:
+        return 0.0, 2.0
+    return (ham.diagonal - degree).min(), (ham.diagonal + degree).max()
+
+
+@pytest.mark.parametrize("bc", [*operators.BOUNDARY_CONDITIONS, "prob"])
+def test_counts_at_the_gershgorin_bounds_equal_the_band(bc, monkeypatch):
+    # just inside, on and just outside each bound, by 1e-3 down to two tie
+    # guards, and across the whole interval; the free Neumann operator has
+    # its eigenvalue 0 on the lower bound
+    region = build_triangle(4)
+    passes = []
+    negative_counts = spectra._negative_counts
+
+    def recording(cells, diag, weights, shift):
+        passes.append(shift)
+        return negative_counts(cells, diag, weights, shift)
+
+    monkeypatch.setattr(spectra, "_negative_counts", recording)
+    if bc == "prob":
+        hams = [operators.probabilistic_laplacian(region)]
+    else:
+        hams = [assemble(region, bc, values) for values in (
+            np.zeros(len(region)),
+            sample_potential(region, bernoulli(0.0, 10.0, 0.5, seed=2)))]
+    # (one step of 1e-9 outside a bound would put E + eta on an eigenvalue
+    # that lies on it, where no count is stable)
+    steps = np.array([1e-3, 1e-6, 1e-8, 5e-9, 3e-9, 2e-9, 0.0])
+    for ham in hams:
+        lo, hi = _gershgorin_bounds(ham)
+        energies = np.concatenate([lo + (1.0 + abs(lo)) * np.concatenate([-steps, steps]),
+                                   hi + (1.0 + abs(hi)) * np.concatenate([-steps, steps]),
+                                   np.linspace(lo - 1.0, hi + 1.0, 41)])
+        passes.clear()
+        counts = count_below(ham, energies)
+        assert counts.tolist() == spectra.dense_counts(ham, energies).tolist()
+        assert counts.tolist() == [count_below(ham, e) for e in energies]
+        # 1e-3 outside either bound is decided without elimination
+        eliminated = np.concatenate([p.ravel() for p in passes])
+        outside = [lo - 1e-3 * (1.0 + abs(lo)), hi + 1e-3 * (1.0 + abs(hi))]
+        shifted = np.add(outside, spectra.tie_guard(np.array(outside)))
+        assert not np.isin(shifted, eliminated).any()
+        assert eliminated.size >= 14
+
+
+@pytest.mark.parametrize("kind", ["ball7", "half8"])
+def test_a_list_of_operators_counts_as_its_single_calls(kind):
+    # 6563 and 9843 rows: three trials of each boundary rule are rows of
+    # one pass, and each row equals the operator's own count
+    region = build_ball(7) if kind == "ball7" else build_triangle(8, half_lattice=True)
+    energies = np.concatenate([np.arange(27.0), [0.3, 2.5, 17.999]])
+    spec = bernoulli(0.0, 10.0, 0.5, seed=7)
+    trials = [sample_potential(region, spec, t) for t in range(3)]
+    for bc in operators.BOUNDARY_CONDITIONS:
+        hams = [assemble(region, bc, values) for values in trials]
+        single = np.array([count_below(ham, energies) for ham in hams])
+        passes = []
+        negative_counts = spectra._negative_counts
+
+        def recording(cells, diag, weights, shift):
+            passes.append(shift.shape)
+            return negative_counts(cells, diag, weights, shift)
+
+        with mock.patch.object(spectra, "_negative_counts", recording):
+            stacked = count_below(hams, energies)
+        assert np.array_equal(stacked, single)
+        assert len(passes) == 1 and passes[0][0] == 3
+    assert count_below(hams, 1.0).shape == (3, 1)
+    with pytest.raises(ValidationError):
+        count_below([hams[0], assemble(build_triangle(3), "simple", np.zeros(42))], 1.0)
