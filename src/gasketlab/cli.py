@@ -151,8 +151,6 @@ def cmd_spectrum(args) -> int:
 def cmd_ids(args) -> int:
     args.threads = ids.trial_threads(args.threads)
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
-    if args.grid_n < 1:
-        raise ValidationError(f"--grid-n must be at least 1, got {args.grid_n}")
     window = _parse_window(args.window) if args.fit != "none" else None
     grid = _parse_grid(args, potential)
     if args.trials is None:
@@ -324,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="1e-3,5e-2")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads for independent trials; default is "
-                        "the hardware count (GASKET_THREADS overrides)")
+                        "the CPUs the process may run on (GASKET_THREADS "
+                        "overrides)")
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.add_argument("--max-level", type=int, default=lattice.MAX_LEVEL)
     _add_grid(p)
@@ -387,6 +386,26 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+#: Per subcommand, the least value of each size option: a smaller one
+#: leaves nothing to compute or check.  ``spectrum --grid-n 0`` lists the
+#: eigenvalues instead of a counting curve.
+_LEAST = {
+    "spectrum": {"grid_n": 0},
+    "ids": {"grid_n": 1, "trials": 1},
+    "verify": {"grid_n": 1, "seeds": 1, "trials": 1, "n": 1, "samples": 1,
+               "max_level": 1},
+}
+
+
+def _check_sizes(args) -> None:
+    """Reject a size option below its ``_LEAST`` value."""
+    for name, least in _LEAST.get(args.command, {}).items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            raise ValidationError(f"--{name.replace('_', '-')} must be at least "
+                                  f"{least}, got {value}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" in argv:
@@ -409,6 +428,7 @@ def main(argv=None) -> int:
     try:
         if folder and not os.path.isdir(folder):
             raise ValidationError(f"--out {args.out!r}: no directory {folder!r}")
+        _check_sizes(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,11 +112,14 @@ def _region_for(level, region_kind, max_level):
 
 def trial_threads(requested=None) -> int:
     """Worker threads for independent trials: ``GASKET_THREADS`` if it is
-    set, else ``requested`` (``--threads`` of ``ids``), else the hardware
-    count.  A value that is not an integer of at least 1 is a
-    ValidationError."""
+    set, else ``requested`` (``--threads`` of ``ids``), else the CPUs the
+    process may run on (its affinity mask, where the platform has one;
+    else the hardware count).  A value that is not an integer of at least
+    1 is a ValidationError."""
     value = os.environ.get("GASKET_THREADS", requested)
     if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(value)

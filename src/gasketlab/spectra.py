@@ -20,7 +20,11 @@ of a curve), share one pass: each (operator, energy) pair is a row, each
 level keeps the six entries of its 3x3 corner Schur complements as (rows,
 cells) arrays, and each pivot block is counted (Descartes' rule on its
 characteristic polynomial) and inverted (adjugate over determinant) in
-closed form, elementwise.  An energy outside an operator's Gershgorin
+closed form, elementwise.  The first merge, whose children are bare unit
+cells, is memoised: a block there depends only on the (diagonal, weight)
+at its 3 inner corners, so each operator's distinct blocks are solved
+once and gathered back to every block that holds them (a Bernoulli
+operator has at most 8).  An energy outside an operator's Gershgorin
 interval (centres diag / w, radii region degree / w) by more than two tie
 guards has count n above it and 0 below it, and takes no row.  Blocks
 too close to singular for the closed form to be certain go through batched
@@ -268,16 +272,6 @@ def _split_by(keys):
     return zip(values.tolist(), np.split(order, first[1:]))
 
 
-def _eigh(blocks):
-    """``numpy.linalg.eigh`` of a stack of blocks, each distinct block
-    solved once."""
-    flat = np.ascontiguousarray(blocks).reshape(len(blocks), -1)
-    _, first, inverse = np.unique(flat.view(np.dtype((np.void, 8 * flat.shape[1]))),
-                                  return_index=True, return_inverse=True)
-    values, vectors = np.linalg.eigh(blocks[first])
-    return values[inverse.ravel()], vectors[inverse.ravel()]
-
-
 def _directions(sure, pivot, inverse, link, rows):
     """The eigen-directions of the pivot blocks of some (energy, parent)
     pairs: each direction's pair, eigenvalue and coupling to the pair's 3
@@ -310,25 +304,39 @@ def _directions(sure, pivot, inverse, link, rows):
             block[:, :3, 3:] = np.swapaxes(y, -1, -2)
             block[:, 3 + np.arange(d), 3 + np.arange(d)] = value[at]
             near = np.concatenate([link[g], z], axis=1)
-        # blocks of equal-potential cells repeat at the first merge
-        lam, vectors = (_eigh if d == 0 else np.linalg.eigh)(block)
+        lam, vectors = np.linalg.eigh(block)
         owner.append(np.repeat(g, lam.shape[1]))
         values.append(lam.ravel())
         couplings.append((np.swapaxes(vectors, -1, -2) @ near).reshape(-1, 3))
     return tuple(np.concatenate(x) for x in (owner, values, couplings))
 
 
-def _merge(schur, corners, delayed, diag, weights, shift, floor):
+def _unit_cells(count):
+    """The six corner entries of ``count`` unit cells, as (1, count)
+    arrays: a cell's block is its 3 edges, and each diagonal entry is added
+    whole when its vertex is eliminated."""
+    zero, edge = np.zeros((1, count)), np.full((1, count), -1.0)
+    return zero, zero, zero, edge, edge, edge
+
+
+def _pivots(kids, diag, weights, shift):
+    """The (rows, m) terms diag - s * weights at the inner corners 3, 4, 5
+    of the merges of children with corner rows ``kids`` (m, 3, 3).  A row
+    of the pass is one (operator, energy) pair: ``diag`` and ``weights``
+    are (operators, 1, n) and ``shift`` (operators, energies, 1)."""
+    return [(diag[..., i] - shift * weights[..., i]).reshape(-1, len(i))
+            for i in (kids[:, 0, 1], kids[:, 0, 2], kids[:, 1, 2])]
+
+
+def _merge(schur, pivots, delayed, floor):
     """Eliminate the 3 inner corners of every triple of sibling triangles.
 
-    A row of the pass is one (operator, energy) pair: ``diag`` and
-    ``weights`` are (operators, 1, n) and ``shift`` (operators, energies,
-    1).  ``schur`` holds the six entries of the children's corner Schur
-    complements as (rows, 3m) arrays, ``corners`` their (3m, 3) corner
-    rows and ``delayed`` their delayed rows.  Returns the negative
-    eigenvalues of the eliminated directions per row, the six (rows, m)
-    entries on the outer corners, their (m, 3) rows and the parents'
-    delayed rows.
+    ``schur`` holds the six entries of the children's corner Schur
+    complements as (rows, 3m) arrays, ``pivots`` the (rows, m) diagonal
+    terms of the inner corners (see :func:`_pivots`) and ``delayed`` the
+    children's delayed rows.  Returns the negative eigenvalues of the
+    eliminated directions per (row, parent), the six (rows, m) entries on
+    the outer corners and the parents' delayed rows.
 
     A pivot block's eigen-direction within ``floor`` of zero is not
     eliminated but delayed: kept as a row (row, triangle, value, coupling
@@ -338,7 +346,6 @@ def _merge(schur, corners, delayed, diag, weights, shift, floor):
     rounding away from an eigen-direction of the whole matrix, so its sign
     is counted where it appears.
     """
-    kids = corners.reshape(-1, 3, 3)
     (a00, a11, a22, a01, a02, a12), (b00, b11, b22, b01, b02, b12), (
         c00, c11, c22, c01, c02, c12) = ([x[:, j::3] for x in schur]
                                          for j in range(3))
@@ -346,9 +353,7 @@ def _merge(schur, corners, delayed, diag, weights, shift, floor):
     # outer corners 0, 1, 2 of the children meet no other child, and the
     # couplings between inner and outer corners are the rows of
     # [[a01, b01, 0], [a02, 0, c02], [0, b12, c12]]
-    p, q, r = (x + y + (diag[..., i] - shift * weights[..., i]).reshape(-1, len(i))
-               for x, y, i in ((a11, b00, kids[:, 0, 1]), (a22, c00, kids[:, 0, 2]),
-                               (b22, c11, kids[:, 1, 2])))
+    p, q, r = (x + y + z for x, y, z in zip((a11, a22, b22), (b00, c00, c11), pivots))
     u, v, w = a12, b02, c01
     # adjugate, determinant and 2x2 minor sum of [[p, u, v], [u, q, w], [v, w, r]]
     j33, j44, j55 = q * r - w * w, p * r - v * v, p * q - u * u
@@ -377,13 +382,12 @@ def _merge(schur, corners, delayed, diag, weights, shift, floor):
     y = (j34 * c02 + j35 * c12, j44 * c02 + j45 * c12, j45 * c02 + j55 * c12)
     out = [s00, s11, c22 - (c02 * y[1] + c12 * y[2]) * inv, s01,
            -(a01 * y[0] + a02 * y[1]) * inv, -(b01 * y[0] + b12 * y[2]) * inv]
-    corners = kids[:, [0, 1, 2], [0, 1, 2]]
     del y
-    m, side = len(kids), ~certain
+    m, side = certain.shape[1], ~certain
     side[delayed[0], delayed[1] // 3] = True
     e, c = np.nonzero(side)
     if not e.size:
-        return negatives.sum(axis=1), out, corners, _NO_ROWS
+        return negatives, out, _NO_ROWS
     pair = e * m + c
 
     def at(x):  # x is (rows, m), or (1, m) for the same in every row
@@ -422,8 +426,7 @@ def _merge(schur, corners, delayed, diag, weights, shift, floor):
     negatives[e, c] = count + folded + np.bincount(
         owner, weights=free & (value < 0.0), minlength=e.size).astype(np.int64)
     owner = owner[~free]
-    return (negatives.sum(axis=1), out, corners,
-            (e[owner], c[owner], value[~free], coupling[~free]))
+    return negatives, out, (e[owner], c[owner], value[~free], coupling[~free])
 
 
 def _fold(owner, value, coupling, pairs):
@@ -461,18 +464,97 @@ def _fold(owner, value, coupling, pairs):
     return (count, *(np.concatenate(x) for x in zip(*left)))
 
 
-def _eliminate(corners, diag, weights, shift, floor, fit=1):
+def _codes(diag, weights):
+    """Each operator's (diagonal, weight) pairs numbered from 0, as an
+    (operators, n) int array in which equal pairs, and only those, share a
+    number; None if no operator repeats a pair, for then no two blocks of
+    a first merge, whose inner corners are distinct vertices, are equal."""
+    # complex numbers sort and compare as (real, imaginary) pairs
+    pairs = [d if np.all(w == w[0]) else d + 1j * w for d, w in zip(diag, weights)]
+    values = [np.unique(x) for x in pairs]
+    if all(len(v) == len(x) for v, x in zip(values, pairs)):
+        return None
+    return np.array([np.searchsorted(v, x) for v, x in zip(values, pairs)])
+
+
+def _first_merge(kids, diag, weights, codes, shift, floor):
+    """:func:`_merge` of unit cells with rows ``kids`` (m, 3, 3), each
+    operator's distinct blocks solved once: the negatives per row, the six
+    (rows, m) entries and the delayed rows.
+
+    The children of a first merge are bare unit cells, so a block depends
+    on its row only through the (diagonal, weight) at its 3 inner corners:
+    each operator's blocks are keyed by the ``codes`` of these, and the
+    merge runs on each operator's distinct keys, as (rows, keys) arrays
+    padded to the most keys of an operator.  The entries are gathered back
+    to the blocks, each key's negatives count once for every block that
+    holds it, and its delayed rows are copied to each such block, in the
+    order a merge of every block gives them.  Where no operator repeats a
+    block, the blocks are merged as they are.
+    """
+    m, inner = len(kids), kids[:, [0, 0, 1], [1, 2, 2]]
+    if codes is not None:
+        # codes are below n < 2^21 (MAX_LEVEL), so a key fits in 63 bits
+        n = codes.shape[1]
+        key = (codes[:, inner[:, 0]] * n + codes[:, inner[:, 1]]) * n + codes[:, inner[:, 2]]
+        order = np.argsort(key, axis=1, kind="stable")
+        key = np.take_along_axis(key, order, axis=1)
+        first = np.ones(key.shape, dtype=bool)
+        first[:, 1:] = key[:, 1:] != key[:, :-1]
+        rank = np.cumsum(first, axis=1) - 1  # the key number of each sorted block
+        width = int(rank[:, -1].max()) + 1
+    if codes is None or width == m:
+        negatives, schur, delayed = _merge(_unit_cells(3 * m),
+                                           _pivots(kids, diag, weights, shift),
+                                           _NO_ROWS, floor)
+        return negatives.sum(axis=1), schur, delayed
+    operators = len(codes)
+    # each key's blocks, ascending, start at its first sorted position; a
+    # padded key holds no block and stands for the last one
+    number = np.bincount((np.arange(operators)[:, None] * width + rank).ravel(),
+                         minlength=operators * width).reshape(operators, width)
+    start = np.cumsum(number, axis=1) - number
+    op = np.arange(operators)[:, None]
+    vertex = inner[order[op, np.minimum(start, m - 1)]]
+    pivots = [(diag[op, 0, v][:, None] - shift * weights[op, 0, v][:, None])
+              .reshape(-1, width) for v in np.moveaxis(vertex, -1, 0)]
+    negatives, schur, (e, c, value, coupling) = _merge(_unit_cells(3 * width), pivots,
+                                                       _NO_ROWS, floor)
+    energies = shift.shape[1]
+    negatives = (negatives.reshape(operators, energies, width)
+                 * number[:, None]).sum(axis=2).ravel()
+    which = np.empty_like(rank)
+    which[op, order] = rank
+    # each block's entry in the flat (rows, width) arrays
+    at = np.repeat(which, energies, axis=0) + width * np.arange(len(negatives))[:, None]
+    schur = [x.take(at) for x in schur]
+    if not e.size:
+        return negatives, schur, _NO_ROWS
+    # the k-th copy of a delayed row goes to the k-th block of its key
+    t = e // energies
+    copies = number[t, c]
+    row = np.repeat(np.arange(e.size), copies)
+    block = order[t[row], (start[t, c] - np.cumsum(copies) + copies)[row]
+                  + np.arange(row.size)]
+    sort = np.argsort(e[row] * m + block, kind="stable")
+    row, block = row[sort], block[sort]
+    return negatives, schur, (e[row], block, value[row], coupling[row])
+
+
+def _eliminate(corners, diag, weights, codes, shift, floor, fit=1):
     """Merge the unit cells with rows ``corners`` (3^j, 3), one subtree,
     until at most ``fit`` triangles are left: the negatives per row, the
     six (rows, triangles) entries of their corner Schur complements,
-    their (triangles, 3) corner rows and the delayed rows left.  A subtree
-    too wide for the element budget is first merged as its 3 children, each
-    until the three together take at most a third of the budget, so the
-    children held while a sibling is merged stay small against its
-    temporaries."""
+    their (triangles, 3) corner rows and the delayed rows left.  The first
+    merge solves each operator's distinct blocks once, keyed by the
+    ``codes`` of their inner corners (see :func:`_first_merge`); the later
+    ones merge every triangle.  A subtree too wide for the element budget
+    is first merged as its 3 children, each until the three together take
+    at most a third of the budget, so the children held while a sibling is
+    merged stay small against its temporaries."""
     negatives = np.zeros(shift.size, dtype=np.int64)
     if shift.size * len(corners) > 3 * _BUDGET:
-        parts = [_eliminate(part, diag, weights, shift, floor,
+        parts = [_eliminate(part, diag, weights, codes, shift, floor,
                             _BUDGET // (9 * shift.size))
                  for part in np.split(corners, 3)]
         negatives = sum(p[0] for p in parts)
@@ -481,15 +563,18 @@ def _eliminate(corners, diag, weights, shift, floor, fit=1):
         delayed = [np.concatenate(x) for x in zip(*(p[3] for p in parts))]
         delayed[1] = np.concatenate([p[3][1] + t * len(p[2])
                                      for t, p in enumerate(parts)])
+    elif len(corners) > fit:
+        kids = corners.reshape(-1, 3, 3)
+        negatives, schur, delayed = _first_merge(kids, diag, weights, codes, shift, floor)
+        corners = kids[:, [0, 1, 2], [0, 1, 2]]
     else:
-        # a unit cell's block is its 3 edges; each diagonal entry is added
-        # whole when its vertex is eliminated
-        zero, edge = np.zeros((1, len(corners))), np.full((1, len(corners)), -1.0)
-        schur, delayed = (zero, zero, zero, edge, edge, edge), _NO_ROWS
+        schur, delayed = _unit_cells(len(corners)), _NO_ROWS
     while len(corners) > fit:
-        neg, schur, corners, delayed = _merge(schur, corners, delayed, diag, weights,
-                                              shift, floor)
-        negatives = negatives + neg
+        kids = corners.reshape(-1, 3, 3)
+        neg, schur, delayed = _merge(schur, _pivots(kids, diag, weights, shift), delayed,
+                                     floor)
+        negatives = negatives + neg.sum(axis=1)
+        corners = kids[:, [0, 1, 2], [0, 1, 2]]
     return negatives, schur, corners, delayed
 
 
@@ -520,7 +605,8 @@ def _negative_counts(cells, diag, weights, shift):
         scale = np.maximum(scale, np.abs(diag[..., part] - shift * weights[..., part])
                            .max(axis=-1))
     floor = PIVOT_TOL * scale.reshape(k, 1)
-    trees = [_eliminate(tree, diag, weights, shift, floor) for tree in cells]
+    codes = _codes(diag[:, 0], weights[:, 0])
+    trees = [_eliminate(tree, diag, weights, codes, shift, floor) for tree in cells]
     negatives = sum(t[0] for t in trees)
     # a corner shared by the two halves of a ball enters once; the -1 of
     # the corners a truncated triangle drops is summed, then cut out

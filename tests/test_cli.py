@@ -383,6 +383,22 @@ def test_bad_input_usage_error(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
+    ["verify", "--suite", "counting", "--levels", "2", "--grid-n", "0"],
+    ["verify", "--suite", "counting", "--levels", "2", "--seeds", "0"],
+    ["verify", "--suite", "counting", "--levels", "2", "--seeds", "-2"],
+    ["verify", "--suite", "temple", "--levels", "2", "--seeds", "0"],
+    ["verify", "--suite", "interlacing", "--trials", "0"],
+    ["verify", "--suite", "decay", "--max-level", "0"],
+    ["verify", "--suite", "branch", "--samples", "0"],
+    ["verify", "--suite", "branch", "--n", "0"],
+    ["spectrum", "--level", "2", "--grid-n", "-3"],
+    ["ids", "--level", "2", "--dist", "const:0", "--trials", "0"]])
+def test_size_below_its_least_value_usage_error(tmp_path, capsys, args):
+    # each would check or compute nothing, or end in a traceback
+    _usage_error(capsys, [*args, "--out", "o"], tmp_path)
+
+
+@pytest.mark.parametrize("args", [
     ["lattice", "--level", "1"],
     ["ids", "--level", "3", "--dist", "const:0", "--trials", "1"]])
 def test_out_in_a_missing_directory_usage_error(tmp_path, capsys, monkeypatch,

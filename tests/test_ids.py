@@ -94,6 +94,17 @@ def test_map_trials_returns_results_in_trial_order():
     assert ids._map_trials(one_trial, 0, 3) == []
 
 
+def test_trial_threads_default_to_the_cpus_the_process_may_use(monkeypatch):
+    # under taskset -c 0 on a 2-core machine the affinity mask holds 1 CPU
+    monkeypatch.delenv("GASKET_THREADS", raising=False)
+    monkeypatch.setattr(ids.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ids.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ids.trial_threads() == 1
+    assert ids.trial_threads(3) == 3
+    monkeypatch.delattr(ids.os, "sched_getaffinity")
+    assert ids.trial_threads() == 2
+
+
 def test_convergence_between_levels():
     # curves at successive sizes stay uniformly close at desk scale
     spec = bernoulli(0, 10, 0.5, seed=3)

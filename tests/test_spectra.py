@@ -531,8 +531,8 @@ def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
 
     def recording(*args):
         result = eliminate(*args)
-        if len(args) == 5:  # a whole tree, merged to its top triangle
-            left.append(np.bincount(result[3][0], minlength=len(args[3])).max(
+        if len(args) == 6:  # a whole tree, merged to its top triangle
+            left.append(np.bincount(result[3][0], minlength=len(args[4])).max(
                 initial=0))
         return result
 
@@ -591,6 +591,26 @@ def test_counts_at_the_gershgorin_bounds_equal_the_band(bc, monkeypatch):
         shifted = np.add(outside, spectra.tie_guard(np.array(outside)))
         assert not np.isin(shifted, eliminated).any()
         assert eliminated.size >= 14
+
+
+def test_a_list_with_different_key_sets_counts_as_its_single_calls():
+    # the first merge solves each operator's distinct blocks once: here 8,
+    # 1, up to 27 and a few keys a call, padded to the most, under four
+    # pivot floors; the tie energies delay pivots of repeated blocks
+    region = build_triangle(7)
+    table = operators.table_cdf([(0.0, 0.3), (1.0, 0.6), (10.0, 1.0)], seed=5)
+    hams = [assemble(region, "simple",
+                     sample_potential(region, bernoulli(0.0, 10.0, 0.5, seed=1))),
+            assemble(region, "neumann", np.zeros(len(region))),
+            assemble(region, "dirichlet", sample_potential(region, table)),
+            operators.probabilistic_laplacian(region)]
+    edges = np.concatenate([_gershgorin_bounds(ham) for ham in hams])
+    energies = np.concatenate([[2.0, 5.0, 6.0, 12.0, 15.0, 16.0, 0.75, 1.25, 1.5],
+                               edges])
+    stacked = count_below(hams, energies)
+    for ham, row in zip(hams, stacked):
+        assert row.tolist() == count_below(ham, energies).tolist()
+        assert row.tolist() == spectra.dense_counts(ham, energies).tolist()
 
 
 @pytest.mark.parametrize("kind", ["ball7", "half8"])
