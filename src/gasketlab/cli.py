@@ -245,9 +245,9 @@ def cmd_decimate(args) -> int:
         dense = spectra.eigenvalues_dense(
             operators.probabilistic_laplacian(region))
         points = np.sort(-spectrum.points)
-        gaps = np.abs(dense[:, None] - points[None, :])
-        distance = max(float(np.max(np.min(gaps, axis=1))),
-                       float(np.max(np.min(gaps, axis=0))))
+        distance = max(
+            float(np.max(verification.nearest_distance(points, dense))),
+            float(np.max(verification.nearest_distance(dense, points))))
         report = {"level": args.level, "set_distance": distance,
                   "pass": bool(distance <= 1e-9)}
         _write_json(report, args.out + ".compare.json")
@@ -388,19 +388,24 @@ def _config_tokens(path: str) -> list[str]:
 
 #: Per subcommand, the least value of each size option: a smaller one
 #: leaves nothing to compute or check.  ``spectrum --grid-n 0`` lists the
-#: eigenvalues instead of a counting curve.
+#: eigenvalues instead of a counting curve.  ``verify --levels`` starts at
+#: 1: the counting suite splits each triangle into half-size children, and
+#: a level-0 region is a single 3-vertex cell in every suite.
 _LEAST = {
     "spectrum": {"grid_n": 0},
     "ids": {"grid_n": 1, "trials": 1},
     "verify": {"grid_n": 1, "seeds": 1, "trials": 1, "n": 1, "samples": 1,
-               "max_level": 1},
+               "max_level": 1, "levels": 1},
 }
 
 
 def _check_sizes(args) -> None:
-    """Reject a size option below its ``_LEAST`` value."""
+    """Reject a size option, or any value of a list option, below its
+    ``_LEAST`` value."""
     for name, least in _LEAST.get(args.command, {}).items():
         value = getattr(args, name)
+        if isinstance(value, list):
+            value = min(value)
         if value is not None and value < least:
             raise ValidationError(f"--{name.replace('_', '-')} must be at least "
                                   f"{least}, got {value}")

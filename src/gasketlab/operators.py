@@ -196,12 +196,6 @@ class HamiltonianMatrix:
                 fh.write(f"{rows[k]} {cols[k]} {values[k]:.17g}\n")
 
 
-def laplacian(region: LatticeRegion, bc: str):
-    """-Laplacian of the region under the given boundary condition, as a
-    CSR matrix (scipy.sparse)."""
-    return assemble(region, bc, np.zeros(len(region))).matrix
-
-
 def assemble(region: LatticeRegion, bc: str,
              potential: np.ndarray) -> HamiltonianMatrix:
     """H = -Laplacian(bc) + diag(potential) on the region."""

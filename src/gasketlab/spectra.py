@@ -4,11 +4,12 @@ Every solve and count takes an :class:`operators.HamiltonianMatrix` and
 reads its arrays; the probabilistic Laplacian enters through its symmetric
 form D^{-1/2} L D^{-1/2}, whose edge values one expression gives to the
 dense array and the band alike.  Eigenvalue outputs come from a dense
-``eigvalsh``.  A small operator is counted from its band, rows sorted along
-the Euclidean x axis so that every edge spans few rows (bandwidth 30 at
-level 6): counted by Sturm sequences on the ``dsbtrd`` tridiagonal form,
-without the interpreter lock (LAPACK through ctypes), so trials on threads
-count at the same time; no eigenvalue is computed.  Large operators are
+``eigvalsh`` that runs in place, on the one n x n array it fills, so a
+solve holds no second copy.  A small operator is counted from its band,
+rows sorted along the Euclidean x axis so that every edge spans few rows
+(bandwidth 30 at level 6): counted by Sturm sequences on the ``dsbtrd``
+tridiagonal form, without the interpreter lock (LAPACK through ctypes), so
+trials on threads count at the same time; no eigenvalue is computed.  Large operators are
 handled through inertia counting: the number of eigenvalues at or below E
 equals the number of negative eigenvalues of H - (E + eta) I.  On a gasket
 region every sub-triangle meets the rest of the graph only at its 3
@@ -116,10 +117,12 @@ def dense_array(ham: HamiltonianMatrix) -> np.ndarray:
 
 
 def eigenvalues_dense(ham: HamiltonianMatrix) -> np.ndarray:
-    """All eigenvalues, ascending, by dense symmetric diagonalization."""
+    """All eigenvalues, ascending, by dense symmetric diagonalization in
+    place: the array is exactly symmetric, so its transpose is the same
+    matrix in Fortran order, which LAPACK overwrites without a copy."""
     from scipy import linalg  # only dense solves need it
 
-    return linalg.eigvalsh(dense_array(ham))
+    return linalg.eigvalsh(dense_array(ham).T, overwrite_a=True)
 
 
 def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:

@@ -398,6 +398,18 @@ def test_size_below_its_least_value_usage_error(tmp_path, capsys, args):
     _usage_error(capsys, [*args, "--out", "o"], tmp_path)
 
 
+@pytest.mark.parametrize("levels", [["0"], ["3", "0"], ["-1"]])
+@pytest.mark.parametrize("suite", ["counting", "temple", "containment"])
+def test_levels_below_one_name_the_option(tmp_path, capsys, suite, levels):
+    # a level-0 triangle has no children to split into: the message names
+    # the option and its least value, not an internal piece level
+    rc = run(["verify", "--suite", suite, "--levels", *levels, "--seeds", "1",
+              "--out", "o"], tmp_path)
+    assert rc == 2 and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == (
+        f"error: --levels must be at least 1, got {min(map(int, levels))}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["lattice", "--level", "1"],
     ["ids", "--level", "3", "--dist", "const:0", "--trials", "1"]])
@@ -443,6 +455,9 @@ INERTIA_GRID = ["--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
     pytest.param(["ids", "--level", "4", "--region", "full", "--dist",
                   "uniform:0,1", "--trials", "2", *INERTIA_GRID],
                  ["scipy.linalg"], id="ids-dense"),
+    # the kernel residuals sum over the region's edges
+    pytest.param(["verify", "--suite", "kernel6", "--levels", "3"], [],
+                 id="verify-kernel6"),
 ])
 def test_scipy_modules_load_only_where_needed(tmp_path, args, loaded):
     # neither import is needed to start, and counting reads the operator's

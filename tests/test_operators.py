@@ -155,7 +155,7 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
     cases.append((prob, _triplet_csr(region, reg + 0.0, 1.0 / reg)))
     handed = []
     monkeypatch.setattr(scipy.linalg, "eigvalsh",
-                        lambda a: handed.append(a) or np.zeros(len(a)))
+                        lambda a, **kw: handed.append((a, kw)) or np.zeros(len(a)))
     grid = [0.31, 1.13, 4.7]
     for ham, want in cases:
         # counting reads the arrays and builds no CSR, also on a region
@@ -169,7 +169,10 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
         assert ham.matrix.data.tobytes() == want.data.tobytes()
         spectra.eigenvalues_dense(ham)
         dense = spectra._dense_symmetric(ham)
-        assert handed[-1].tobytes() == dense.tobytes()
+        # solved in place: the same matrix in Fortran order, free to overwrite
+        array, options = handed[-1]
+        assert array.tobytes() == dense.tobytes() and array.flags.f_contiguous
+        assert options == {"overwrite_a": True}
         # the band that dense counting solves is the same matrix bit for
         # bit, its rows in sweep order (the probabilistic couplings are
         # -1/sqrt(d_i d_j), rounded once, in both)

@@ -31,8 +31,7 @@ def test_dense_fixture():
     assert np.allclose(eigenvalues_dense(_simple_triangle()), [2.0, 5.0, 5.0])
     region = build_triangle(2)
     free = assemble(region, "simple", np.zeros(len(region)))
-    assert np.array_equal(spectra.dense_array(free),
-                          operators.laplacian(region, "simple").toarray())
+    assert np.array_equal(spectra.dense_array(free), free.matrix.toarray())
 
 
 def test_dense_threshold_capacity(monkeypatch):
@@ -228,7 +227,8 @@ def test_compact_eigenfunctions_exist_and_extend():
     basis = compact_eigenfunction_at_six(3)
     assert len(basis) >= 1
     region = build_ball(3)
-    shifted = operators.laplacian(region, "simple") - 6.0 * np.eye(len(region))
+    free = assemble(region, "simple", np.zeros(len(region))).matrix
+    shifted = free - 6.0 * np.eye(len(region))
     for vec in basis[:3]:
         assert np.linalg.norm(shifted @ vec) <= 1e-8
         assert zero_extension_residual(3, vec) <= 1e-8
@@ -239,7 +239,8 @@ def test_compact_eigenfunctions_exist_and_extend():
 
 def test_constant_vector_is_not_in_the_kernel():
     region = build_ball(3)
-    shifted = operators.laplacian(region, "simple") - 6.0 * np.eye(len(region))
+    free = assemble(region, "simple", np.zeros(len(region))).matrix
+    shifted = free - 6.0 * np.eye(len(region))
     ones = np.ones(len(region)) / np.sqrt(len(region))
     assert np.linalg.norm(shifted @ ones) > 1.0
 
@@ -270,6 +271,71 @@ def test_containment_interval_reports_delta():
     report = spectrum_containment_check(4, uniform(0.0, 1.0, seed=1), 2)
     assert report["containment_pass"]
     assert 0.0 <= report["proximity_delta"] <= 1.0
+
+
+def test_containment_violation_equals_the_per_eigenvalue_loop():
+    # the loop it replaced, kept as the oracle: 0 inside an allowed
+    # interval, else the distance to the nearest end
+    def loop(x, intervals):
+        best = np.inf
+        for lo, hi in intervals:
+            if lo <= x <= hi:
+                return 0.0
+            best = min(best, abs(x - lo), abs(x - hi))
+        return best
+
+    for spec in (operators.constant(0.0), bernoulli(0.0, 10.0, 0.5, seed=1),
+                 operators.table_cdf([(0.0, 0.3), (2.0, 0.6), (10.0, 1.0)]),
+                 uniform(-3.0, 0.5, seed=2)):
+        region = build_ball(4)
+        evals = eigenvalues_dense(assemble(region, "simple",
+                                           sample_potential(region, spec)))
+        intervals, _ = verification._allowed_intervals(spec)
+        # shifted copies put eigenvalues outside every interval, on both sides
+        for values in (evals, evals - 0.75, evals + 3.25):
+            got = verification.containment_violation(values, intervals)
+            want = max(loop(x, intervals) for x in values)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _dense_nearest(values, points):
+    """The points x values matrix formula that nearest_distance replaced."""
+    return np.min(np.abs(points[:, None] - values[None, :]), axis=1)
+
+
+def test_nearest_distance_equals_the_dense_matrix_formula():
+    rng = np.random.default_rng(7)
+    values = np.sort(np.concatenate([rng.uniform(0.0, 6.0, 300), [2.0, 2.0, 5.0]]))
+    # targets below the lowest and above the highest value, on values,
+    # halfway between neighbours and at random
+    points = np.concatenate([[-1e9, -3.0, values[0], values[-1], 7.5, 1e9],
+                             values, (values[1:] + values[:-1]) / 2,
+                             rng.uniform(-1.0, 7.0, 500)])
+    for vals in (values, values[:1], values[-2:]):
+        got = verification.nearest_distance(vals, points)
+        assert got.tobytes() == _dense_nearest(vals, points).tobytes()
+
+
+def test_containment_delta_and_set_distance_equal_the_dense_formulas():
+    # the containment delta on its own targets
+    spec, depth = uniform(0.0, 1.0, seed=1), 2
+    region = build_ball(4)
+    evals = eigenvalues_dense(assemble(region, "simple",
+                                       sample_potential(region, spec)))
+    free = decimation.free_spectrum_approx(depth, julia_samples=0).combinatorial()
+    targets = (free[:, None] + np.linspace(0.0, 1.0, 21)[None, :]).ravel()
+    assert targets.min() < evals[0] and targets.max() > evals[-1]
+    report = spectrum_containment_check(4, spec, depth)
+    assert report["proximity_delta"] == float(np.max(_dense_nearest(evals, targets)))
+    # decimate --compare-dense: both directions of the set distance
+    dense = eigenvalues_dense(operators.probabilistic_laplacian(build_triangle(3)))
+    points = np.sort(-decimation.neumann_spectrum(3).points)
+    gaps = np.abs(dense[:, None] - points[None, :])
+    for got, want in ((verification.nearest_distance(points, dense),
+                       np.min(gaps, axis=1)),
+                      (verification.nearest_distance(dense, points),
+                       np.min(gaps, axis=0))):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_check_record_serialization():
@@ -396,6 +462,35 @@ def test_dense_counts_match_eigvalsh_at_every_free_eigenvalue():
                          counts_from_eigenvalues(values, energies))]
            if np.any(b != d)]
     assert bad == []
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_eigenvalues_dense_equal_eigvalsh_on_a_copy(level):
+    # the in-place solve sees the same matrix as scipy's own copy: every
+    # region kind, rule and law, and the probabilistic Laplacian
+    from scipy import linalg
+
+    bad = [(name, potential, bc)
+           for name, potential, bc, ham, values in _oracle_operators(level)
+           if values.tobytes() != linalg.eigvalsh(spectra.dense_array(ham)).tobytes()]
+    assert bad == []
+
+
+def test_eigenvalues_dense_hold_one_array():
+    # scipy copies a C-ordered array before LAPACK overwrites it; the
+    # solve in place holds the operator's one n x n array and its workspace
+    import tracemalloc
+
+    region = build_ball(5)
+    ham = assemble(region, "simple", sample_potential(region, uniform(0.0, 1.0)))
+    eigenvalues_dense(_simple_triangle())  # imports outside the trace
+    tracemalloc.start()
+    try:
+        eigenvalues_dense(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ham.dimension ** 2 * 8
 
 
 @pytest.mark.parametrize("level", range(1, 7))
