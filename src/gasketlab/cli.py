@@ -92,6 +92,9 @@ def _parse_window(text):
     except ValueError as exc:
         raise ValidationError(
             f"bad --window {text!r}: expected lo,hi") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(
+            f"bad --window {text!r}: expected finite lo < hi")
     return lo, hi
 
 

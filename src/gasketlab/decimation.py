@@ -20,10 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 #: Points of the normalized spectrum lie in [BOTTOM, 0].
 BOTTOM = -1.5
+
+#: Deepest level of the Neumann spectrum and of the free spectrum's
+#: preimages: both double their points every level (level 20 holds
+#: 1,572,864 Neumann points).
+MAX_DEPTH = 20
 
 #: f is real only for x >= -25/16.
 F_DOMAIN_MIN = -25.0 / 16.0
@@ -118,6 +123,10 @@ def _neumann_levels(level: int):
     """
     if level < 1:
         raise ValidationError("level must be >= 1")
+    if level > MAX_DEPTH:
+        raise CapacityError(
+            f"level {level} exceeds {MAX_DEPTH}: the Neumann spectrum doubles "
+            "its points every level")
     points, mult, gens = np.array([0.0, BOTTOM]), np.array([1, 2]), np.array([0, 0])
     for k in range(1, level + 1):
         inner = (points != 0.0) & (points != BOTTOM)
@@ -212,8 +221,8 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     generation -1).  Points within DEDUP_TOL of a smaller one are dropped.
     On the (-4x) scale everything lies in [0, 6].
     """
-    if not 0 <= depth <= 20:
-        raise ValidationError(f"preimage depth must be in 0..20, got {depth}")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValidationError(f"preimage depth must be in 0..{MAX_DEPTH}, got {depth}")
     layers = [np.array([-0.75])]
     for _ in range(depth):
         layers.append(_preimages(layers[-1]))

@@ -9,7 +9,10 @@ solve holds no second copy.  A small operator is counted from its band,
 rows sorted along the Euclidean x axis so that every edge spans few rows
 (bandwidth 30 at level 6): counted by Sturm sequences on the ``dsbtrd``
 tridiagonal form, without the interpreter lock (LAPACK through ctypes), so
-trials on threads count at the same time; no eigenvalue is computed.  Large operators are
+trials on threads count at the same time; no eigenvalue is computed.  A
+ball's two triangles, which share only the origin, are reduced separately,
+each swept outward from the origin, and joined there into one tridiagonal
+form.  Large operators are
 handled through inertia counting: the number of eigenvalues at or below E
 equals the number of negative eigenvalues of H - (E + eta) I.  On a gasket
 region every sub-triangle meets the rest of the graph only at its 3
@@ -133,18 +136,27 @@ def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
     return np.searchsorted(eigenvalues, shifted, side="left")
 
 
-def _sweep_band(ham: HamiltonianMatrix):
+def _sweep_band(ham: HamiltonianMatrix, cells=None):
     """The rows sorted by (2p + q, q), i.e. along the Euclidean x axis, and
     the upper band of the operator's symmetric form in that order, stored
     as LAPACK's: entry (i, j) in row w + i - j of column j.  Every edge
-    steps 2p + q by 2, 1 or -1, so the bandwidth w is 30 at level 6."""
+    steps 2p + q by 2, 1 or -1, so the bandwidth w is 30 at level 6.
+    Given the unit ``cells`` of one triangle of a ball, the band is that of
+    the operator restricted to the triangle, whose edges are the cells'
+    sides, its rows sorted by (|2p + q|, q): outward from the origin, which
+    is row 0."""
     p, q = ham.region.coords.T
-    order = np.lexsort((q, 2 * p + q))
-    rank = np.empty_like(order)
+    if cells is None:
+        order, edges = np.lexsort((q, 2 * p + q)), ham.region.edges
+    else:
+        rows = np.unique(cells)
+        order = rows[np.lexsort((q[rows], np.abs(2 * p[rows] + q[rows])))]
+        edges = cells[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    rank = np.empty(ham.dimension, dtype=order.dtype)
     rank[order] = np.arange(len(order))
-    lo, hi = np.sort(rank[ham.region.edges], axis=1).T
+    lo, hi = np.sort(rank[edges], axis=1).T
     width = int(np.max(hi - lo, initial=0))
-    band = np.zeros((width + 1, ham.dimension), order="F")
+    band = np.zeros((width + 1, len(order)), order="F")
     band[width] = ham.diagonal[order]
     band[width - (hi - lo), hi] = _edge_values(ham, order[lo], order[hi])
     return order, band
@@ -169,58 +181,106 @@ def _lapack(name: str, nargs: int):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(pointer)
 
 
-def _band_counts(band, shifted) -> np.ndarray:
-    """#{eigenvalue <= s} for each s of ``shifted``, of the symmetric
-    matrix whose upper band ``band`` is in LAPACK storage (see
-    :func:`_sweep_band`), without the interpreter lock: ``dsbtrd`` reduces
-    the band to tridiagonal form, and one ``dlaebz`` call counts by Sturm
-    sequences at every s, a pivot within PIVMIN = max(1, max e^2) * tiny of
-    zero counted as negative, as in ``dstebz``.  A Fortran-ordered float
-    band is reduced in place, so it is overwritten; any other is copied."""
+def _addresses(whole: np.ndarray, starts) -> list[int]:
+    """The address of each entry ``starts`` of the 1-D array ``whole``, to
+    pass LAPACK a scalar or an array cut from it by reference.  Each
+    ``.ctypes.data`` costs microseconds, so it is taken once."""
+    at = whole.ctypes.data
+    return [at + whole.itemsize * k for k in starts]
+
+
+def _tridiagonal(band):
+    """The diagonal d and off-diagonal e of the tridiagonal form T = Q' H Q
+    to which ``dsbtrd`` reduces the symmetric matrix H whose upper band
+    ``band`` is in LAPACK storage (see :func:`_sweep_band`), without the
+    interpreter lock.  Its rotations at column j act only in the planes
+    (j + k, j + k + 1), k >= 1, so row 0 is never rotated: Q e_0 = e_0 and
+    d[0] = H_00.  A Fortran-ordered float band is reduced in place, so it
+    is overwritten; any other is copied."""
     band = np.asfortranarray(band, dtype=float)
     if band.ndim != 2 or not band.size:
         raise ValueError("expected a 2-D band with at least one row and column")
     if not np.all(np.isfinite(band)):
         raise ValueError("array must not contain infs or NaNs")
-    (rows, n), pairs = band.shape, (len(shifted) + 1) // 2
+    rows, n = band.shape
+    # D, E and WORK; Q is not referenced for VECT = 'N', so it shares WORK
+    out = np.zeros(3 * n)
+    at_d, at_e, at_work = _addresses(out, (0, n, 2 * n))
+    # N, KD, LDAB, LDQ and INFO
+    ints = np.array([n, rows - 1, rows, 1, 0], dtype=np.intc)
+    ref = _addresses(ints, range(5))
+    _lapack("dsbtrd", 12)(b"N", b"U", ref[0], ref[1], band.ctypes.data, ref[2],
+                          at_d, at_e, at_work, ref[3], at_work, ref[4])
+    if ints[4]:
+        raise np.linalg.LinAlgError(f"dsbtrd failed with INFO = {ints[4]}")
+    return out[:n], out[n:2 * n - 1]
+
+
+def _sturm_counts(d, e, shifted) -> np.ndarray:
+    """#{eigenvalue <= s} for each s of ``shifted``, of the symmetric
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, counted
+    by Sturm sequences in one ``dlaebz`` call without the interpreter
+    lock, a pivot within PIVMIN = max(1, max e^2) * tiny of zero counted
+    as negative, as in ``dstebz``."""
+    d = np.ascontiguousarray(d, dtype=float)
+    n, pairs = len(d), (len(shifted) + 1) // 2
+    m = 2 * max(1, pairs)
+    # AB, E2, ABSTOL, RELTOL, PIVMIN, then a spare for the arrays dlaebz
+    # does not reference for IJOB = 1 (E, C and WORK)
+    floats = np.zeros(m + n + 3 + max(n, m))
+    ab, e2, tols = floats[:m], floats[m:m + n], floats[m + n:m + n + 3]
     # dlaebz counts at both ends AB(j, 1), AB(j, 2) of each of its MINP
     # intervals, so the energies fill AB column by column
-    ab = np.resize(np.asarray(shifted, dtype=float), 2 * max(1, pairs))
-    d, e, spare = np.zeros(n), np.zeros(n), np.zeros(max(n, ab.size))
-    nab = np.zeros(ab.size, dtype=np.intc)
-    # N, KD, LDAB, LDQ and INFO of dsbtrd, then IJOB, NITMAX, MMAX, MINP,
-    # NBMIN, MOUT and INFO of dlaebz; the arrays neither routine references
-    # (Q for VECT = 'N'; E, NVAL, C, WORK and IWORK for IJOB = 1) get spares.
-    # Each .ctypes.data costs microseconds, so every address is taken once.
-    ints = np.array([n, rows - 1, rows, 1, 0, 1, 0, ab.size // 2, pairs, 0, 0, 0],
-                    dtype=np.intc)
-    ref = (ints.ctypes.data + ints.itemsize * np.arange(len(ints))).tolist()
-    at_band, at_d, at_e, at_ab, at_nab, at_spare = (
-        x.ctypes.data for x in (band, d, e, ab, nab, spare))
-    _lapack("dsbtrd", 12)(b"N", b"U", ref[0], ref[1], at_band, ref[2], at_d, at_e,
-                          at_spare, ref[3], at_spare, ref[4])
-    np.square(e, out=e)  # dlaebz reads E2 = e^2, and not e, for IJOB = 1
-    # ABSTOL, RELTOL and PIVMIN
-    tols = np.array([0.0, 0.0, max(1.0, e.max()) * np.finfo(float).tiny])
-    tol = (tols.ctypes.data + tols.itemsize * np.arange(3)).tolist()
-    _lapack("dlaebz", 20)(ref[5], ref[6], ref[0], ref[7], ref[8], ref[9], *tol,
-                          at_d, at_spare, at_e, at_nab, at_ab, at_spare, ref[10],
-                          at_nab, at_spare, at_nab, ref[11])
-    if ints[4] or ints[11]:
-        raise np.linalg.LinAlgError(
-            f"dsbtrd / dlaebz failed with INFO = {ints[4]} / {ints[11]}")
-    return nab[:len(shifted)].astype(np.int64)
+    ab[:] = np.resize(np.asarray(shifted, dtype=float), m)
+    np.square(e, out=e2[:n - 1])  # dlaebz reads E2 = e^2, and not e
+    tols[2] = max(1.0, e2.max()) * np.finfo(float).tiny
+    at_ab, at_e2, *tol, at_spare = _addresses(
+        floats, (0, m, m + n, m + n + 1, m + n + 2, m + n + 3))
+    # N, IJOB, NITMAX, MMAX, MINP, NBMIN, MOUT and INFO, then NAB, which
+    # NVAL and IWORK (not referenced either) share
+    ints = np.zeros(8 + m, dtype=np.intc)
+    ints[:8] = n, 1, 0, m // 2, pairs, 0, 0, 0
+    ref = _addresses(ints, range(9))
+    _lapack("dlaebz", 20)(ref[1], ref[2], ref[0], ref[3], ref[4], ref[5], *tol,
+                          d.ctypes.data, at_spare, at_e2, ref[8], at_ab, at_spare,
+                          ref[6], ref[8], at_spare, ref[8], ref[7])
+    if ints[7]:
+        raise np.linalg.LinAlgError(f"dlaebz failed with INFO = {ints[7]}")
+    return ints[8:8 + len(shifted)].astype(np.int64)
+
+
+def _corner_first(ham: HamiltonianMatrix, cells):
+    """(d, e) of :func:`_tridiagonal` on the band of one triangle of a
+    ball, given by its unit ``cells`` and swept outward from the origin,
+    row 0.  The join in :func:`dense_counts` rests on Q e_0 = e_0, so a
+    d[0] that is not bitwise the origin's diagonal entry is a LinAlgError."""
+    order, band = _sweep_band(ham, cells)
+    d, e = _tridiagonal(band)
+    if d[:1].tobytes() != ham.diagonal[order[:1]].tobytes():
+        raise np.linalg.LinAlgError("dsbtrd moved the corner row of a ball's triangle")
+    return d, e
 
 
 def dense_counts(ham: HamiltonianMatrix, grid) -> np.ndarray:
     """Tie-guarded #{eigenvalue <= E} for each E of the grid, for an
-    operator of at most DENSE_THRESHOLD rows: counted by Sturm sequences on
-    the ``dsbtrd`` tridiagonal form of its :func:`_sweep_band`, without the
-    interpreter lock, so trials on threads count in parallel (see
-    :func:`_band_counts`)."""
+    operator of at most DENSE_THRESHOLD rows: counted by Sturm sequences
+    (:func:`_sturm_counts`) on the ``dsbtrd`` tridiagonal form of its
+    :func:`_sweep_band`, without the interpreter lock, so trials on threads
+    count in parallel.  A ball's two triangles share only the origin c and
+    are reduced on their own, each swept outward from c (half the flops of
+    one reduction of the ball's band).  Neither reduction rotates c, so
+    the direct sum of Q_left and Q_right, glued at c, is orthogonal on the
+    ball and takes H to one tridiagonal matrix: the left form reversed
+    without its row 0, then H_cc, then the right form without its row 0."""
     _check_dense(ham, "use count_below / counting_curve instead")
     grid = _energies(grid)
-    return _band_counts(_sweep_band(ham)[1], grid + tie_guard(grid))
+    cells = ham.region.cells
+    if cells is None or len(cells) == 1:
+        d, e = _tridiagonal(_sweep_band(ham)[1])
+    else:
+        (d, e), (left_d, left_e) = [_corner_first(ham, c) for c in cells]
+        d, e = np.concatenate([left_d[:0:-1], d]), np.concatenate([left_e[::-1], e])
+    return _sturm_counts(d, e, grid + tie_guard(grid))
 
 
 #: Most elements a temporary of the elimination holds, whatever the level

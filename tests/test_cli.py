@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasketlab
-from gasketlab import ids, spectra
+from gasketlab import decimation, ids, spectra
 from gasketlab.cli import build_parser, main, parse_distribution
-from gasketlab.errors import ValidationError
+from gasketlab.errors import CapacityError, ValidationError
 
 
 def run(args, cwd):
@@ -135,6 +135,18 @@ def test_decimate_free_takes_any_seed(tmp_path):
 def test_decimate_level_zero_usage_error(tmp_path):
     assert run(["decimate", "--neumann", "--level", "0", "--out", "d"],
                tmp_path) == 2
+
+
+def test_decimate_level_above_twenty_capacity_error(tmp_path, capsys):
+    # the Neumann spectrum doubles its points every level: level 21 is
+    # refused before anything is allocated or written
+    rc = run(["decimate", "--neumann", "--level", "21", "--out", "d"], tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    with pytest.raises(CapacityError):
+        decimation.neumann_counts(21)
 
 
 def test_decimate_negative_depth_usage_error(tmp_path, capsys):
@@ -301,9 +313,11 @@ def _usage_error(capsys, args, cwd):
 
 
 def test_ids_bad_window_usage_error(tmp_path, capsys):
-    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
-                          "--trials", "1", "--fit", "power", "--window", "abc",
-                          "--out", "i"], tmp_path)
+    # a window that is not a finite lo < hi fails before the curve is counted
+    for window in ("abc", "1,nan", "2,0.3", "nan,1"):
+        _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
+                              "--trials", "1", "--fit", "power", "--window",
+                              window, "--out", "i"], tmp_path)
 
 
 def test_fit_missing_curve_usage_error(tmp_path, capsys):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gasketlab import decimation, operators, spectra, verification
 from gasketlab.errors import CapacityError, ValidationError
-from gasketlab.lattice import TriangleSpec, build_ball, build_triangle
+from gasketlab.lattice import (TriangleSpec, build_ball, build_triangle,
+                               triangle_count)
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
 from gasketlab.spectra import (count_below, counting_curve,
                                counts_from_eigenvalues, eigenvalues_dense)
@@ -393,7 +394,7 @@ def _mismatches(ham, energies, values=None):
     def band(*_):
         raise AssertionError("count_below reached the band count")
 
-    with mock.patch.object(spectra, "_band_counts", band):
+    with mock.patch.object(spectra, "_tridiagonal", band):
         batch = count_below(ham, np.asarray(energies))
         single = [count_below(ham, e) for e in energies]
     return [(e, b, c, d) for e, b, c, d in zip(energies, batch, single, dense)
@@ -464,6 +465,44 @@ def test_dense_counts_match_eigvalsh_at_every_free_eigenvalue():
     assert bad == []
 
 
+@pytest.mark.parametrize("level", [0, 3, 6])
+def test_dense_counts_reduce_a_ball_as_its_two_triangles(level):
+    # each triangle is reduced on its own, with the origin, the one vertex
+    # they share, as row 0 of both bands
+    region = build_ball(level)
+    ham = assemble(region, "simple",
+                   sample_potential(region, uniform(0.0, 1.0, seed=5)))
+    origin = ham.diagonal[region.locate([(0, 0)])[0]]
+    assert np.count_nonzero(ham.diagonal == origin) == 1
+    bands, reduce = [], spectra._tridiagonal
+
+    def recording(band):
+        bands.append(band.copy())
+        return reduce(band)
+
+    with mock.patch.object(spectra, "_tridiagonal", recording):
+        spectra.dense_counts(ham, [1.0])
+    assert [b.shape[1] for b in bands] == [triangle_count(level)] * 2
+    assert [b[-1, 0] for b in bands] == [origin] * 2
+
+
+def test_dense_counts_refuse_a_reduction_that_moves_the_corner():
+    # the join of a ball's two forms holds only while the origin's row is
+    # never rotated
+    region = build_ball(3)
+    ham = assemble(region, "simple", np.zeros(len(region)))
+    reduce = spectra._tridiagonal
+
+    def moved(band):
+        d, e = reduce(band)
+        d[0] = np.nextafter(d[0], np.inf)
+        return d, e
+
+    with mock.patch.object(spectra, "_tridiagonal", moved):
+        with pytest.raises(np.linalg.LinAlgError):
+            spectra.dense_counts(ham, [1.0])
+
+
 @pytest.mark.parametrize("level", [3, 5])
 def test_eigenvalues_dense_equal_eigvalsh_on_a_copy(level):
     # the in-place solve sees the same matrix as scipy's own copy: every
@@ -504,7 +543,8 @@ def test_band_counts_equal_eigvals_banded_counts(level):
         band = spectra._sweep_band(ham)[1]
         values = linalg.eigvals_banded(band)
         energies = np.concatenate([DENSE_ENERGIES, values])
-        counts = spectra._band_counts(band, energies + spectra.tie_guard(energies))
+        counts = spectra._sturm_counts(*spectra._tridiagonal(band),
+                                       energies + spectra.tie_guard(energies))
         if not np.array_equal(counts, counts_from_eigenvalues(values, energies)):
             bad.append((name, potential, bc))
     assert bad == []
@@ -519,26 +559,31 @@ def test_band_counts_of_small_and_non_finite_bands():
             (np.array([[0.0], [-2.0]]),  # n = 1 in bandwidth-1 storage
              [-3.0, -2.0, 0.0], [0, 1, 1]),
             (np.array([[0.0, -1.0], [2.0, 2.0]]), [], [])):  # no energies
-        counts = spectra._band_counts(band.copy(), np.array(shifted))
+        counts = spectra._sturm_counts(*spectra._tridiagonal(band.copy()),
+                                       np.array(shifted))
         assert counts.tolist() == expected
     with pytest.raises(ValueError):
-        spectra._band_counts(np.array([[0.0, -1.0], [2.0, np.nan]]), [0.0])
+        spectra._tridiagonal(np.array([[0.0, -1.0], [2.0, np.nan]]))
 
 
 def test_band_solve_releases_the_interpreter_lock():
-    # the main thread stamps the clock while a worker solves a level-6 ball
-    # band; a solve that held the lock would stall it for the whole window
+    # the main thread stamps the clock while a worker reduces a level-6
+    # ball band and counts its tridiagonal form at many energies; a step
+    # that held the lock would stall it for the whole of that step
     region = build_ball(6)
     band = spectra._sweep_band(assemble(region, "simple", np.zeros(len(region))))[1]
-    energies = np.linspace(-1.0, 26.0, 64)
-    spectra._band_counts(band.copy(order="F"), energies)  # load the bindings first
-    ratios = []
+    energies = np.linspace(-1.0, 26.0, 8192)
+    # load the bindings first
+    spectra._sturm_counts(*spectra._tridiagonal(band.copy(order="F")), energies[:2])
+    ratios = {"dsbtrd": [], "dlaebz": []}
     for _ in range(3):
         work, window = band.copy(order="F"), []
 
         def solve():
             window.append(time.perf_counter())
-            spectra._band_counts(work, energies)
+            d, e = spectra._tridiagonal(work)
+            window.append(time.perf_counter())
+            spectra._sturm_counts(d, e, energies)
             window.append(time.perf_counter())
 
         worker = threading.Thread(target=solve)
@@ -553,10 +598,10 @@ def test_band_solve_releases_the_interpreter_lock():
             last = now
         worker.join(timeout=60.0)
         assert not worker.is_alive()
-        start, end = window
-        longest = max((min(b, end) - max(a, start) for a, b in gaps), default=0.0)
-        ratios.append(longest / (end - start))
-    assert min(ratios) < 0.25, ratios
+        for name, start, end in (("dsbtrd", *window[:2]), ("dlaebz", *window[1:])):
+            longest = max((min(b, end) - max(a, start) for a, b in gaps), default=0.0)
+            ratios[name].append(longest / (end - start))
+    assert all(min(r) < 0.25 for r in ratios.values()), ratios
 
 
 def test_delayed_pivots_match_dense_at_tie_energies(monkeypatch):
