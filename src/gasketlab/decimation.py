@@ -219,10 +219,15 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     compositions; its limit points are approximated by a seeded random
     backward orbit of the two inverse branches started from -3/2 (tagged
     generation -1).  Points within DEDUP_TOL of a smaller one are dropped.
-    On the (-4x) scale everything lies in [0, 6].
+    On the (-4x) scale everything lies in [0, 6].  A negative depth is a
+    ValidationError, one above MAX_DEPTH a CapacityError.
     """
-    if not 0 <= depth <= MAX_DEPTH:
-        raise ValidationError(f"preimage depth must be in 0..{MAX_DEPTH}, got {depth}")
+    if depth < 0:
+        raise ValidationError(f"preimage depth must be at least 0, got {depth}")
+    if depth > MAX_DEPTH:
+        raise CapacityError(
+            f"preimage depth {depth} exceeds {MAX_DEPTH}: the preimages double "
+            "every level")
     layers = [np.array([-0.75])]
     for _ in range(depth):
         layers.append(_preimages(layers[-1]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,7 @@ from .lattice import (MAX_LEVEL, TriangleSpec, ball_count, build_ball,
                       build_triangle, triangle_count)
 from .operators import (BOUNDARY_CONDITIONS, NEUMANN, PotentialSpec, assemble,
                         sample_potential)
-from .spectra import (count_below, counting_curve, eigenvalues_dense,
-                      trials_per_pass)
+from .spectra import count_operators, eigenvalues_dense
 
 #: Volume growth exponent (base 2) of the gasket.
 ALPHA = math.log(3.0) / math.log(2.0)
@@ -132,34 +130,18 @@ def trial_threads(requested=None) -> int:
     return threads
 
 
-def _map_trials(one_trial, trials: int, threads: int) -> list:
-    """``[one_trial(t) for t in range(trials)]``, on ``threads`` worker
-    threads unless ``threads`` or ``trials`` is at most 1.  Results come
-    back in trial order, so a reduction over them does not depend on
-    scheduling.  It serves the band-sized curves of :func:`estimate_ids`
-    and the counting suite of :mod:`gasketlab.verification`, whose band
-    counts release the interpreter lock, so trials on threads overlap.  It
-    is private so that the benchmark tracer (``bench/spans.py``) charges
-    each trial's spans to the call that started it."""
-    if threads <= 1 or trials <= 1:
-        return [one_trial(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_trial, range(trials)))
-
-
 def estimate_ids(level, bc, potential_spec, trials, grid, *,
                  region_kind: str = "half", threads: int = 1,
                  max_level: int = MAX_LEVEL) -> IdsCurve:
     """Average the normalized counting function over independent trials.
 
-    :func:`spectra.trials_per_pass` sizes the work.  A region of at most
-    DENSE_THRESHOLD vertices is counted one trial at a time from the band,
-    on ``threads`` trial threads.  Above it, the trials go in groups of
-    ``trials_per_pass`` operators, each group the rows of one
-    :func:`spectra.count_below` elimination, with no threads.  Trials are
-    keyed by (seed, trial index) and reduced in fixed order, so the result
-    does not depend on scheduling or ``threads``.  A level above
-    ``max_level`` is a CapacityError, as in the region builders.
+    The trials are counted in one :func:`spectra.count_operators` call,
+    which picks the method by size (the band on ``threads`` trial threads,
+    or rows of :func:`spectra.count_below` eliminations) and builds each
+    trial's operator when it is counted.  Trials are keyed by (seed, trial
+    index) and reduced in fixed order, so the result does not depend on
+    scheduling or ``threads``.  A level above ``max_level`` is a
+    CapacityError, as in the region builders.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -170,15 +152,7 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
     def operator(t):
         return assemble(region, bc, sample_potential(region, potential_spec, t))
 
-    per_pass = trials_per_pass(n)
-    if per_pass:
-        counts = [count_below([operator(t) for t in range(lo, min(lo + per_pass, trials))],
-                              grid)
-                  for lo in range(0, trials, per_pass)]
-    else:
-        counts = _map_trials(lambda t: counting_curve(operator(t), grid).counts[None],
-                             trials, threads)
-    stacked = np.vstack(counts) / n
+    stacked = count_operators(region, operator, trials, grid, threads) / n
     mean = stacked.mean(axis=0)
     if trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(trials)

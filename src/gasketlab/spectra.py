@@ -5,11 +5,14 @@ reads its arrays; the probabilistic Laplacian enters through its symmetric
 form D^{-1/2} L D^{-1/2}, whose edge values one expression gives to the
 dense array and the band alike.  Eigenvalue outputs come from a dense
 ``eigvalsh`` that runs in place, on the one n x n array it fills, so a
-solve holds no second copy.  A small operator is counted from its band,
-rows sorted along the Euclidean x axis so that every edge spans few rows
-(bandwidth 30 at level 6): counted by Sturm sequences on the ``dsbtrd``
-tridiagonal form, without the interpreter lock (LAPACK through ctypes), so
-trials on threads count at the same time; no eigenvalue is computed.  A
+solve holds no second copy.  Counting curves go through one entry,
+:func:`count_operators`, which counts the operators a caller builds on one
+region and alone picks the method, by size.  A small operator is counted
+from its band, rows sorted along the Euclidean x axis so that every edge
+spans few rows (bandwidth 30 at level 6), a layout swept once per region:
+counted by Sturm sequences on the ``dsbtrd`` tridiagonal form, without the
+interpreter lock (LAPACK through ctypes), so the operators of a call count
+on the trial threads at the same time; no eigenvalue is computed.  A
 ball's two triangles, which share only the origin, are reduced separately,
 each swept outward from the origin, and joined there into one tridiagonal
 form.  Large operators are
@@ -30,7 +33,8 @@ at its 3 inner corners, so each operator's distinct blocks are solved
 once and gathered back to every block that holds them (a Bernoulli
 operator has at most 8).  An energy outside an operator's Gershgorin
 interval (centres diag / w, radii region degree / w) by more than two tie
-guards has count n above it and 0 below it, and takes no row.  Blocks
+guards has count n above it and 0 below it, and takes no row of the
+elimination and no Sturm count of the band.  Blocks
 too close to singular for the closed form to be certain go through batched
 ``numpy.linalg.eigh``: their eigen-directions above the pivot floor are
 eliminated, and those within it are delayed, carried up as extra rows of
@@ -46,7 +50,9 @@ inequality checks built on these counts live in :mod:`gasketlab.verification`.
 from __future__ import annotations
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,30 +142,52 @@ def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
     return np.searchsorted(eigenvalues, shifted, side="left")
 
 
-def _sweep_band(ham: HamiltonianMatrix, cells=None):
+class _Sweep(NamedTuple):
+    """The band layout of a region, or of one triangle of a ball: the rows
+    in sweep ``order``, the bandwidth ``width``, and for each edge its
+    place (``rows``, ``columns``) in LAPACK's band storage and its end rows
+    ``i`` and ``j``."""
+
+    order: np.ndarray
+    width: int
+    rows: np.ndarray
+    columns: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+
+
+def _sweep(region, cells=None) -> _Sweep:
     """The rows sorted by (2p + q, q), i.e. along the Euclidean x axis, and
-    the upper band of the operator's symmetric form in that order, stored
-    as LAPACK's: entry (i, j) in row w + i - j of column j.  Every edge
-    steps 2p + q by 2, 1 or -1, so the bandwidth w is 30 at level 6.
-    Given the unit ``cells`` of one triangle of a ball, the band is that of
-    the operator restricted to the triangle, whose edges are the cells'
+    the band layout of the region's operators in that order.  Every edge
+    steps 2p + q by 2, 1 or -1, so the bandwidth is 30 at level 6.  Given
+    the unit ``cells`` of one triangle of a ball, it is the layout of the
+    operator restricted to that triangle, whose edges are the cells'
     sides, its rows sorted by (|2p + q|, q): outward from the origin, which
     is row 0."""
-    p, q = ham.region.coords.T
+    p, q = region.coords.T
     if cells is None:
-        order, edges = np.lexsort((q, 2 * p + q)), ham.region.edges
+        order, edges = np.lexsort((q, 2 * p + q)), region.edges
     else:
         rows = np.unique(cells)
         order = rows[np.lexsort((q[rows], np.abs(2 * p[rows] + q[rows])))]
         edges = cells[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
-    rank = np.empty(ham.dimension, dtype=order.dtype)
+    rank = np.empty(len(region), dtype=order.dtype)
     rank[order] = np.arange(len(order))
     lo, hi = np.sort(rank[edges], axis=1).T
     width = int(np.max(hi - lo, initial=0))
-    band = np.zeros((width + 1, len(order)), order="F")
-    band[width] = ham.diagonal[order]
-    band[width - (hi - lo), hi] = _edge_values(ham, order[lo], order[hi])
-    return order, band
+    return _Sweep(order, width, width - (hi - lo), hi, order[lo], order[hi])
+
+
+def _sweep_band(ham: HamiltonianMatrix, sweep: _Sweep | None = None):
+    """The rows in ``sweep`` order (by default the whole region's) and the
+    upper band of the operator's symmetric form in that order, stored as
+    LAPACK's: entry (i, j) in row w + i - j of column j."""
+    if sweep is None:
+        sweep = _sweep(ham.region)
+    band = np.zeros((sweep.width + 1, len(sweep.order)), order="F")
+    band[sweep.width] = ham.diagonal[sweep.order]
+    band[sweep.rows, sweep.columns] = _edge_values(ham, sweep.i, sweep.j)
+    return sweep.order, band
 
 
 @functools.cache
@@ -189,98 +217,187 @@ def _addresses(whole: np.ndarray, starts) -> list[int]:
     return [at + whole.itemsize * k for k in starts]
 
 
-def _tridiagonal(band):
+def _reduction_work(rows: int, n: int):
+    """``dsbtrd`` and the arrays :func:`_tridiagonal` hands it for a band of
+    ``rows`` rows and n columns, with their addresses: D, E and WORK (Q is
+    not referenced for VECT = 'N', so it shares WORK), then N, KD, LDAB,
+    LDQ and INFO."""
+    out = np.zeros(3 * n)
+    ints = np.array([n, rows - 1, rows, 1, 0], dtype=np.intc)
+    return (_lapack("dsbtrd", 12), out, ints,
+            _addresses(out, (0, n, 2 * n)) + _addresses(ints, range(5)))
+
+
+def _tridiagonal(band, work=None):
     """The diagonal d and off-diagonal e of the tridiagonal form T = Q' H Q
     to which ``dsbtrd`` reduces the symmetric matrix H whose upper band
     ``band`` is in LAPACK storage (see :func:`_sweep_band`), without the
     interpreter lock.  Its rotations at column j act only in the planes
     (j + k, j + k + 1), k >= 1, so row 0 is never rotated: Q e_0 = e_0 and
     d[0] = H_00.  A Fortran-ordered float band is reduced in place, so it
-    is overwritten; any other is copied."""
+    is overwritten; any other is copied.  Given the ``work`` of
+    :func:`_reduction_work` for the band's shape, d and e are views of it,
+    valid until its next use."""
     band = np.asfortranarray(band, dtype=float)
     if band.ndim != 2 or not band.size:
         raise ValueError("expected a 2-D band with at least one row and column")
     if not np.all(np.isfinite(band)):
         raise ValueError("array must not contain infs or NaNs")
     rows, n = band.shape
-    # D, E and WORK; Q is not referenced for VECT = 'N', so it shares WORK
-    out = np.zeros(3 * n)
-    at_d, at_e, at_work = _addresses(out, (0, n, 2 * n))
-    # N, KD, LDAB, LDQ and INFO
-    ints = np.array([n, rows - 1, rows, 1, 0], dtype=np.intc)
-    ref = _addresses(ints, range(5))
-    _lapack("dsbtrd", 12)(b"N", b"U", ref[0], ref[1], band.ctypes.data, ref[2],
-                          at_d, at_e, at_work, ref[3], at_work, ref[4])
+    dsbtrd, out, ints, (at_d, at_e, at_work, *ref) = work or _reduction_work(rows, n)
+    dsbtrd(b"N", b"U", ref[0], ref[1], band.ctypes.data, ref[2], at_d, at_e, at_work,
+           ref[3], at_work, ref[4])
     if ints[4]:
         raise np.linalg.LinAlgError(f"dsbtrd failed with INFO = {ints[4]}")
     return out[:n], out[n:2 * n - 1]
 
 
-def _sturm_counts(d, e, shifted) -> np.ndarray:
+def _sturm_work(n: int, energies: int):
+    """``dlaebz`` and the arrays :func:`_sturm_counts` hands it for a form
+    of n rows and at most ``energies`` energies, with their addresses."""
+    m = 2 * max(1, (energies + 1) // 2)
+    # AB, E2, ABSTOL, RELTOL, PIVMIN, then a spare for the arrays dlaebz
+    # does not reference for IJOB = 1 (E, C and WORK)
+    floats = np.zeros(m + n + 3 + max(n, m))
+    # N, IJOB, NITMAX, MMAX, MINP, NBMIN, MOUT and INFO, then NAB, which
+    # NVAL and IWORK (not referenced either) share
+    ints = np.zeros(8 + m, dtype=np.intc)
+    ints[:3] = n, 1, 0
+    return (_lapack("dlaebz", 20), floats, ints,
+            _addresses(floats, (0, m, m + n, m + n + 1, m + n + 2, m + n + 3)),
+            _addresses(ints, range(9)))
+
+
+def _sturm_counts(d, e, shifted, work=None) -> np.ndarray:
     """#{eigenvalue <= s} for each s of ``shifted``, of the symmetric
     tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, counted
     by Sturm sequences in one ``dlaebz`` call without the interpreter
     lock, a pivot within PIVMIN = max(1, max e^2) * tiny of zero counted
-    as negative, as in ``dstebz``."""
+    as negative, as in ``dstebz``.  ``work`` is :func:`_sturm_work` for
+    len(d) rows and at least as many energies, set up once for many
+    counts."""
     d = np.ascontiguousarray(d, dtype=float)
-    n, pairs = len(d), (len(shifted) + 1) // 2
-    m = 2 * max(1, pairs)
-    # AB, E2, ABSTOL, RELTOL, PIVMIN, then a spare for the arrays dlaebz
-    # does not reference for IJOB = 1 (E, C and WORK)
-    floats = np.zeros(m + n + 3 + max(n, m))
-    ab, e2, tols = floats[:m], floats[m:m + n], floats[m + n:m + n + 3]
+    n, k = len(d), len(shifted)
+    dlaebz, floats, ints, (at_ab, at_e2, *tol, at_spare), ref = work or _sturm_work(n, k)
+    m = len(ints) - 8
     # dlaebz counts at both ends AB(j, 1), AB(j, 2) of each of its MINP
-    # intervals, so the energies fill AB column by column
-    ab[:] = np.resize(np.asarray(shifted, dtype=float), m)
+    # intervals, AB (MMAX, 2) column by column, so the energies fill AB
+    # in order for MMAX = MINP
+    floats[:k] = shifted
+    e2 = floats[m:m + n]
     np.square(e, out=e2[:n - 1])  # dlaebz reads E2 = e^2, and not e
-    tols[2] = max(1.0, e2.max()) * np.finfo(float).tiny
-    at_ab, at_e2, *tol, at_spare = _addresses(
-        floats, (0, m, m + n, m + n + 1, m + n + 2, m + n + 3))
-    # N, IJOB, NITMAX, MMAX, MINP, NBMIN, MOUT and INFO, then NAB, which
-    # NVAL and IWORK (not referenced either) share
-    ints = np.zeros(8 + m, dtype=np.intc)
-    ints[:8] = n, 1, 0, m // 2, pairs, 0, 0, 0
-    ref = _addresses(ints, range(9))
-    _lapack("dlaebz", 20)(ref[1], ref[2], ref[0], ref[3], ref[4], ref[5], *tol,
-                          d.ctypes.data, at_spare, at_e2, ref[8], at_ab, at_spare,
-                          ref[6], ref[8], at_spare, ref[8], ref[7])
+    floats[m + n + 2] = max(1.0, e2.max()) * np.finfo(float).tiny
+    ints[3:5] = max(1, (k + 1) // 2), (k + 1) // 2
+    dlaebz(ref[1], ref[2], ref[0], ref[3], ref[4], ref[5], *tol, d.ctypes.data,
+           at_spare, at_e2, ref[8], at_ab, at_spare, ref[6], ref[8], at_spare, ref[8],
+           ref[7])
     if ints[7]:
         raise np.linalg.LinAlgError(f"dlaebz failed with INFO = {ints[7]}")
-    return ints[8:8 + len(shifted)].astype(np.int64)
+    return ints[8:8 + k].astype(np.int64)
 
 
-def _corner_first(ham: HamiltonianMatrix, cells):
+def _gershgorin(diag, weights, degree, shifted):
+    """Where the shifted energies lie beyond the Gershgorin interval [lo,
+    hi] of the pencil (``diag``, ``weights``) (centres diag / w, radii
+    region ``degree`` / w) by more than its rounding plus a tie guard, so
+    that every count there is n or 0: (above hi, above hi or below lo),
+    per operator along the last axis of ``diag`` and ``weights``."""
+    lo = ((diag - degree) / weights).min(axis=-1, keepdims=True)
+    hi = ((diag + degree) / weights).max(axis=-1, keepdims=True)
+    above = shifted > hi + 2.0 * tie_guard(hi)
+    return above, above | (shifted < lo - 2.0 * tie_guard(lo))
+
+
+def _corner_first(ham: HamiltonianMatrix, sweep: _Sweep, work):
     """(d, e) of :func:`_tridiagonal` on the band of one triangle of a
-    ball, given by its unit ``cells`` and swept outward from the origin,
-    row 0.  The join in :func:`dense_counts` rests on Q e_0 = e_0, so a
-    d[0] that is not bitwise the origin's diagonal entry is a LinAlgError."""
-    order, band = _sweep_band(ham, cells)
-    d, e = _tridiagonal(band)
+    ball, swept outward from the origin, row 0.  The join in
+    :func:`_band_counts` rests on Q e_0 = e_0, so a d[0] that is not
+    bitwise the origin's diagonal entry is a LinAlgError."""
+    order, band = _sweep_band(ham, sweep)
+    d, e = _tridiagonal(band, work)
     if d[:1].tobytes() != ham.diagonal[order[:1]].tobytes():
         raise np.linalg.LinAlgError("dsbtrd moved the corner row of a ball's triangle")
     return d, e
 
 
+def _built_on(region, ham: HamiltonianMatrix) -> HamiltonianMatrix:
+    """``ham``, which must be built on ``region`` (else a ValidationError)."""
+    if ham.region is not region:
+        raise ValidationError("count_operators counts operators built on its region")
+    return ham
+
+
+def _map_trials(one_trial, trials: int, threads: int) -> list:
+    """``[one_trial(t) for t in range(trials)]``, on ``threads`` worker
+    threads unless ``threads`` or ``trials`` is at most 1.  Results come
+    back in trial order, so a reduction over them does not depend on
+    scheduling.  The band counts release the interpreter lock, so trials
+    on threads overlap.  It is private so that the benchmark tracer
+    (``bench/spans.py``) charges each trial's spans to the call that
+    started it."""
+    if threads <= 1 or trials <= 1:
+        return [one_trial(t) for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one_trial, range(trials)))
+
+
+def _band_counts(region, operator, count: int, grid, threads: int) -> np.ndarray:
+    """The (count, energies) counts of ``operator(0)`` .. ``operator(count -
+    1)``, built on ``region``, each counted by Sturm sequences
+    (:func:`_sturm_counts`) on the ``dsbtrd`` tridiagonal form of its band.
+
+    The band layout is swept once for the region, the work arrays are set
+    up once per call, one set per thread, and the operators go round-robin
+    to ``threads`` trial threads, which overlap in LAPACK since it runs
+    without the interpreter lock.  An energy the operator's Gershgorin
+    bounds decide is n or 0 without a Sturm count.  A ball's two triangles
+    share only the origin c and are reduced on their own, each swept
+    outward from c (half the flops of one reduction of the ball's band).
+    Neither reduction rotates c, so the direct sum of Q_left and Q_right,
+    glued at c, is orthogonal on the ball and takes H to one tridiagonal
+    matrix: the left form reversed without its row 0, then H_cc, then the
+    right form without its row 0."""
+    n, cells = len(region), region.cells
+    halves = cells is not None and len(cells) == 2
+    sweeps = [_sweep(region, c) for c in cells] if halves else [_sweep(region)]
+    shifted = grid + tie_guard(grid)
+    counts = np.empty((count, len(grid)), dtype=np.int64)
+    workers = max(1, min(threads, count))
+    # each worker's arrays, set up here so that LAPACK (and scipy) load on
+    # the calling thread
+    works = [([_reduction_work(s.width + 1, len(s.order)) for s in sweeps],
+              _sturm_work(n, len(grid))) for _ in range(workers)]
+
+    def run(first):
+        reductions, sturm = works[first]
+        for t in range(first, count, workers):
+            ham = _built_on(region, operator(t))
+            pencil = (ham.diagonal, 1.0) if ham.symmetric else (ham.degree_weights,) * 2
+            above, decided = _gershgorin(*pencil, region.region_degree, shifted)
+            counts[t] = np.where(above, n, 0)
+            open_ = np.flatnonzero(~decided)
+            if not open_.size:
+                continue
+            if halves:
+                (d, e), (left_d, left_e) = [_corner_first(ham, s, w)
+                                            for s, w in zip(sweeps, reductions)]
+                d, e = (np.concatenate([left_d[:0:-1], d]),
+                        np.concatenate([left_e[::-1], e]))
+            else:
+                d, e = _tridiagonal(_sweep_band(ham, sweeps[0])[1], reductions[0])
+            counts[t, open_] = _sturm_counts(d, e, shifted[open_], sturm)
+
+    _map_trials(run, workers, threads)
+    return counts
+
+
 def dense_counts(ham: HamiltonianMatrix, grid) -> np.ndarray:
     """Tie-guarded #{eigenvalue <= E} for each E of the grid, for an
-    operator of at most DENSE_THRESHOLD rows: counted by Sturm sequences
-    (:func:`_sturm_counts`) on the ``dsbtrd`` tridiagonal form of its
-    :func:`_sweep_band`, without the interpreter lock, so trials on threads
-    count in parallel.  A ball's two triangles share only the origin c and
-    are reduced on their own, each swept outward from c (half the flops of
-    one reduction of the ball's band).  Neither reduction rotates c, so
-    the direct sum of Q_left and Q_right, glued at c, is orthogonal on the
-    ball and takes H to one tridiagonal matrix: the left form reversed
-    without its row 0, then H_cc, then the right form without its row 0."""
-    _check_dense(ham, "use count_below / counting_curve instead")
-    grid = _energies(grid)
-    cells = ham.region.cells
-    if cells is None or len(cells) == 1:
-        d, e = _tridiagonal(_sweep_band(ham)[1])
-    else:
-        (d, e), (left_d, left_e) = [_corner_first(ham, c) for c in cells]
-        d, e = np.concatenate([left_d[:0:-1], d]), np.concatenate([left_e[::-1], e])
-    return _sturm_counts(d, e, grid + tie_guard(grid))
+    operator of at most DENSE_THRESHOLD rows: the band count of
+    :func:`_band_counts`, which :func:`count_operators` gives every
+    band-sized operator."""
+    _check_dense(ham, "use count_operators / counting_curve instead")
+    return _band_counts(ham.region, lambda _: ham, 1, _energies(grid), 1)[0]
 
 
 #: Most elements a temporary of the elimination holds, whatever the level
@@ -714,14 +831,8 @@ def _stacked_counts(hams, grid) -> np.ndarray:
     if not all(h.symmetric for h in hams):
         weights = np.array([np.ones(n) if h.symmetric else h.degree_weights
                             for h in hams])
-    # Gershgorin: the pencil's eigenvalues lie in [lo, hi] (centres
-    # diag / w, radii region degree / w), so beyond the bounds by more than
-    # their rounding plus a tie guard every count is n or 0
-    lo = ((diag - region.region_degree) / weights).min(axis=1)
-    hi = ((diag + region.region_degree) / weights).max(axis=1)
     shifted = grid + tie_guard(grid)
-    above = shifted > (hi + 2.0 * tie_guard(hi))[:, None]
-    decided = above | (shifted < (lo - 2.0 * tie_guard(lo))[:, None])
+    above, decided = _gershgorin(diag, weights, region.region_degree, shifted)
     counts = np.where(above, n, 0)
     open_ = np.flatnonzero(~decided.all(axis=0))
     if not open_.size:
@@ -777,14 +888,30 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
 _STACK = 2**20
 
 
-def trials_per_pass(rows: int) -> int:
-    """How many trial operators of ``rows`` rows a counting curve counts
-    in one pass.  This is the one place the counting method is chosen, by
-    size: 0 for at most DENSE_THRESHOLD rows, which :func:`dense_counts`
-    counts one operator at a time from its band (so trials may run on
-    threads); above, as many as hold ``_STACK`` diagonal entries, at least
-    1, which :func:`count_below` takes as rows of one elimination."""
-    return 0 if rows <= DENSE_THRESHOLD else max(1, _STACK // rows)
+def count_operators(region, operator, count: int, grid, threads: int = 1) -> np.ndarray:
+    """The (count, energies) tie-guarded counts #{eigenvalue <= E} of the
+    operators ``operator(0)``, ..., ``operator(count - 1)``, all built on
+    ``region``, at each finite energy of ``grid``.  Each operator is built
+    when its pass needs it, so no more are alive than a pass holds.
+
+    This is the one place the counting method is chosen, by size.  A region
+    of at most DENSE_THRESHOLD rows is counted from the band
+    (:func:`_band_counts`), one operator at a time on ``threads`` trial
+    threads, with its band layout swept once.  Above, the operators go in
+    groups that hold at most ``_STACK`` diagonal entries (at least one
+    operator), each group the rows of one :func:`count_below` elimination,
+    with no threads.  The counts do not depend on ``threads``.  An
+    operator on another region is a ValidationError.
+    """
+    grid = _energies(grid)
+    n = len(region)
+    if n <= DENSE_THRESHOLD:
+        return _band_counts(region, operator, count, grid, threads)
+    per_pass = max(1, _STACK // n)
+    rows = [count_below([_built_on(region, operator(t))
+                         for t in range(lo, min(lo + per_pass, count))], grid)
+            for lo in range(0, count, per_pass)]
+    return np.vstack(rows) if rows else np.zeros((0, len(grid)), dtype=np.int64)
 
 
 @dataclass
@@ -802,8 +929,7 @@ class CountingFunction:
 
 
 def counting_curve(ham: HamiltonianMatrix, grid) -> CountingFunction:
-    """Counting function on a grid of finite energies, by the method
-    :func:`trials_per_pass` chooses for the operator's size."""
+    """Counting function on a grid of finite energies: :func:`count_operators`
+    for the one operator."""
     grid = np.sort(_energies(grid))
-    count = count_below if trials_per_pass(ham.dimension) else dense_counts
-    return CountingFunction(grid, count(ham, grid))
+    return CountingFunction(grid, count_operators(ham.region, lambda _: ham, 1, grid)[0])

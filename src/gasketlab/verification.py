@@ -74,10 +74,12 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
 
 def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
     """The counting-suite records of potential ``name`` on one triangle
-    size, counted by :func:`spectra.counting_curve`.  Each trial samples
-    its potential, counts its 6 whole and 18 child operators and writes its
-    ``bc-pair`` and ``triple-split`` records on the trial threads of
-    :func:`ids.trial_threads`; the records are joined in trial order, so
+    size.  Each trial's potential is sampled once, on the parent, and each
+    structure (the whole and the truncated parent, and each of their
+    children) locates its vertices in the parent once; its operators,
+    every (trial, boundary rule) pair, are counted in one
+    :func:`spectra.count_operators` call on the trial threads of
+    :func:`ids.trial_threads`.  The records are written trial by trial, so
     the report is the same for any thread count."""
     parent = build_triangle(level)
     pieces = subdivide(parent, level - 1, "cover").pieces
@@ -85,18 +87,28 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
                "trunc": (build_triangle(TriangleSpec(level, truncated=True)),
                          [build_triangle(replace(p, truncated=True))
                           for p in pieces])}
+    samples = [sample_potential(parent, spec, trial) for trial in range(trials)]
+    rules, threads = len(BOUNDARY_CONDITIONS), ids.trial_threads()
 
-    def one_trial(trial):
-        values = sample_potential(parent, spec, trial)
+    def counts(region):
+        """The (trial, rule, energy) counts of one structure."""
+        rows = parent.locate(region.coords)
 
-        def counts(region, bc):
-            ham = assemble(region, bc, values[parent.locate(region.coords)])
-            return spectra.counting_curve(ham, grid).counts
+        def operator(i):
+            return assemble(region, BOUNDARY_CONDITIONS[i % rules],
+                            samples[i // rules][rows])
 
+        return spectra.count_operators(region, operator, trials * rules, grid,
+                                       threads).reshape(trials, rules, -1)
+
+    whole = {kind: counts(region) for kind, (region, _) in regions.items()}
+    split = {kind: sum(counts(child) for child in children)
+             for kind, (_, children) in regions.items()}
+    records = []
+    for trial in range(trials):
         at = f"{name} L={level} trial={trial}"
-        curves = {(kind, bc): counts(whole, bc) for bc in BOUNDARY_CONDITIONS
-                  for kind, (whole, _) in regions.items()}
-        records = []
+        curves = {(kind, bc): whole[kind][trial, r]
+                  for r, bc in enumerate(BOUNDARY_CONDITIONS) for kind in regions}
         keys = list(curves)
         for i, ki in enumerate(keys):
             for kj in keys[i + 1:]:
@@ -104,15 +116,13 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
                 records.append(CheckRecord(
                     "bc-pair", f"{at} {ki[0]}/{ki[1]} vs {kj[0]}/{kj[1]}",
                     dev, 9))
-        for (kind, bc), curve in curves.items():
-            total = sum(counts(child, bc) for child in regions[kind][1])
-            records.append(CheckRecord(
-                "triple-split", f"{at} {kind}/{bc}",
-                int(np.max(np.abs(curve - total))), 30))
-        return records
-
-    per_trial = ids._map_trials(one_trial, trials, ids.trial_threads())
-    return [record for records in per_trial for record in records]
+        for r, bc in enumerate(BOUNDARY_CONDITIONS):
+            for kind in regions:
+                total = split[kind][trial, r]
+                records.append(CheckRecord(
+                    "triple-split", f"{at} {kind}/{bc}",
+                    int(np.max(np.abs(curves[kind, bc] - total))), 30))
+    return records
 
 
 def _goe(rng, dim, radius=10.0):

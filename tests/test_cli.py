@@ -149,6 +149,17 @@ def test_decimate_level_above_twenty_capacity_error(tmp_path, capsys):
         decimation.neumann_counts(21)
 
 
+def test_decimate_free_depth_above_twenty_capacity_error(tmp_path, capsys):
+    # the same size guard as --neumann --level 21, and the same exit code
+    rc = run(["decimate", "--free", "--depth", "21", "--out", "d"], tmp_path)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    with pytest.raises(CapacityError):
+        decimation.free_spectrum_approx(21)
+
+
 def test_decimate_negative_depth_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["decimate", "--free", "--depth", "-3", "--out", "d"],
                  tmp_path)

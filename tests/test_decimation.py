@@ -9,7 +9,7 @@ from gasketlab.decimation import (BOTTOM, R, branch_iteration_bounds,
                                   dirichlet_ground, f, free_spectrum_approx,
                                   iterate_f, iteration_sum, lower_branch,
                                   neumann_counts, neumann_gap, neumann_spectrum)
-from gasketlab.errors import ValidationError
+from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import TriangleSpec, build_triangle
 
 
@@ -244,4 +244,6 @@ def test_level_validation():
     with pytest.raises(ValidationError):
         dirichlet_ground(0)
     with pytest.raises(ValidationError):
+        free_spectrum_approx(-1)
+    with pytest.raises(CapacityError):  # too large, not malformed
         free_spectrum_approx(21)

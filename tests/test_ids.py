@@ -90,8 +90,8 @@ def test_map_trials_returns_results_in_trial_order():
         return t
 
     for threads in (1, 3):
-        assert ids._map_trials(one_trial, 5, threads) == [0, 1, 2, 3, 4]
-    assert ids._map_trials(one_trial, 0, 3) == []
+        assert spectra._map_trials(one_trial, 5, threads) == [0, 1, 2, 3, 4]
+    assert spectra._map_trials(one_trial, 0, 3) == []
 
 
 def test_trial_threads_default_to_the_cpus_the_process_may_use(monkeypatch):

@@ -133,12 +133,12 @@ def test_counting_curve_auto_switches(monkeypatch):
         original = getattr(spectra, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("dense_counts", "count_below"):
+    for name in ("_tridiagonal", "count_below"):
         monkeypatch.setattr(spectra, name, recording(name))
     band = counting_curve(ham, [1.0])
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", len(region) - 1)
     counter = counting_curve(ham, [1.0])
-    assert calls == ["dense_counts", "count_below"]
+    assert calls == ["_tridiagonal", "count_below"]
     assert counter.counts[0] == band.counts[0]
 
 
@@ -154,7 +154,9 @@ def test_counting_bounds_count_through_counting_curve(monkeypatch):
                         lambda *args: calls.append(1) or original(*args))
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
     counter = verification._counting_records("b", 3, spec, 2, grid)
-    assert len(calls) == 2 * (6 + 6 * 3)  # per sample: 6 triangles, 18 children
+    # one call per structure: the whole and the truncated triangle and
+    # their 3 children each, every (sample, rule) pair an operator of it
+    assert len(calls) == 2 + 2 * 3
     assert [r.to_dict() for r in counter] == [r.to_dict() for r in band]
 
 
@@ -476,9 +478,9 @@ def test_dense_counts_reduce_a_ball_as_its_two_triangles(level):
     assert np.count_nonzero(ham.diagonal == origin) == 1
     bands, reduce = [], spectra._tridiagonal
 
-    def recording(band):
+    def recording(band, *work):
         bands.append(band.copy())
-        return reduce(band)
+        return reduce(band, *work)
 
     with mock.patch.object(spectra, "_tridiagonal", recording):
         spectra.dense_counts(ham, [1.0])
@@ -493,8 +495,8 @@ def test_dense_counts_refuse_a_reduction_that_moves_the_corner():
     ham = assemble(region, "simple", np.zeros(len(region)))
     reduce = spectra._tridiagonal
 
-    def moved(band):
-        d, e = reduce(band)
+    def moved(band, *work):
+        d, e = reduce(band, *work)
         d[0] = np.nextafter(d[0], np.inf)
         return d, e
 
@@ -778,3 +780,84 @@ def test_a_list_of_operators_counts_as_its_single_calls(kind):
     assert count_below(hams, 1.0).shape == (3, 1)
     with pytest.raises(ValidationError):
         count_below([hams[0], assemble(build_triangle(3), "simple", np.zeros(42))], 1.0)
+
+
+# one call per structure: count_operators against per-operator counts
+
+#: The laws each region kind's operators are sampled from: with the rules
+#: rotated by kind, every (law, rule) pair is counted at every level.
+ENTRY_LAWS = (bernoulli(0.0, 10.0, 0.5, seed=8), uniform(0.0, 1.0, seed=9),
+              operators.table_cdf([(0.0, 0.3), (1.0, 0.6), (10.0, 1.0)], seed=10))
+
+
+def _refuse(name):
+    def refuse(*_):
+        raise AssertionError(f"{name} reached")
+    return refuse
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_count_operators_equals_per_operator_counts(level, monkeypatch):
+    # band-sized calls never reach the counter, counter-sized ones (with the
+    # threshold at 0) never reach the band, and on 1, 2 and 3 trial threads
+    # both give every operator's own count; level 6 keeps the two region
+    # kinds of `ids`, whose band counts take most of the time
+    energies = np.union1d(np.arange(-1.0, 27.0, 0.5), PROB_ENERGIES)
+    regions = _oracle_regions(level)
+    if level == 6:
+        regions = {name: regions[name] for name in ("half", "ball")}
+    for kind, (name, region) in enumerate(regions.items()):
+        hams = [assemble(region, operators.BOUNDARY_CONDITIONS[(law + kind) % 3],
+                         sample_potential(region, spec))
+                for law, spec in enumerate(ENTRY_LAWS)]
+        hams.append(operators.probabilistic_laplacian(region))
+        single = np.array([spectra.dense_counts(ham, energies) for ham in hams])
+        # a curve is the entry on one operator
+        assert counting_curve(hams[0], energies).counts.tolist() == single[0].tolist()
+        threads = 1 + kind % 3
+        with monkeypatch.context() as patch:
+            for private in ("count_below", "_negative_counts"):
+                patch.setattr(spectra, private, _refuse(private))
+            band = spectra.count_operators(region, hams.__getitem__, len(hams),
+                                           energies, threads)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "_tridiagonal", _refuse("_tridiagonal"))
+            patch.setattr(spectra, "DENSE_THRESHOLD", 0)
+            counter = spectra.count_operators(region, hams.__getitem__, len(hams),
+                                              energies, threads)
+        assert band.tolist() == single.tolist(), (name, threads)
+        assert counter.tolist() == single.tolist(), (name, threads)
+    with pytest.raises(ValidationError):
+        spectra.count_operators(build_triangle(1), lambda _: hams[0], 1, energies)
+
+
+@pytest.mark.parametrize("kind", ["triangle", "ball"])
+def test_band_counts_decided_by_the_bounds_equal_the_sturm_counts(kind, monkeypatch):
+    # energies within a few tie guards of each operator's Gershgorin bounds,
+    # on both sides of the two guards past which the band skips the Sturm
+    # count: the skipped counts equal the counts of the form itself
+    region = build_triangle(4) if kind == "triangle" else build_ball(4)
+    hams = [assemble(region, bc, values)
+            for bc in operators.BOUNDARY_CONDITIONS
+            for values in (np.zeros(len(region)),
+                           sample_potential(region, ENTRY_LAWS[0]))]
+    hams.append(operators.probabilistic_laplacian(region))
+    steps = np.linspace(-4.0, 4.0, 33)
+    skipped = 0
+    for ham in hams:
+        lo, hi = _gershgorin_bounds(ham)
+        energies = np.concatenate([lo + spectra.tie_guard(lo) * (steps - 1.0),
+                                   hi + spectra.tie_guard(hi) * (steps + 1.0)])
+        sturm = spectra._sturm_counts
+        counted = []
+        monkeypatch.setattr(spectra, "_sturm_counts", lambda d, e, s, *work: (
+            counted.append(len(s)) or sturm(d, e, s, *work)))
+        decided = spectra.dense_counts(ham, energies)
+        monkeypatch.setattr(spectra, "_gershgorin", lambda *args: (
+            np.zeros(len(energies), dtype=bool),) * 2)
+        every = spectra.dense_counts(ham, energies)
+        monkeypatch.undo()
+        assert decided.tolist() == every.tolist()
+        assert counted[0] < len(energies) == counted[1]
+        skipped += len(energies) - counted[0]
+    assert skipped >= 10 * len(hams)
