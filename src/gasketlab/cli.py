@@ -214,8 +214,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     kwargs = ({} if args.suite == "all"
               else verification.SUITE_TABLE[args.suite].options(args))
     records = verification.run_suite(args.suite, seed=args.seed, **kwargs)
@@ -389,16 +387,19 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-#: Per subcommand, the least value of each size option: a smaller one
-#: leaves nothing to compute or check.  ``spectrum --grid-n 0`` lists the
-#: eigenvalues instead of a counting curve.  ``verify --levels`` starts at
-#: 1: the counting suite splits each triangle into half-size children, and
-#: a level-0 region is a single 3-vertex cell in every suite.
+#: Per subcommand, the least value of each size or index option: a smaller
+#: size leaves nothing to compute or check, and a seed or trial index is a
+#: non-negative integer (a negative one would alias one near 2^64).
+#: ``spectrum --grid-n 0`` lists the eigenvalues instead of a counting
+#: curve.  ``verify --levels`` starts at 1: the counting suite splits each
+#: triangle into half-size children, and a level-0 region is a single
+#: 3-vertex cell in every suite.
 _LEAST = {
-    "spectrum": {"grid_n": 0},
-    "ids": {"grid_n": 1, "trials": 1},
+    "spectrum": {"grid_n": 0, "seed": 0, "trial": 0},
+    "ids": {"grid_n": 1, "trials": 1, "seed": 0},
     "verify": {"grid_n": 1, "seeds": 1, "trials": 1, "n": 1, "samples": 1,
-               "max_level": 1, "levels": 1},
+               "max_level": 1, "levels": 1, "seed": 0},
+    "decimate": {"seed": 0},
 }
 
 

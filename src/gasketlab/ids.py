@@ -320,19 +320,3 @@ def exponential_tail_fit(curve: IdsCurve, window=DEFAULT_WINDOW,
             "exponent": exponent,
             "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
             "n_points": len(energies)}
-
-
-def bracketing_scale(energy: float, p1: float, c0: float = TEMPLE_C0) -> int:
-    """Fundamental-domain size exponent used by the tail upper bound:
-    floor of log5(c0 p1 / (16 E)).  Diagnostic helper."""
-    if energy <= 0 or not 0 < p1 <= 1:
-        raise ValidationError("need energy > 0 and p1 in (0, 1]")
-    return math.floor(math.log(c0 * p1 / (16.0 * energy), 5.0))
-
-
-def bracketing_scale_upper(energy: float, c1: float = 40.0) -> int:
-    """Ceiling counterpart used by the tail lower bound:
-    ceil of log5(2 c1 / E)."""
-    if energy <= 0 or c1 <= 0:
-        raise ValidationError("need energy > 0 and c1 > 0")
-    return math.ceil(math.log(2.0 * c1 / energy, 5.0))

@@ -7,6 +7,9 @@ triangle at the origin is grown by the corner-gluing recursion: a
 level-(n+1) triangle is a level-n triangle plus copies shifted by
 2^n*(1, 0) and 2^n*(0, 1).  The mirrored half of the lattice is the
 reflection across the y-axis, which in this basis is (p, q) -> (-p-q, q).
+A region is its vertices and its unit up-triangles (cells), each a triple
+of vertex rows; its edges are the cells' sides, since every gasket edge
+lies in exactly one unit cell.
 """
 
 from __future__ import annotations
@@ -112,6 +115,19 @@ class Partition:
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
 
+def cell_sides(cells) -> np.ndarray:
+    """The sides of the unit ``cells`` (..., 3) as an (m, 2) array of row
+    pairs i < j, sorted by (i, j), without the sides that have a -1
+    (truncated) corner.  Unit up-triangles share no side, so each side of
+    a region's cells is stored once."""
+    a, b = cells[..., [0, 0, 1]].ravel(), cells[..., [1, 2, 2]].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = lo >= 0
+    lo, hi = lo[keep], hi[keep]
+    order = np.lexsort((hi, lo))
+    return np.stack([lo[order], hi[order]], axis=1)
+
+
 class LatticeRegion:
     """A finite gasket subgraph with its boundary and degree data.
 
@@ -119,45 +135,49 @@ class LatticeRegion:
 
     * ``coords`` (n, 2): the vertices in canonical order, lexicographic on
       (q, p);
-    * ``edges`` (m, 2): each edge once as a row pair i < j, sorted by (i, j);
+    * ``cells`` (t, c, 3): corner rows (origin, p-step, q-step; -1 if
+      truncated away) of the unit up-triangles of each placed triangle (t = 2
+      for a ball); a builder's triangle has c = 3^level cells in base-3
+      digit order, cells 3j..3j+2 forming level-1 triangle j and so on up;
+    * ``edges`` (m, 2): the cells' sides (see :func:`cell_sides`);
     * ``region_degree`` and ``full_degree`` (n,): degree in the region and
       in the ambient infinite lattice.  The latter is 4 everywhere, except 2
       at the origin when ``half_lattice`` is set (the one-sided lattice has
       a degree-2 corner there);
     * ``interior_boundary``: sorted rows whose region degree is below their
-      ambient degree;
-    * ``cells`` (t, 3^level, 3): corner rows (origin, p-step, q-step; -1 if
-      truncated away) of the unit up-triangles of each placed triangle (t = 2
-      for a ball) in base-3 digit order, cells 3j..3j+2 forming level-1
-      triangle j and so on up; None unless made by the builders.
+      ambient degree.
 
-    ``coords`` must be given in canonical order.  Immutable after
-    construction.
+    A region is its ``coords``, in canonical order, and its ``cells``; every
+    other field is derived from them.  Immutable after construction.
     """
 
-    def __init__(self, coords, edges, spec=None, kind="triangle",
+    def __init__(self, coords, cells, spec=None, kind="triangle",
                  half_lattice=False, level=None):
         self.coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.cells = np.asarray(cells, dtype=np.int64)
         self._keys = _key(self.coords)
+        n = len(self.coords)
         if np.any(np.diff(self._keys) <= 0):
             raise ValidationError(
                 "region coordinates must be distinct and in canonical order")
+        if self.cells.ndim != 3 or self.cells.shape[2] != 3 or (
+                self.cells.size and not -1 <= self.cells.min() <= self.cells.max() < n):
+            raise ValidationError(
+                "region cells must be (trees, cells, 3) rows of the region or -1")
+        self.edges = cell_sides(self.cells)
         self.spec = spec
         self.kind = kind
         self.half_lattice = half_lattice
         self.level = spec.level if spec is not None else level
-        self.cells = None
 
-        n = len(self.coords)
         self.region_degree = np.bincount(self.edges.ravel(), minlength=n)
         self.full_degree = np.full(n, 4)
         if half_lattice:
             self.full_degree[self._keys == _key((0, 0))] = 2
         self.interior_boundary = np.flatnonzero(
             self.full_degree > self.region_degree)
-        for array in (self.coords, self.edges, self._keys, self.region_degree,
-                      self.full_degree, self.interior_boundary):
+        for array in (self.coords, self.cells, self.edges, self._keys,
+                      self.region_degree, self.full_degree, self.interior_boundary):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -219,31 +239,19 @@ def _check_capacity(level: int, max_level: int):
 
 def _build(specs, **region_args) -> LatticeRegion:
     """The union of the placed triangles ``specs``, without the corners of
-    the truncated ones.
-
-    Every gasket edge lies in exactly one unit up-triangle, so numbering the
-    distinct cell corners gives each edge exactly once.
-    """
+    the truncated ones: its vertices are the distinct cell corners."""
     corners = np.concatenate([
         s.place(_anchors(s.level, 1)[:, None, :] + _UNIT_CELL) for s in specs])
     keys, first, cell = np.unique(_key(corners).ravel(), return_index=True,
                                   return_inverse=True)
     coords = corners.reshape(-1, 2)[first]
     cell = cell.reshape(len(specs), -1, 3)
-    edges = np.sort(np.stack([cell[..., [0, 0, 1]].ravel(),
-                              cell[..., [1, 2, 2]].ravel()], axis=1), axis=1)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     dropped = [s.extreme_vertices() for s in specs if s.truncated]
     if dropped:
         keep = ~np.isin(keys, _key(np.concatenate(dropped)))
-        rows = np.where(keep, np.cumsum(keep) - 1, -1)
-        edges = rows[edges[keep[edges].all(axis=1)]]
-        cell = rows[cell]
+        cell = np.where(keep, np.cumsum(keep) - 1, -1)[cell]
         coords = coords[keep]
-    region = LatticeRegion(coords, edges, **region_args)
-    region.cells = cell
-    cell.flags.writeable = False
-    return region
+    return LatticeRegion(coords, cell, **region_args)
 
 
 def build_triangle(spec, *, half_lattice=False, max_level=MAX_LEVEL) -> LatticeRegion:

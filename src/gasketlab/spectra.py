@@ -15,18 +15,18 @@ interpreter lock (LAPACK through ctypes), so the operators of a call count
 on the trial threads at the same time; no eigenvalue is computed.  A
 ball's two triangles, which share only the origin, are reduced separately,
 each swept outward from the origin, and joined there into one tridiagonal
-form.  Large operators are
-handled through inertia counting: the number of eigenvalues at or below E
-equals the number of negative eigenvalues of H - (E + eta) I.  On a gasket
-region every sub-triangle meets the rest of the graph only at its 3
-corners, so that matrix is eliminated bottom-up over the unit cells, three
-sibling triangles at a time, as in spectral decimation; Sylvester's law of
-inertia adds up the negative eigenvalues of the eliminated 3x3 blocks.  All
-energies of a call, and all operators of a call on one region (the trials
-of a curve), share one pass: each (operator, energy) pair is a row, each
-level keeps the six entries of its 3x3 corner Schur complements as (rows,
-cells) arrays, and each pivot block is counted (Descartes' rule on its
-characteristic polynomial) and inverted (adjugate over determinant) in
+form.  Large operators, and every :func:`count_below` call, are counted
+through inertia over the region's unit cells: the number of eigenvalues at
+or below E equals the number of negative eigenvalues of H - (E + eta) I.
+On a gasket region every sub-triangle meets the rest of the graph only at
+its 3 corners, so that matrix is eliminated bottom-up over the unit cells,
+three sibling triangles at a time, as in spectral decimation; Sylvester's
+law of inertia adds up the negative eigenvalues of the eliminated 3x3
+blocks.  All energies of a call, and all operators of a call on one region
+(the trials of a curve), share one pass: each (operator, energy) pair is a
+row, each level keeps the six entries of its 3x3 corner Schur complements
+as (rows, cells) arrays, and each pivot block is counted (Descartes' rule
+on its characteristic polynomial) and inverted (adjugate over determinant) in
 closed form, elementwise.  The first merge, whose children are bare unit
 cells, is memoised: a block there depends only on the (diagonal, weight)
 at its 3 inner corners, so each operator's distinct blocks are solved
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .lattice import MAX_LEVEL, ball_count
+from .lattice import MAX_LEVEL, ball_count, cell_sides
 from .operators import HamiltonianMatrix
 
 DENSE_THRESHOLD = 4096
@@ -93,15 +93,6 @@ _SOLVE_ADVICE = (
     + str(max(k for k in range(MAX_LEVEL + 1) if ball_count(k) <= DENSE_THRESHOLD)))
 
 
-def _check_dense(ham: HamiltonianMatrix, advice: str) -> None:
-    """Reject an operator of more than DENSE_THRESHOLD rows with the
-    caller's ``advice`` on what to do instead."""
-    if ham.dimension > DENSE_THRESHOLD:
-        raise CapacityError(
-            f"dimension {ham.dimension} exceeds the dense threshold {DENSE_THRESHOLD}; "
-            + advice)
-
-
 def _edge_values(ham: HamiltonianMatrix, i, j):
     """The symmetric form's value on the edges (i, j): -1, or for the
     probabilistic Laplacian -1/sqrt(d_i d_j), rounded once."""
@@ -121,7 +112,10 @@ def _dense_symmetric(ham: HamiltonianMatrix) -> np.ndarray:
 def dense_array(ham: HamiltonianMatrix) -> np.ndarray:
     """The operator's symmetric form as a dense array, for an operator of
     at most DENSE_THRESHOLD rows."""
-    _check_dense(ham, _SOLVE_ADVICE)
+    if ham.dimension > DENSE_THRESHOLD:
+        raise CapacityError(
+            f"dimension {ham.dimension} exceeds the dense threshold {DENSE_THRESHOLD}; "
+            + _SOLVE_ADVICE)
     return _dense_symmetric(ham)
 
 
@@ -170,7 +164,7 @@ def _sweep(region, cells=None) -> _Sweep:
     else:
         rows = np.unique(cells)
         order = rows[np.lexsort((q[rows], np.abs(2 * p[rows] + q[rows])))]
-        edges = cells[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+        edges = cell_sides(cells)
     rank = np.empty(len(region), dtype=order.dtype)
     rank[order] = np.arange(len(order))
     lo, hi = np.sort(rank[edges], axis=1).T
@@ -358,7 +352,7 @@ def _band_counts(region, operator, count: int, grid, threads: int) -> np.ndarray
     matrix: the left form reversed without its row 0, then H_cc, then the
     right form without its row 0."""
     n, cells = len(region), region.cells
-    halves = cells is not None and len(cells) == 2
+    halves = len(cells) == 2
     sweeps = [_sweep(region, c) for c in cells] if halves else [_sweep(region)]
     shifted = grid + tie_guard(grid)
     counts = np.empty((count, len(grid)), dtype=np.int64)
@@ -389,15 +383,6 @@ def _band_counts(region, operator, count: int, grid, threads: int) -> np.ndarray
 
     _map_trials(run, workers, threads)
     return counts
-
-
-def dense_counts(ham: HamiltonianMatrix, grid) -> np.ndarray:
-    """Tie-guarded #{eigenvalue <= E} for each E of the grid, for an
-    operator of at most DENSE_THRESHOLD rows: the band count of
-    :func:`_band_counts`, which :func:`count_operators` gives every
-    band-sized operator."""
-    _check_dense(ham, "use count_operators / counting_curve instead")
-    return _band_counts(ham.region, lambda _: ham, 1, _energies(grid), 1)[0]
 
 
 #: Most elements a temporary of the elimination holds, whatever the level
@@ -819,10 +804,9 @@ def _negative_counts(cells, diag, weights, shift):
 
 
 def _stacked_counts(hams, grid) -> np.ndarray:
-    """The (operators, energies) counts of operators built on one region
-    with cells: every (operator, energy) pair the Gershgorin bounds leave
-    open is a row of :func:`_negative_counts`, at most ``_BUDGET // 64``
-    rows a pass."""
+    """The (operators, energies) counts of operators built on one region:
+    every (operator, energy) pair the Gershgorin bounds leave open is a row
+    of :func:`_negative_counts`, at most ``_BUDGET // 64`` rows a pass."""
     region, n = hams[0].region, hams[0].dimension
     # D^{-1} L as the pencil L - E*D: the diagonal of the Neumann Laplacian
     # L is D itself
@@ -856,28 +840,31 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
     on one region, which are counted together and give one row of counts
     per operator.
 
-    On a built region it is :func:`_negative_counts` over the unit cells,
-    every (operator, energy) pair a row of one bottom-up pass (the
-    probabilistic Laplacian D^{-1} L as the congruent pencil L - E*D), with
-    closed-form 3x3 pivots and ``eigh`` on the blocks they cannot certify,
-    in passes of at most ``_BUDGET // 64`` rows; an energy outside the
-    Gershgorin bounds of an operator is n or 0 without a row.  A region
-    without cells goes through :func:`dense_counts`.  A pivot block
-    singular at E (equal-potential cells at a tie energy) has its near-null
-    directions delayed to the parent's block, so every count takes the one
-    pass, at E + eta itself, and an array call counts as its scalar calls
-    and as a list call do.  A non-finite or 2-D ``energy`` is a
-    ValidationError, here as in :func:`dense_counts` and
-    :func:`counting_curve`; so is a list of operators on different regions.
+    It is the counter alone, at every size: :func:`_negative_counts` over
+    the region's unit cells, every (operator, energy) pair a row of one
+    bottom-up pass (the probabilistic Laplacian D^{-1} L as the congruent
+    pencil L - E*D), with closed-form 3x3 pivots and ``eigh`` on the
+    blocks they cannot certify, in passes of at most ``_BUDGET // 64``
+    rows; an energy outside the Gershgorin bounds of an operator is n or 0
+    without a row.  A pivot block singular at E (equal-potential cells at
+    a tie energy) has its near-null directions delayed to the parent's
+    block, so every count takes the one pass, at E + eta itself, and an
+    array call counts as its scalar calls and as a list call do.  Which
+    method counts a curve is chosen in :func:`count_operators`, not here.
+    A non-finite or 2-D ``energy`` is a ValidationError, here as in
+    :func:`count_operators` and :func:`counting_curve`; so is a list of
+    operators on different regions, or a region whose cells are not whole
+    level-``region.level`` triangles, as the builders make them: the
+    elimination reads the cells as that hierarchy.
     """
     hams = ham if isinstance(ham, list) else [ham]
     grid = _energies(energy)
-    if any(h.region is not hams[0].region for h in hams):
+    region = hams[0].region
+    if any(h.region is not region for h in hams):
         raise ValidationError("count_below counts operators built on one region")
-    if hams[0].region.cells is None:
-        counts = np.array([dense_counts(h, grid) for h in hams])
-    else:
-        counts = _stacked_counts(hams, grid)
+    if region.level is None or region.cells.shape[1] != 3**region.level:
+        raise ValidationError("count_below counts regions of whole gasket triangles")
+    counts = _stacked_counts(hams, grid)
     if isinstance(ham, list):
         return counts
     return int(counts[0, 0]) if np.ndim(energy) == 0 else counts[0]

@@ -126,8 +126,9 @@ def test_decimate_free_band(tmp_path):
 
 
 def test_decimate_free_takes_any_seed(tmp_path):
-    # a negative seed wraps to 64 bits, as potential seeds do
-    for seed in ("-1", "7"):
+    # every seed below 2^64, as potential seeds; a negative one is a usage
+    # error
+    for seed in ("0", "7", str(2**64 - 1)):
         assert run(["decimate", "--free", "--depth", "1", "--seed", seed,
                     "--out", "d"], tmp_path) == 0
 
@@ -417,9 +418,15 @@ def test_bad_input_usage_error(tmp_path, capsys, args):
     ["verify", "--suite", "branch", "--samples", "0"],
     ["verify", "--suite", "branch", "--n", "0"],
     ["spectrum", "--level", "2", "--grid-n", "-3"],
-    ["ids", "--level", "2", "--dist", "const:0", "--trials", "0"]])
+    ["ids", "--level", "2", "--dist", "const:0", "--trials", "0"],
+    # a negative seed or trial index would alias one near 2^64
+    ["spectrum", "--level", "2", "--seed", "-1"],
+    ["spectrum", "--level", "2", "--trial", "-1"],
+    ["ids", "--level", "2", "--dist", "const:0", "--trials", "1", "--seed", "-1"],
+    ["decimate", "--free", "--depth", "1", "--seed", "-1"]])
 def test_size_below_its_least_value_usage_error(tmp_path, capsys, args):
-    # each would check or compute nothing, or end in a traceback
+    # each would check or compute nothing, alias another run, or end in a
+    # traceback
     _usage_error(capsys, [*args, "--out", "o"], tmp_path)
 
 

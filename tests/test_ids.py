@@ -1,4 +1,3 @@
-import math
 import time
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 from gasketlab import decimation, ids, lattice, operators, spectra
 from gasketlab.errors import InsufficientDataError, ValidationError
-from gasketlab.ids import (IdsCurve, bc_independence_report, bracketing_scale,
-                           bracketing_scale_upper, estimate_ids,
+from gasketlab.ids import (IdsCurve, bc_independence_report, estimate_ids,
                            exponential_tail_fit, free_ids_exponent,
                            lifshitz_fit, read_curve_csv, temple_check,
                            temple_lower_bound, truncated_potential)
@@ -216,16 +214,6 @@ def test_min_usable_count_excludes_rare_points():
     # 1e-9 < 3/(2*42): every point is excluded
     with pytest.raises(InsufficientDataError):
         lifshitz_fit(curve, (1e-3, 1e-1))
-
-
-def test_bracketing_scales():
-    # floor(log5(c0 p1 / (16 E))) with c0 = 15/2
-    assert bracketing_scale(1e-3, 1.0) == math.floor(math.log(7.5 / 0.016, 5))
-    assert bracketing_scale_upper(1e-3, 40.0) == math.ceil(math.log(80000.0, 5))
-    with pytest.raises(ValidationError):
-        bracketing_scale(-1.0, 0.5)
-    with pytest.raises(ValidationError):
-        bracketing_scale(1e-3, 0.0)
 
 
 def test_curve_csv_roundtrip(tmp_path):

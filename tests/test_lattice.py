@@ -223,6 +223,23 @@ def test_canonical_order_and_export(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_region_edges_are_its_cells_sides():
+    # two unit cells that share the corner (1, 0): 3 sides each, each once
+    coords = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    region = LatticeRegion(coords, [[[0, 1, 3], [1, 2, 4]]])
+    assert region.edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 3], [1, 4], [2, 4]]
+    assert region.region_degree.tolist() == [2, 4, 2, 2, 2]
+    assert region.stats()["edge_count"] == 6
+    with pytest.raises(ValueError):
+        region.cells[0, 0, 0] = 2
+    # a truncated (-1) corner takes its two sides with it
+    cut = LatticeRegion([(0, 0), (1, 0), (0, 1), (1, 1)], [[[0, 1, 2], [1, -1, 3]]])
+    assert cut.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3]]
+    for cells in ([[0, 1, 3], [1, 2, 4]], [[[0, 1, 3], [1, 2, 5]]], [[[0, 1, -2]]]):
+        with pytest.raises(ValidationError):
+            LatticeRegion(coords, cells)
+
+
 def test_locate_rows_and_outside_points():
     region = build_ball(2)
     assert np.array_equal(region.locate(region.coords), np.arange(len(region)))
@@ -230,7 +247,7 @@ def test_locate_rows_and_outside_points():
     with pytest.raises(ValidationError):
         region.locate([[0, 0], [50, 0]])
     with pytest.raises(ValidationError):
-        LatticeRegion([(1, 0), (0, 0)], [])
+        LatticeRegion([(1, 0), (0, 0)], np.zeros((1, 0, 3), dtype=int))
 
 
 def test_ball_export_carries_kind(tmp_path):

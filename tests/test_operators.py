@@ -113,13 +113,11 @@ def test_assembly_is_bit_identical():
 
 
 def _bitwise_regions():
-    tri = build_triangle(3)
-    return {"full": tri,
+    return {"full": build_triangle(3),
             "truncated": build_triangle(TriangleSpec(3, truncated=True)),
             "mirrored": build_triangle(TriangleSpec(3, mirrored=True)),
             "half": build_triangle(3, half_lattice=True),
-            "ball": build_ball(3),
-            "coords-only": LatticeRegion(tri.coords, tri.edges)}
+            "ball": build_ball(3)}
 
 
 def _triplet_csr(region, diagonal, row_scale=None):
@@ -158,8 +156,8 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
                         lambda a, **kw: handed.append((a, kw)) or np.zeros(len(a)))
     grid = [0.31, 1.13, 4.7]
     for ham, want in cases:
-        # counting reads the arrays and builds no CSR, also on a region
-        # without cells, which count_below counts from the band
+        # counting reads the arrays and builds no CSR, in the counter and
+        # on the band
         spectra.count_below(ham, grid)
         spectra.counting_curve(ham, grid)
         assert "matrix" not in ham.__dict__
@@ -218,7 +216,7 @@ def test_probabilistic_laplacian_small_cases():
 
 
 def test_probabilistic_laplacian_rejects_isolated_vertex():
-    region = LatticeRegion([(0, 0)], [])
+    region = LatticeRegion([(0, 0)], np.zeros((1, 0, 3), dtype=int))
     with pytest.raises(ValidationError):
         probabilistic_laplacian(region)
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gasketlab import decimation, operators, spectra, verification
 from gasketlab.errors import CapacityError, ValidationError
-from gasketlab.lattice import (TriangleSpec, build_ball, build_triangle,
-                               triangle_count)
+from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
+                               build_triangle, triangle_count)
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
 from gasketlab.spectra import (count_below, counting_curve,
                                counts_from_eigenvalues, eigenvalues_dense)
@@ -28,6 +28,12 @@ def _simple_triangle():
     return assemble(build_triangle(0), "simple", np.zeros(3))
 
 
+def _count(ham, grid):
+    """One operator's counts through :func:`spectra.count_operators`, which
+    counts an operator of at most DENSE_THRESHOLD rows from its band."""
+    return spectra.count_operators(ham.region, lambda _: ham, 1, grid)[0]
+
+
 def test_dense_fixture():
     assert np.allclose(eigenvalues_dense(_simple_triangle()), [2.0, 5.0, 5.0])
     region = build_triangle(2)
@@ -40,13 +46,11 @@ def test_dense_threshold_capacity(monkeypatch):
                 assemble(build_triangle(3), "simple", np.zeros(42))):
         rows = ham.dimension
         monkeypatch.setattr(spectra, "DENSE_THRESHOLD", rows - 1)
-        for dense in (eigenvalues_dense, spectra.dense_array,
-                      lambda h: spectra.dense_counts(h, [1.0])):
+        for dense in (eigenvalues_dense, spectra.dense_array):
             with pytest.raises(CapacityError):
                 dense(ham)
         monkeypatch.setattr(spectra, "DENSE_THRESHOLD", rows)
         assert len(eigenvalues_dense(ham)) == rows
-        assert spectra.dense_counts(ham, [9.0]).tolist() == [rows]
 
 
 def test_dense_probabilistic_symmetrization():
@@ -70,10 +74,24 @@ def test_count_below_fixture():
 
 def test_non_finite_energies_are_rejected_by_every_count():
     ham = _simple_triangle()
-    for count in (count_below, spectra.dense_counts, counting_curve):
+    for count in (count_below, _count, counting_curve):
         for bad in ([[1.0]], np.nan, [1.0, np.inf], [1.0, np.nan, np.inf]):
             with pytest.raises(ValidationError, match="finite scalar or 1-D"):
                 count(ham, bad)
+
+
+def test_count_below_refuses_cells_that_are_not_whole_triangles():
+    # two unit cells that share a corner are no level-L triangle: the
+    # elimination would misread them, while the band counts any region
+    energies = [2.0, 3.0, 4.5, 6.0]
+    for level in (None, 0, 1):
+        region = LatticeRegion([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+                               [[[0, 1, 3], [1, 2, 4]]], level=level)
+        ham = assemble(region, "simple", np.zeros(len(region)))
+        assert _count(ham, energies).tolist() == counts_from_eigenvalues(
+            eigenvalues_dense(ham), energies).tolist() == [1, 2, 2, 5]
+        with pytest.raises(ValidationError, match="whole gasket triangles"):
+            count_below(ham, energies)
 
 
 def test_count_below_simple_triangle():
@@ -107,7 +125,7 @@ def test_count_below_counts_an_eigenvalue_within_rounding_of_e_plus_eta():
     ham = _simple_triangle()
     energy = (2.0 - 1e-9) / (1.0 + 1e-9)
     assert count_below(ham, energy) == 1
-    assert spectra.dense_counts(ham, [energy]).tolist() == [1]
+    assert _count(ham, [energy]).tolist() == [1]
     assert counts_from_eigenvalues(eigenvalues_dense(ham), [energy]).tolist() == [1]
     assert count_below(ham, 3.5) == 1
 
@@ -370,8 +388,8 @@ def _oracle_regions(level):
 @functools.lru_cache(maxsize=None)
 def _oracle_operators(level):
     """(region kind, potential, boundary rule, operator, eigvalsh spectrum)
-    of every oracle operator at one level; the count_below and dense_counts
-    oracle tests share the solves."""
+    of every oracle operator at one level; the count_below and band oracle
+    tests share the solves."""
     cases = []
     for name, region in _oracle_regions(level).items():
         for spec in ORACLE_POTENTIALS:
@@ -438,7 +456,7 @@ def test_count_below_matches_dense_at_tie_energies(level, kind, bc, seed,
     assert _mismatches(assemble(region, bc, values), energies) == []
 
 
-# the band solve of dense_counts against eigvalsh
+# the band count of count_operators against eigvalsh
 
 DENSE_ENERGIES = sorted(set(ORACLE_ENERGIES) | set(TIE_ENERGIES) | set(PROB_ENERGIES))
 
@@ -448,7 +466,7 @@ def test_dense_counts_match_eigvalsh_on_every_region_kind(level):
     # at the tie energies whole clusters of eigenvalues sit exactly at E
     bad = [(name, potential, bc, e, b, d)
            for name, potential, bc, ham, values in _oracle_operators(level)
-           for e, b, d in zip(DENSE_ENERGIES, spectra.dense_counts(ham, DENSE_ENERGIES),
+           for e, b, d in zip(DENSE_ENERGIES, _count(ham, DENSE_ENERGIES),
                               counts_from_eigenvalues(values, DENSE_ENERGIES))
            if b != d]
     assert bad == []
@@ -461,7 +479,7 @@ def test_dense_counts_match_eigvalsh_at_every_free_eigenvalue():
     assert len(energies) > 1000
     bad = [(name, potential, bc, int(np.count_nonzero(b != d)))
            for name, potential, bc, ham, values in free
-           for b, d in [(spectra.dense_counts(ham, energies),
+           for b, d in [(_count(ham, energies),
                          counts_from_eigenvalues(values, energies))]
            if np.any(b != d)]
     assert bad == []
@@ -483,7 +501,7 @@ def test_dense_counts_reduce_a_ball_as_its_two_triangles(level):
         return reduce(band, *work)
 
     with mock.patch.object(spectra, "_tridiagonal", recording):
-        spectra.dense_counts(ham, [1.0])
+        _count(ham, [1.0])
     assert [b.shape[1] for b in bands] == [triangle_count(level)] * 2
     assert [b[-1, 0] for b in bands] == [origin] * 2
 
@@ -502,7 +520,7 @@ def test_dense_counts_refuse_a_reduction_that_moves_the_corner():
 
     with mock.patch.object(spectra, "_tridiagonal", moved):
         with pytest.raises(np.linalg.LinAlgError):
-            spectra.dense_counts(ham, [1.0])
+            _count(ham, [1.0])
 
 
 @pytest.mark.parametrize("level", [3, 5])
@@ -682,8 +700,7 @@ def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
     energies = [5.0, 6.0]
     for bc in operators.BOUNDARY_CONDITIONS:
         ham = assemble(region, bc, np.zeros(len(region)))
-        assert count_below(ham, energies).tolist() == spectra.dense_counts(
-            ham, energies).tolist()
+        assert count_below(ham, energies).tolist() == _count(ham, energies).tolist()
     assert len(left) == 3 and max(left) <= 3
 
 
@@ -725,7 +742,7 @@ def test_counts_at_the_gershgorin_bounds_equal_the_band(bc, monkeypatch):
                                    np.linspace(lo - 1.0, hi + 1.0, 41)])
         passes.clear()
         counts = count_below(ham, energies)
-        assert counts.tolist() == spectra.dense_counts(ham, energies).tolist()
+        assert counts.tolist() == _count(ham, energies).tolist()
         assert counts.tolist() == [count_below(ham, e) for e in energies]
         # 1e-3 outside either bound is decided without elimination
         eliminated = np.concatenate([p.ravel() for p in passes])
@@ -752,7 +769,7 @@ def test_a_list_with_different_key_sets_counts_as_its_single_calls():
     stacked = count_below(hams, energies)
     for ham, row in zip(hams, stacked):
         assert row.tolist() == count_below(ham, energies).tolist()
-        assert row.tolist() == spectra.dense_counts(ham, energies).tolist()
+        assert row.tolist() == _count(ham, energies).tolist()
 
 
 @pytest.mark.parametrize("kind", ["ball7", "half8"])
@@ -811,7 +828,7 @@ def test_count_operators_equals_per_operator_counts(level, monkeypatch):
                          sample_potential(region, spec))
                 for law, spec in enumerate(ENTRY_LAWS)]
         hams.append(operators.probabilistic_laplacian(region))
-        single = np.array([spectra.dense_counts(ham, energies) for ham in hams])
+        single = np.array([_count(ham, energies) for ham in hams])
         # a curve is the entry on one operator
         assert counting_curve(hams[0], energies).counts.tolist() == single[0].tolist()
         threads = 1 + kind % 3
@@ -852,10 +869,10 @@ def test_band_counts_decided_by_the_bounds_equal_the_sturm_counts(kind, monkeypa
         counted = []
         monkeypatch.setattr(spectra, "_sturm_counts", lambda d, e, s, *work: (
             counted.append(len(s)) or sturm(d, e, s, *work)))
-        decided = spectra.dense_counts(ham, energies)
+        decided = _count(ham, energies)
         monkeypatch.setattr(spectra, "_gershgorin", lambda *args: (
             np.zeros(len(energies), dtype=bool),) * 2)
-        every = spectra.dense_counts(ham, energies)
+        every = _count(ham, energies)
         monkeypatch.undo()
         assert decided.tolist() == every.tolist()
         assert counted[0] < len(energies) == counted[1]
