@@ -152,7 +152,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    args.threads = ids.trial_threads(args.threads)
+    args.threads = spectra.trial_threads(args.threads)
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
     window = _parse_window(args.window) if args.fit != "none" else None
     grid = _parse_grid(args, potential)
@@ -230,6 +230,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decimate(args) -> int:
+    if args.compare_dense and (args.free or args.level > 5):
+        raise ValidationError(
+            "--compare-dense needs the triangle spectrum with level <= 5")
     if args.free:
         spectrum = decimation.free_spectrum_approx(args.depth, seed=args.seed)
     else:
@@ -239,9 +242,6 @@ def cmd_decimate(args) -> int:
     print(f"{len(spectrum)} spectrum points -> {args.out}.spectrum.csv")
     code = 0
     if args.compare_dense:
-        if args.free or args.level > 5:
-            raise ValidationError(
-                "--compare-dense needs the triangle spectrum with level <= 5")
         region = lattice.build_triangle(args.level)
         dense = spectra.eigenvalues_dense(
             operators.probabilistic_laplacian(region))
@@ -389,7 +389,7 @@ def _config_tokens(path: str) -> list[str]:
 
 #: Per subcommand, the least value of each size or index option: a smaller
 #: size leaves nothing to compute or check, and a seed or trial index is a
-#: non-negative integer (a negative one would alias one near 2^64).
+#: generator key word in [0, 2^64) (the upper end is checked with the key).
 #: ``spectrum --grid-n 0`` lists the eigenvalues instead of a counting
 #: curve.  ``verify --levels`` starts at 1: the counting suite splits each
 #: triangle into half-size children, and a level-0 region is a single

@@ -219,9 +219,12 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     compositions; its limit points are approximated by a seeded random
     backward orbit of the two inverse branches started from -3/2 (tagged
     generation -1).  Points within DEDUP_TOL of a smaller one are dropped.
-    On the (-4x) scale everything lies in [0, 6].  A negative depth is a
-    ValidationError, one above MAX_DEPTH a CapacityError.
+    On the (-4x) scale everything lies in [0, 6].  A negative depth or a
+    seed outside [0, 2^64) is a ValidationError, a depth above MAX_DEPTH a
+    CapacityError.
     """
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
     if depth < 0:
         raise ValidationError(f"preimage depth must be at least 0, got {depth}")
     if depth > MAX_DEPTH:
@@ -235,7 +238,7 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     gens = np.concatenate([np.full(len(z), g) for g, z in enumerate(layers)]
                           + [[0]])
     if julia_samples > 0:
-        key = np.array([seed & (2**64 - 1), 1], dtype=np.uint64)
+        key = np.array([seed, 1], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         z = np.full(julia_samples, BOTTOM)
         for _ in range(julia_depth):

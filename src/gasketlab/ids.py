@@ -108,40 +108,18 @@ def _region_for(level, region_kind, max_level):
     return build_ball(level, max_level=max_level)
 
 
-def trial_threads(requested=None) -> int:
-    """Worker threads for independent trials: ``GASKET_THREADS`` if it is
-    set, else ``requested`` (``--threads`` of ``ids``), else the CPUs the
-    process may run on (its affinity mask, where the platform has one;
-    else the hardware count).  A value that is not an integer of at least
-    1 is a ValidationError."""
-    value = os.environ.get("GASKET_THREADS", requested)
-    if value is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError as exc:
-        raise ValidationError(
-            f"GASKET_THREADS must be an integer, got {value!r}") from exc
-    if threads < 1:
-        raise ValidationError("trial threads (GASKET_THREADS or --threads) "
-                              f"must be at least 1, got {value!r}")
-    return threads
-
-
 def estimate_ids(level, bc, potential_spec, trials, grid, *,
-                 region_kind: str = "half", threads: int = 1,
+                 region_kind: str = "half", threads=None,
                  max_level: int = MAX_LEVEL) -> IdsCurve:
     """Average the normalized counting function over independent trials.
 
     The trials are counted in one :func:`spectra.count_operators` call,
     which picks the method by size (the band on ``threads`` trial threads,
-    or rows of :func:`spectra.count_below` eliminations) and builds each
-    trial's operator when it is counted.  Trials are keyed by (seed, trial
-    index) and reduced in fixed order, so the result does not depend on
-    scheduling or ``threads``.  A level above ``max_level`` is a
-    CapacityError, as in the region builders.
+    None for :func:`spectra.trial_threads`, or rows of ``count_below``
+    eliminations) and builds each trial's operator when it is counted.
+    Trials are keyed by (seed, trial index) and reduced in fixed order, so
+    the result does not depend on scheduling or ``threads``.  A level
+    above ``max_level`` is a CapacityError, as in the region builders.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -162,7 +140,7 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
 
 
 def bc_independence_report(level, potential_spec, trials, grid, *,
-                           region_kind: str = "half", threads: int = 1) -> dict:
+                           region_kind: str = "half") -> dict:
     """Compare the estimated curves across boundary conditions.
 
     The same potential samples are used for every boundary condition, so
@@ -170,7 +148,7 @@ def bc_independence_report(level, potential_spec, trials, grid, *,
     combined standard errors.
     """
     curves = {bc: estimate_ids(level, bc, potential_spec, trials, grid,
-                               region_kind=region_kind, threads=threads)
+                               region_kind=region_kind)
               for bc in BOUNDARY_CONDITIONS}
     n = next(iter(curves.values())).region_size
     pairs = []

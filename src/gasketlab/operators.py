@@ -55,6 +55,8 @@ class PotentialSpec:
             raise ValidationError(f"non-finite value in {d!r} (scale {self.scale})")
         if self.scale < 0:
             raise ValidationError("scale must be nonnegative")
+        if not 0 <= self.seed < 2**64:  # a generator key word
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if d[0] == "bernoulli":
             _, _, _, p = d
             if not 0.0 <= p <= 1.0:
@@ -116,15 +118,17 @@ def sample_potential(region: LatticeRegion, spec: PotentialSpec,
                      trial: int = 0) -> np.ndarray:
     """Draw the i.i.d. potential vector in canonical vertex order.
 
-    Uses a counter-based generator keyed by (seed, trial), so trials can be
-    evaluated concurrently and in any order with identical results.
+    Uses a counter-based generator keyed by (seed, trial), each in [0,
+    2^64) (else a ValidationError), so trials can be evaluated
+    concurrently and in any order with identical results.
     """
+    if not 0 <= trial < 2**64:
+        raise ValidationError(f"trial must be in [0, 2^64), got {trial}")
     n = len(region)
     d = spec.distribution
     if d[0] == "constant":
         return np.full(n, spec.scale * d[1])
-    key = np.array([np.uint64(spec.seed & (2**64 - 1)),
-                    np.uint64(trial & (2**64 - 1))], dtype=np.uint64)
+    key = np.array([spec.seed, trial], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     u = rng.random(n)
     if d[0] == "bernoulli":

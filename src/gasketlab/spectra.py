@@ -8,16 +8,16 @@ dense array and the band alike.  Eigenvalue outputs come from a dense
 solve holds no second copy.  Counting curves go through one entry,
 :func:`count_operators`, which counts the operators a caller builds on one
 region and alone picks the method, by size.  A small operator is counted
-from its band, rows sorted along the Euclidean x axis so that every edge
-spans few rows (bandwidth 30 at level 6), a layout swept once per region:
-counted by Sturm sequences on the ``dsbtrd`` tridiagonal form, without the
-interpreter lock (LAPACK through ctypes), so the operators of a call count
-on the trial threads at the same time; no eigenvalue is computed.  A
-ball's two triangles, which share only the origin, are reduced separately,
-each swept outward from the origin, and joined there into one tridiagonal
-form.  Large operators, and every :func:`count_below` call, are counted
-through inertia over the region's unit cells: the number of eigenvalues at
-or below E equals the number of negative eigenvalues of H - (E + eta) I.
+from the band of each of its trees (a triangle has one, a ball two that
+share only the origin), rows sorted outward from the origin along the
+Euclidean x axis (bandwidth 30 at level 6): each tree is reduced to its
+``dsbtrd`` tridiagonal form, a ball's two forms are joined at the
+origin, and the result is counted by Sturm sequences, without the
+interpreter lock (LAPACK through ctypes), so the operators of a call
+count on the trial threads (:func:`trial_threads`) at the same time; no
+eigenvalue is computed.  Large operators, and every :func:`count_below`
+call, are counted by inertia over the region's unit cells: #{eigenvalues
+<= E} is the number of negative eigenvalues of H - (E + eta) I.
 On a gasket region every sub-triangle meets the rest of the graph only at
 its 3 corners, so that matrix is eliminated bottom-up over the unit cells,
 three sibling triangles at a time, as in spectral decimation; Sylvester's
@@ -50,6 +50,7 @@ inequality checks built on these counts live in :mod:`gasketlab.verification`.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -137,10 +138,9 @@ def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
 
 
 class _Sweep(NamedTuple):
-    """The band layout of a region, or of one triangle of a ball: the rows
-    in sweep ``order``, the bandwidth ``width``, and for each edge its
-    place (``rows``, ``columns``) in LAPACK's band storage and its end rows
-    ``i`` and ``j``."""
+    """One tree's band layout: its rows in sweep ``order``, the bandwidth
+    ``width``, and each edge's place (``rows``, ``columns``) in LAPACK's
+    band storage and its end rows ``i`` and ``j``."""
 
     order: np.ndarray
     width: int
@@ -150,34 +150,29 @@ class _Sweep(NamedTuple):
     j: np.ndarray
 
 
-def _sweep(region, cells=None) -> _Sweep:
-    """The rows sorted by (2p + q, q), i.e. along the Euclidean x axis, and
-    the band layout of the region's operators in that order.  Every edge
-    steps 2p + q by 2, 1 or -1, so the bandwidth is 30 at level 6.  Given
-    the unit ``cells`` of one triangle of a ball, it is the layout of the
-    operator restricted to that triangle, whose edges are the cells'
-    sides, its rows sorted by (|2p + q|, q): outward from the origin, which
-    is row 0."""
+def _sweep(region, cells) -> _Sweep:
+    """The band layout of the operator on one tree of the region, its unit
+    ``cells``, whose sides are the edges: the rows of the cells, and any
+    row in no cell (it has no edge), sorted by (|2p + q|, q), outward from
+    the origin, row 0, along the Euclidean x axis.  Every edge steps
+    2p + q by 2, 1 or -1, so the bandwidth is 30 at level 6."""
     p, q = region.coords.T
-    if cells is None:
-        order, edges = np.lexsort((q, 2 * p + q)), region.edges
-    else:
-        rows = np.unique(cells)
-        order = rows[np.lexsort((q[rows], np.abs(2 * p[rows] + q[rows])))]
-        edges = cell_sides(cells)
+    rows = np.ones(len(region) + 1, dtype=bool)  # slot n takes the -1 corners
+    rows[region.cells] = False
+    rows[cells] = True
+    rows = np.flatnonzero(rows[:-1])
+    order = rows[np.lexsort((q[rows], np.abs(2 * p[rows] + q[rows])))]
     rank = np.empty(len(region), dtype=order.dtype)
     rank[order] = np.arange(len(order))
-    lo, hi = np.sort(rank[edges], axis=1).T
+    lo, hi = np.sort(rank[cell_sides(cells)], axis=1).T
     width = int(np.max(hi - lo, initial=0))
     return _Sweep(order, width, width - (hi - lo), hi, order[lo], order[hi])
 
 
-def _sweep_band(ham: HamiltonianMatrix, sweep: _Sweep | None = None):
-    """The rows in ``sweep`` order (by default the whole region's) and the
-    upper band of the operator's symmetric form in that order, stored as
-    LAPACK's: entry (i, j) in row w + i - j of column j."""
-    if sweep is None:
-        sweep = _sweep(ham.region)
+def _sweep_band(ham: HamiltonianMatrix, sweep: _Sweep):
+    """The rows in ``sweep`` order and the upper band of the operator's
+    symmetric form on them, stored as LAPACK's: entry (i, j) in row
+    w + i - j of column j."""
     band = np.zeros((sweep.width + 1, len(sweep.order)), order="F")
     band[sweep.width] = ham.diagonal[sweep.order]
     band[sweep.rows, sweep.columns] = _edge_values(ham, sweep.i, sweep.j)
@@ -303,14 +298,14 @@ def _gershgorin(diag, weights, degree, shifted):
 
 
 def _corner_first(ham: HamiltonianMatrix, sweep: _Sweep, work):
-    """(d, e) of :func:`_tridiagonal` on the band of one triangle of a
-    ball, swept outward from the origin, row 0.  The join in
-    :func:`_band_counts` rests on Q e_0 = e_0, so a d[0] that is not
-    bitwise the origin's diagonal entry is a LinAlgError."""
+    """(d, e) of :func:`_tridiagonal` on the band of one tree, swept
+    outward from the origin, row 0.  The join in :func:`_band_counts` rests
+    on Q e_0 = e_0, so a d[0] that is not bitwise the origin's diagonal
+    entry is a LinAlgError."""
     order, band = _sweep_band(ham, sweep)
     d, e = _tridiagonal(band, work)
     if d[:1].tobytes() != ham.diagonal[order[:1]].tobytes():
-        raise np.linalg.LinAlgError("dsbtrd moved the corner row of a ball's triangle")
+        raise np.linalg.LinAlgError("dsbtrd moved the corner row of a tree")
     return d, e
 
 
@@ -321,49 +316,54 @@ def _built_on(region, ham: HamiltonianMatrix) -> HamiltonianMatrix:
     return ham
 
 
-def _map_trials(one_trial, trials: int, threads: int) -> list:
-    """``[one_trial(t) for t in range(trials)]``, on ``threads`` worker
-    threads unless ``threads`` or ``trials`` is at most 1.  Results come
-    back in trial order, so a reduction over them does not depend on
-    scheduling.  The band counts release the interpreter lock, so trials
-    on threads overlap.  It is private so that the benchmark tracer
-    (``bench/spans.py``) charges each trial's spans to the call that
-    started it."""
-    if threads <= 1 or trials <= 1:
-        return [one_trial(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_trial, range(trials)))
+def trial_threads(requested=None) -> int:
+    """Trial threads of a band-sized count: ``GASKET_THREADS`` if it is
+    set, else ``requested`` (``--threads`` of ``ids``), else the CPUs the
+    process may run on (its affinity mask, where the platform has one).
+    A value that is not an integer of at least 1 is a ValidationError."""
+    value = os.environ.get("GASKET_THREADS", requested)
+    if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        threads = int(value)
+    except ValueError as exc:
+        raise ValidationError(
+            f"GASKET_THREADS must be an integer, got {value!r}") from exc
+    if threads < 1:
+        raise ValidationError("trial threads (GASKET_THREADS or --threads) "
+                              f"must be at least 1, got {value!r}")
+    return threads
 
 
-def _band_counts(region, operator, count: int, grid, threads: int) -> np.ndarray:
+def _band_counts(region, operator, count: int, grid, threads) -> np.ndarray:
     """The (count, energies) counts of ``operator(0)`` .. ``operator(count -
     1)``, built on ``region``, each counted by Sturm sequences
     (:func:`_sturm_counts`) on the ``dsbtrd`` tridiagonal form of its band.
 
-    The band layout is swept once for the region, the work arrays are set
-    up once per call, one set per thread, and the operators go round-robin
-    to ``threads`` trial threads, which overlap in LAPACK since it runs
-    without the interpreter lock.  An energy the operator's Gershgorin
-    bounds decide is n or 0 without a Sturm count.  A ball's two triangles
-    share only the origin c and are reduced on their own, each swept
-    outward from c (half the flops of one reduction of the ball's band).
-    Neither reduction rotates c, so the direct sum of Q_left and Q_right,
-    glued at c, is orthogonal on the ball and takes H to one tridiagonal
-    matrix: the left form reversed without its row 0, then H_cc, then the
-    right form without its row 0."""
-    n, cells = len(region), region.cells
-    halves = len(cells) == 2
-    sweeps = [_sweep(region, c) for c in cells] if halves else [_sweep(region)]
+    Each tree (``region.cells[t]``) is swept once per call, outward from
+    the origin c (:func:`_sweep`), and reduced on its own.  No reduction
+    rotates c, so a ball's second tree, which shares only c with the
+    first, joins it there: the direct sum of the Q's, glued at c, takes H
+    to one tridiagonal matrix, the second form reversed without its row 0,
+    then the first.  An energy the Gershgorin bounds decide is n or 0
+    without a Sturm count.  The operators go round-robin to ``threads``
+    trial threads (None: :func:`trial_threads`), which overlap in LAPACK
+    as it runs without the interpreter lock; the counts do not depend on
+    the threads."""
+    n = len(region)
+    sweeps = [_sweep(region, cells) for cells in region.cells]
     shifted = grid + tie_guard(grid)
     counts = np.empty((count, len(grid)), dtype=np.int64)
-    workers = max(1, min(threads, count))
+    workers = max(1, min(trial_threads() if threads is None else threads, count))
     # each worker's arrays, set up here so that LAPACK (and scipy) load on
     # the calling thread
-    works = [([_reduction_work(s.width + 1, len(s.order)) for s in sweeps],
+    works = [([(s, _reduction_work(s.width + 1, len(s.order))) for s in sweeps],
               _sturm_work(n, len(grid))) for _ in range(workers)]
 
     def run(first):
-        reductions, sturm = works[first]
+        trees, sturm = works[first]
         for t in range(first, count, workers):
             ham = _built_on(region, operator(t))
             pencil = (ham.diagonal, 1.0) if ham.symmetric else (ham.degree_weights,) * 2
@@ -372,16 +372,15 @@ def _band_counts(region, operator, count: int, grid, threads: int) -> np.ndarray
             open_ = np.flatnonzero(~decided)
             if not open_.size:
                 continue
-            if halves:
-                (d, e), (left_d, left_e) = [_corner_first(ham, s, w)
-                                            for s, w in zip(sweeps, reductions)]
+            (d, e), *second = [_corner_first(ham, *tree) for tree in trees]
+            if second:
+                (left_d, left_e), = second
                 d, e = (np.concatenate([left_d[:0:-1], d]),
                         np.concatenate([left_e[::-1], e]))
-            else:
-                d, e = _tridiagonal(_sweep_band(ham, sweeps[0])[1], reductions[0])
             counts[t, open_] = _sturm_counts(d, e, shifted[open_], sturm)
 
-    _map_trials(run, workers, threads)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(workers)))  # re-raises a worker's error
     return counts
 
 
@@ -875,17 +874,17 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
 _STACK = 2**20
 
 
-def count_operators(region, operator, count: int, grid, threads: int = 1) -> np.ndarray:
+def count_operators(region, operator, count: int, grid, threads=None) -> np.ndarray:
     """The (count, energies) tie-guarded counts #{eigenvalue <= E} of the
     operators ``operator(0)``, ..., ``operator(count - 1)``, all built on
     ``region``, at each finite energy of ``grid``.  Each operator is built
     when its pass needs it, so no more are alive than a pass holds.
 
     This is the one place the counting method is chosen, by size.  A region
-    of at most DENSE_THRESHOLD rows is counted from the band
-    (:func:`_band_counts`), one operator at a time on ``threads`` trial
-    threads, with its band layout swept once.  Above, the operators go in
-    groups that hold at most ``_STACK`` diagonal entries (at least one
+    of at most DENSE_THRESHOLD rows is counted from the band of each of its
+    trees (:func:`_band_counts`), one operator at a time on ``threads``
+    trial threads (None: :func:`trial_threads`).  Above, the operators go
+    in groups that hold at most ``_STACK`` diagonal entries (at least one
     operator), each group the rows of one :func:`count_below` elimination,
     with no threads.  The counts do not depend on ``threads``.  An
     operator on another region is a ValidationError.
@@ -919,4 +918,5 @@ def counting_curve(ham: HamiltonianMatrix, grid) -> CountingFunction:
     """Counting function on a grid of finite energies: :func:`count_operators`
     for the one operator."""
     grid = np.sort(_energies(grid))
-    return CountingFunction(grid, count_operators(ham.region, lambda _: ham, 1, grid)[0])
+    return CountingFunction(grid, count_operators(ham.region, lambda _: ham, 1, grid,
+                                                  threads=1)[0])

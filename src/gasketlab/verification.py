@@ -78,9 +78,8 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
     structure (the whole and the truncated parent, and each of their
     children) locates its vertices in the parent once; its operators,
     every (trial, boundary rule) pair, are counted in one
-    :func:`spectra.count_operators` call on the trial threads of
-    :func:`ids.trial_threads`.  The records are written trial by trial, so
-    the report is the same for any thread count."""
+    :func:`spectra.count_operators` call.  The records are written trial
+    by trial, so the report is the same for any thread count."""
     parent = build_triangle(level)
     pieces = subdivide(parent, level - 1, "cover").pieces
     regions = {"full": (parent, [build_triangle(p) for p in pieces]),
@@ -88,7 +87,7 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
                          [build_triangle(replace(p, truncated=True))
                           for p in pieces])}
     samples = [sample_potential(parent, spec, trial) for trial in range(trials)]
-    rules, threads = len(BOUNDARY_CONDITIONS), ids.trial_threads()
+    rules = len(BOUNDARY_CONDITIONS)
 
     def counts(region):
         """The (trial, rule, energy) counts of one structure."""
@@ -98,8 +97,8 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
             return assemble(region, BOUNDARY_CONDITIONS[i % rules],
                             samples[i // rules][rows])
 
-        return spectra.count_operators(region, operator, trials * rules, grid,
-                                       threads).reshape(trials, rules, -1)
+        return spectra.count_operators(region, operator, trials * rules,
+                                       grid).reshape(trials, rules, -1)
 
     whole = {kind: counts(region) for kind, (region, _) in regions.items()}
     split = {kind: sum(counts(child) for child in children)

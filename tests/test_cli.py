@@ -133,6 +133,24 @@ def test_decimate_free_takes_any_seed(tmp_path):
                     "--out", "d"], tmp_path) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["ids", "--level", "2", "--dist", "bernoulli:0,10,0.5", "--trials", "1",
+     "--seed", str(2**64)],
+    ["spectrum", "--level", "2", "--dist", "uniform:0,1", "--seed", str(2**64)],
+    ["spectrum", "--level", "2", "--trial", str(2**64 + 1)],
+    ["decimate", "--free", "--depth", "1", "--seed", str(2**64)]])
+def test_seed_or_trial_of_two_to_the_64_usage_error(tmp_path, capsys, args):
+    # the generator key takes words below 2^64: a larger seed or trial would
+    # alias a smaller one
+    _usage_error(capsys, [*args, "--out", "o"], tmp_path)
+
+
+@pytest.mark.parametrize("args", [["--free"], ["--neumann", "--level", "6"]])
+def test_decimate_compare_dense_refused_before_any_work(tmp_path, capsys, args):
+    _usage_error(capsys, ["decimate", *args, "--compare-dense", "--out", "d"],
+                 tmp_path)
+
+
 def test_decimate_level_zero_usage_error(tmp_path):
     assert run(["decimate", "--neumann", "--level", "0", "--out", "d"],
                tmp_path) == 2

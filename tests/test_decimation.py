@@ -247,3 +247,6 @@ def test_level_validation():
         free_spectrum_approx(-1)
     with pytest.raises(CapacityError):  # too large, not malformed
         free_spectrum_approx(21)
+    for seed in (-1, 2**64):  # a generator key word is below 2^64
+        with pytest.raises(ValidationError, match="seed"):
+            free_spectrum_approx(1, seed=seed)

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -81,26 +79,15 @@ def test_threaded_estimate_matches_serial():
         assert np.array_equal(serial.std_errors, threaded.std_errors)
 
 
-def test_map_trials_returns_results_in_trial_order():
-    # later trials finish first on the threads, yet come back in order
-    def one_trial(t):
-        time.sleep(0.02 * (4 - t))
-        return t
-
-    for threads in (1, 3):
-        assert spectra._map_trials(one_trial, 5, threads) == [0, 1, 2, 3, 4]
-    assert spectra._map_trials(one_trial, 0, 3) == []
-
-
 def test_trial_threads_default_to_the_cpus_the_process_may_use(monkeypatch):
     # under taskset -c 0 on a 2-core machine the affinity mask holds 1 CPU
     monkeypatch.delenv("GASKET_THREADS", raising=False)
-    monkeypatch.setattr(ids.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(ids.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert ids.trial_threads() == 1
-    assert ids.trial_threads(3) == 3
-    monkeypatch.delattr(ids.os, "sched_getaffinity")
-    assert ids.trial_threads() == 2
+    monkeypatch.setattr(spectra.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert spectra.trial_threads() == 1
+    assert spectra.trial_threads(3) == 3
+    monkeypatch.delattr(spectra.os, "sched_getaffinity")
+    assert spectra.trial_threads() == 2
 
 
 def test_convergence_between_levels():

@@ -20,6 +20,20 @@ def test_constant_potential():
     assert np.all(values == 1.5)
 
 
+def test_seed_and_trial_are_generator_key_words():
+    # a key word is in [0, 2^64): one outside would alias another
+    region = build_triangle(1)
+    top = bernoulli(0.0, 1.0, 0.5, seed=2**64 - 1)
+    assert len(sample_potential(region, top, 2**64 - 1)) == len(region)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed"):
+            bernoulli(0.0, 1.0, 0.5, seed=seed)
+    for trial in (-1, 2**64, 2**64 + 1):
+        for spec in (top, constant(0.0)):
+            with pytest.raises(ValidationError, match="trial"):
+                sample_potential(region, spec, trial)
+
+
 def test_bernoulli_fraction_within_binomial_bound():
     region = build_triangle(6)  # 1095 vertices
     spec = bernoulli(0.0, 10.0, 0.5, seed=11)
@@ -171,13 +185,21 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
         array, options = handed[-1]
         assert array.tobytes() == dense.tobytes() and array.flags.f_contiguous
         assert options == {"overwrite_a": True}
-        # the band that dense counting solves is the same matrix bit for
-        # bit, its rows in sweep order (the probabilistic couplings are
-        # -1/sqrt(d_i d_j), rounded once, in both)
-        order, band = spectra._sweep_band(ham)
-        assert np.array_equal(np.sort(order), np.arange(len(region)))
-        assert (_dense_band_rows(band).tobytes()
-                == dense[np.ix_(order, order)].tobytes())
+        # the bands that dense counting solves, one per tree, are the same
+        # matrix bit for bit, their rows in sweep order (the probabilistic
+        # couplings are -1/sqrt(d_i d_j), rounded once, in both); the trees
+        # share only the origin, and hold every edge
+        rows, edges = [], 0
+        for cells in region.cells:
+            sweep = spectra._sweep(region, cells)
+            order, band = spectra._sweep_band(ham, sweep)
+            assert (_dense_band_rows(band).tobytes()
+                    == dense[np.ix_(order, order)].tobytes())
+            rows.append(order)
+            edges += len(sweep.i)
+        assert np.array_equal(np.unique(np.concatenate(rows)), np.arange(len(region)))
+        assert sum(map(len, rows)) == len(region) + len(rows) - 1
+        assert edges == len(region.edges)
 
 
 def _dense_band_rows(band):

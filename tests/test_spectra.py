@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gasketlab import decimation, operators, spectra, verification
 from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
-                               build_triangle, triangle_count)
+                               build_triangle, translation_map, triangle_count)
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
 from gasketlab.spectra import (count_below, counting_curve,
                                counts_from_eigenvalues, eigenvalues_dense)
@@ -92,6 +92,60 @@ def test_count_below_refuses_cells_that_are_not_whole_triangles():
             eigenvalues_dense(ham), energies).tolist() == [1, 2, 2, 5]
         with pytest.raises(ValidationError, match="whole gasket triangles"):
             count_below(ham, energies)
+
+
+def test_a_row_in_no_cell_keeps_its_place_in_the_band():
+    # a row in no cell has no edge: its one eigenvalue is its diagonal,
+    # alone or beside a cell
+    lone = LatticeRegion([(0, 0)], np.zeros((1, 0, 3), dtype=int))
+    ham = assemble(lone, "simple", [0.5])  # diagonal 4.5
+    assert spectra.count_operators(lone, lambda _: ham, 1, [4.0, 5.0]).tolist() == [[0, 1]]
+    region = LatticeRegion([(0, 0), (1, 0), (0, 1), (5, 5)], [[[0, 1, 2]]])
+    ham = assemble(region, "neumann", [0.0, 1.0, 0.5, 2.5])
+    energies = np.linspace(-1.0, 6.0, 29)
+    assert _count(ham, energies).tolist() == counts_from_eigenvalues(
+        eigenvalues_dense(ham), energies).tolist()
+
+
+def _placements(level):
+    """The standard level-``level`` triangle and its images under mirrors
+    and translations, some of which straddle the axis 2p + q = 0."""
+    side = 2**level
+    return {"standard": TriangleSpec(level),
+            "mirrored": TriangleSpec(level, mirrored=True),
+            "translated": TriangleSpec(level, anchor=(3 * side, side)),
+            "mirrored translated": TriangleSpec(level, anchor=(-side, 2 * side),
+                                                mirrored=True),
+            "straddling": TriangleSpec(level, anchor=(-side // 2, 0)),
+            "mirrored straddling": TriangleSpec(level, anchor=(side // 2, 1),
+                                                mirrored=True)}
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_mirrored_and_translated_triangles_count_as_the_standard_one(level):
+    # the same potential on each image, vertex for vertex: every rule
+    # counts the same on the band (count_operators) and on the counter
+    # (count_below), and equal to the dense count eta either side of each
+    # eigenvalue
+    standard = build_triangle(level)
+    values = sample_potential(standard, bernoulli(0.0, 10.0, 0.5, seed=level))
+    counts = {}
+    for name, spec in _placements(level).items():
+        region = build_triangle(spec)
+        placed = np.empty(len(region))
+        placed[region.locate(translation_map(TriangleSpec(level), spec))] = values
+        hams = [assemble(region, bc, placed) for bc in operators.BOUNDARY_CONDITIONS]
+        if name == "standard":
+            eigenvalues = np.concatenate([eigenvalues_dense(ham) for ham in hams])
+            energies = np.concatenate([eigenvalues,
+                                       eigenvalues - 2.0 * spectra.tie_guard(eigenvalues)])
+            dense = np.array([counts_from_eigenvalues(eigenvalues_dense(ham), energies)
+                              for ham in hams])
+        counts[name] = (spectra.count_operators(region, hams.__getitem__, len(hams),
+                                                energies),
+                        count_below(hams, energies))
+        assert [c.tolist() for c in counts[name]] == [dense.tolist()] * 2, name
+    assert len(counts) == 6
 
 
 def test_count_below_simple_triangle():
@@ -552,21 +606,29 @@ def test_eigenvalues_dense_hold_one_array():
     assert peak < 1.5 * ham.dimension ** 2 * 8
 
 
+def _tree_bands(ham):
+    """The band of each tree of the operator's region, in LAPACK storage."""
+    region = ham.region
+    return [spectra._sweep_band(ham, spectra._sweep(region, cells))[1]
+            for cells in region.cells]
+
+
 @pytest.mark.parametrize("level", range(1, 7))
 def test_band_counts_equal_eigvals_banded_counts(level):
-    # the Sturm count of the band against every eigenvalue of the same band,
-    # at the dense energies and at a tie on each of those eigenvalues
+    # the Sturm count of each tree's band against every eigenvalue of the
+    # same band, at the dense energies and at a tie on each of those
+    # eigenvalues
     from scipy import linalg
 
     bad = []
     for name, potential, bc, ham, _ in _oracle_operators(level):
-        band = spectra._sweep_band(ham)[1]
-        values = linalg.eigvals_banded(band)
-        energies = np.concatenate([DENSE_ENERGIES, values])
-        counts = spectra._sturm_counts(*spectra._tridiagonal(band),
-                                       energies + spectra.tie_guard(energies))
-        if not np.array_equal(counts, counts_from_eigenvalues(values, energies)):
-            bad.append((name, potential, bc))
+        for tree, band in enumerate(_tree_bands(ham)):
+            values = linalg.eigvals_banded(band)
+            energies = np.concatenate([DENSE_ENERGIES, values])
+            counts = spectra._sturm_counts(*spectra._tridiagonal(band),
+                                           energies + spectra.tie_guard(energies))
+            if not np.array_equal(counts, counts_from_eigenvalues(values, energies)):
+                bad.append((name, potential, bc, tree))
     assert bad == []
 
 
@@ -587,11 +649,12 @@ def test_band_counts_of_small_and_non_finite_bands():
 
 
 def test_band_solve_releases_the_interpreter_lock():
-    # the main thread stamps the clock while a worker reduces a level-6
-    # ball band and counts its tridiagonal form at many energies; a step
-    # that held the lock would stall it for the whole of that step
+    # the main thread stamps the clock while a worker reduces the band of
+    # a level-6 ball's tree and counts its tridiagonal form at many
+    # energies; a step that held the lock would stall it for the whole of
+    # that step
     region = build_ball(6)
-    band = spectra._sweep_band(assemble(region, "simple", np.zeros(len(region))))[1]
+    band = _tree_bands(assemble(region, "simple", np.zeros(len(region))))[0]
     energies = np.linspace(-1.0, 26.0, 8192)
     # load the bindings first
     spectra._sturm_counts(*spectra._tridiagonal(band.copy(order="F")), energies[:2])
