@@ -57,13 +57,7 @@ def _write_config(args: argparse.Namespace, path: str) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -391,9 +385,9 @@ def _config_tokens(path: str) -> list[str]:
 #: size leaves nothing to compute or check, and a seed or trial index is a
 #: generator key word in [0, 2^64) (the upper end is checked with the key).
 #: ``spectrum --grid-n 0`` lists the eigenvalues instead of a counting
-#: curve.  ``verify --levels`` starts at 1: the counting suite splits each
-#: triangle into half-size children, and a level-0 region is a single
-#: 3-vertex cell in every suite.
+#: curve.  ``verify --levels`` starts at 1, as a level-0 region is one
+#: 3-vertex cell; the counting suite, which splits truncated triangles into
+#: truncated halves, refuses levels below 2 itself.
 _LEAST = {
     "spectrum": {"grid_n": 0, "seed": 0, "trial": 0},
     "ids": {"grid_n": 1, "trials": 1, "seed": 0},

@@ -10,8 +10,10 @@ with the same exponent tau = log3/log5.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +69,14 @@ def read_curve_csv(path) -> IdsCurve:
     and region kind come from the ``<prefix>.config`` that ``gasketlab ids``
     writes beside ``<prefix>.curve.csv``, so the curve fits as it did in
     memory (the region size is counted from level and kind, not built);
-    without that file they are unknown (no minimum-count floor)."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    config = {"trials": rows[0, 3] if rows.size else 1, "level": -1,
-              "bc": "", "region": ""}
+    without that file they are unknown (no minimum-count floor).  A curve
+    with no rows, or with fewer than its four columns, is a ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on no rows, refused below
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not rows.size or rows.shape[1] < 4:
+        raise ValueError(f"expected rows of E,mean,stderr,trials, got shape {rows.shape}")
+    config = {"trials": rows[0, 3], "level": -1, "bc": "", "region": ""}
     sidecar = str(path).removesuffix(".curve.csv") + ".config"
     if str(path).endswith(".curve.csv") and os.path.exists(sidecar):
         with open(sidecar) as fh:
@@ -152,18 +158,14 @@ def bc_independence_report(level, potential_spec, trials, grid, *,
               for bc in BOUNDARY_CONDITIONS}
     n = next(iter(curves.values())).region_size
     pairs = []
-    ok = True
-    names = list(curves)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            ca, cb = curves[a], curves[b]
-            bound = 9.0 / n + 4.0 * (ca.std_errors + cb.std_errors)
-            excess = np.abs(ca.mean_counts - cb.mean_counts) - bound
-            worst = float(np.max(excess))
-            pairs.append({"pair": f"{a}/{b}", "max_excess": worst,
-                          "passed": bool(worst <= 0.0)})
-            ok = ok and worst <= 0.0
-    return {"level": level, "region_size": n, "pairs": pairs, "passed": ok}
+    for a, b in itertools.combinations(curves, 2):
+        ca, cb = curves[a], curves[b]
+        bound = 9.0 / n + 4.0 * (ca.std_errors + cb.std_errors)
+        worst = float(np.max(np.abs(ca.mean_counts - cb.mean_counts) - bound))
+        pairs.append({"pair": f"{a}/{b}", "max_excess": worst,
+                      "passed": bool(worst <= 0.0)})
+    return {"level": level, "region_size": n, "pairs": pairs,
+            "passed": all(p["passed"] for p in pairs)}
 
 
 def truncated_potential(sample, level: int) -> np.ndarray:

@@ -7,9 +7,9 @@ triangle at the origin is grown by the corner-gluing recursion: a
 level-(n+1) triangle is a level-n triangle plus copies shifted by
 2^n*(1, 0) and 2^n*(0, 1).  The mirrored half of the lattice is the
 reflection across the y-axis, which in this basis is (p, q) -> (-p-q, q).
-A region is its vertices and its unit up-triangles (cells), each a triple
-of vertex rows; its edges are the cells' sides, since every gasket edge
-lies in exactly one unit cell.
+A region is one placed triangle or the two-sided ball's two; its unit
+up-triangles (cells) are triples of vertex rows, and its edges are the
+cells' sides, since every gasket edge lies in exactly one unit cell.
 """
 
 from __future__ import annotations
@@ -100,6 +100,11 @@ class TriangleSpec:
         return self.place(self.side * _UNIT_CELL)
 
 
+def _ball(level: int) -> tuple[TriangleSpec, TriangleSpec]:
+    """The two triangles of the radius-2^level ball, glued at the origin."""
+    return TriangleSpec(level), TriangleSpec(level, mirrored=True)
+
+
 @dataclass(eq=False)
 class Partition:
     """Pieces of a subdivided triangle.
@@ -129,15 +134,15 @@ def cell_sides(cells) -> np.ndarray:
 
 
 class LatticeRegion:
-    """A finite gasket subgraph with its boundary and degree data.
+    """The union of ``triangles``, one placed :class:`TriangleSpec` or the
+    ball pair (TriangleSpec(L), TriangleSpec(L, mirrored=True)), without
+    the corners of a truncated one; anything else, or a ball with
+    ``half_lattice``, is a ValidationError.  Every field is an integer
+    array, and a vertex is named by its row:
 
-    Every field is an integer array, and a vertex is named by its row:
-
-    * ``coords`` (n, 2): the vertices in canonical order, lexicographic on
-      (q, p);
-    * ``cells`` (t, c, 3): corner rows (origin, p-step, q-step; -1 if
-      truncated away) of the unit up-triangles of each placed triangle (t = 2
-      for a ball); a builder's triangle has c = 3^level cells in base-3
+    * ``coords`` (n, 2): the cell corners, lexicographic on (q, p);
+    * ``cells`` (t, 3^level, 3): corner rows (origin, p-step, q-step; -1 if
+      truncated away) of the unit up-triangles of each triangle, in base-3
       digit order, cells 3j..3j+2 forming level-1 triangle j and so on up;
     * ``edges`` (m, 2): the cells' sides (see :func:`cell_sides`);
     * ``region_degree`` and ``full_degree`` (n,): degree in the region and
@@ -147,33 +152,40 @@ class LatticeRegion:
     * ``interior_boundary``: sorted rows whose region degree is below their
       ambient degree.
 
-    A region is its ``coords``, in canonical order, and its ``cells``; every
-    other field is derived from them.  Immutable after construction.
+    Immutable.  :func:`build_triangle` and :func:`build_ball` add a
+    capacity check.
     """
 
-    def __init__(self, coords, cells, spec=None, kind="triangle",
-                 half_lattice=False, level=None):
-        self.coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-        self.cells = np.asarray(cells, dtype=np.int64)
-        self._keys = _key(self.coords)
-        n = len(self.coords)
-        if np.any(np.diff(self._keys) <= 0):
+    def __init__(self, triangles, half_lattice=False):
+        if isinstance(triangles, TriangleSpec):
+            triangles = (triangles,)
+        elif not (isinstance(triangles, tuple) and len(triangles) == 2
+                  and isinstance(triangles[0], TriangleSpec) and not half_lattice
+                  and triangles == _ball(triangles[0].level)):
             raise ValidationError(
-                "region coordinates must be distinct and in canonical order")
-        if self.cells.ndim != 3 or self.cells.shape[2] != 3 or (
-                self.cells.size and not -1 <= self.cells.min() <= self.cells.max() < n):
-            raise ValidationError(
-                "region cells must be (trees, cells, 3) rows of the region or -1")
-        self.edges = cell_sides(self.cells)
-        self.spec = spec
-        self.kind = kind
+                "a region is one TriangleSpec or the ball pair (TriangleSpec(L), "
+                "TriangleSpec(L, mirrored=True)), the ball without half_lattice")
+        self.triangles = triangles
         self.half_lattice = half_lattice
-        self.level = spec.level if spec is not None else level
+        corners = np.concatenate([
+            s.place(_anchors(s.level, 1)[:, None, :] + _UNIT_CELL) for s in triangles])
+        keys, first, cells = np.unique(_key(corners).ravel(), return_index=True,
+                                       return_inverse=True)
+        coords = corners.reshape(-1, 2)[first]
+        cells = cells.reshape(len(triangles), -1, 3)
+        dropped = [s.extreme_vertices() for s in triangles if s.truncated]
+        if dropped:
+            keep = ~np.isin(keys, _key(np.concatenate(dropped)))
+            cells = np.where(keep, np.cumsum(keep) - 1, -1)[cells]
+            coords, keys = coords[keep], keys[keep]
+        self.coords, self.cells, self._keys = coords, cells, keys
+        self.edges = cell_sides(cells)
 
+        n = len(coords)
         self.region_degree = np.bincount(self.edges.ravel(), minlength=n)
         self.full_degree = np.full(n, 4)
         if half_lattice:
-            self.full_degree[self._keys == _key((0, 0))] = 2
+            self.full_degree[keys == _key((0, 0))] = 2
         self.interior_boundary = np.flatnonzero(
             self.full_degree > self.region_degree)
         for array in (self.coords, self.cells, self.edges, self._keys,
@@ -207,11 +219,9 @@ class LatticeRegion:
 
     def export_edge_list(self, path) -> None:
         """Write the bit-exact edge-list text format."""
-        spec = self.spec
-        truncated = spec.truncated if spec is not None else False
-        mirrored = spec.mirrored if spec is not None else False
-        lines = [f"# gasket level={self.level} truncated={truncated} mirrored={mirrored}"
-                 + ("" if self.kind == "triangle" else f" kind={self.kind}")]
+        spec, *ball = self.triangles
+        lines = [f"# gasket level={spec.level} truncated={spec.truncated} "
+                 f"mirrored={spec.mirrored}" + (" kind=ball" if ball else "")]
         lines += [f"{p} {q}" for p, q in self.coords.tolist()]
         lines += [f"{p1} {q1} {p2} {q2}"
                   for (p1, q1), (p2, q2) in self.coords[self.edges].tolist()]
@@ -237,23 +247,6 @@ def _check_capacity(level: int, max_level: int):
         )
 
 
-def _build(specs, **region_args) -> LatticeRegion:
-    """The union of the placed triangles ``specs``, without the corners of
-    the truncated ones: its vertices are the distinct cell corners."""
-    corners = np.concatenate([
-        s.place(_anchors(s.level, 1)[:, None, :] + _UNIT_CELL) for s in specs])
-    keys, first, cell = np.unique(_key(corners).ravel(), return_index=True,
-                                  return_inverse=True)
-    coords = corners.reshape(-1, 2)[first]
-    cell = cell.reshape(len(specs), -1, 3)
-    dropped = [s.extreme_vertices() for s in specs if s.truncated]
-    if dropped:
-        keep = ~np.isin(keys, _key(np.concatenate(dropped)))
-        cell = np.where(keep, np.cumsum(keep) - 1, -1)[cell]
-        coords = coords[keep]
-    return LatticeRegion(coords, cell, **region_args)
-
-
 def build_triangle(spec, *, half_lattice=False, max_level=MAX_LEVEL) -> LatticeRegion:
     """Construct the gasket triangle described by ``spec``.
 
@@ -264,15 +257,14 @@ def build_triangle(spec, *, half_lattice=False, max_level=MAX_LEVEL) -> LatticeR
     if isinstance(spec, int):
         spec = TriangleSpec(level=spec)
     _check_capacity(spec.level, max_level)
-    return _build([spec], spec=spec, kind="triangle", half_lattice=half_lattice)
+    return LatticeRegion(spec, half_lattice)
 
 
 def build_ball(level: int, *, max_level=MAX_LEVEL) -> LatticeRegion:
     """The radius-2^level ball at the origin: two mirror-image triangles
     glued at (0, 0)."""
     _check_capacity(level, max_level)
-    return _build([TriangleSpec(level), TriangleSpec(level, mirrored=True)],
-                  spec=None, kind="ball", level=level)
+    return LatticeRegion(_ball(level))
 
 
 def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
@@ -281,8 +273,8 @@ def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
     ``cover`` keeps the full overlapping triangles; ``disjoint`` truncates
     them and collects all their corners in the residual set.
     """
-    spec = region.spec
-    if spec is None or region.kind != "triangle" or spec.truncated:
+    spec, *rest = region.triangles
+    if rest or spec.truncated:
         raise ValidationError("subdivide needs a non-truncated triangle region")
     if kind not in (COVER, DISJOINT):
         raise ValidationError(f"unknown partition kind {kind!r}")

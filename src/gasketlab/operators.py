@@ -221,8 +221,6 @@ def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
     not symmetric but is similar to one, and its eigenvalues are real.
     """
     reg = region.region_degree.astype(float)
-    if np.any(reg == 0):
-        raise ValidationError("region has an isolated vertex")
     return HamiltonianMatrix(reg * (1.0 / reg), region, NEUMANN,
                              np.zeros(len(region)), symmetric=False,
                              degree_weights=reg)

@@ -152,15 +152,12 @@ class _Sweep(NamedTuple):
 
 def _sweep(region, cells) -> _Sweep:
     """The band layout of the operator on one tree of the region, its unit
-    ``cells``, whose sides are the edges: the rows of the cells, and any
-    row in no cell (it has no edge), sorted by (|2p + q|, q), outward from
-    the origin, row 0, along the Euclidean x axis.  Every edge steps
+    ``cells``, whose sides are the edges: the rows of the cells (every row
+    of a region is a corner of a cell) sorted by (|2p + q|, q), outward
+    from the origin, row 0, along the Euclidean x axis.  Every edge steps
     2p + q by 2, 1 or -1, so the bandwidth is 30 at level 6."""
     p, q = region.coords.T
-    rows = np.ones(len(region) + 1, dtype=bool)  # slot n takes the -1 corners
-    rows[region.cells] = False
-    rows[cells] = True
-    rows = np.flatnonzero(rows[:-1])
+    rows = np.unique(cells[cells >= 0])
     order = rows[np.lexsort((q[rows], np.abs(2 * p[rows] + q[rows])))]
     rank = np.empty(len(region), dtype=order.dtype)
     rank[order] = np.arange(len(order))
@@ -850,19 +847,18 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
     block, so every count takes the one pass, at E + eta itself, and an
     array call counts as its scalar calls and as a list call do.  Which
     method counts a curve is chosen in :func:`count_operators`, not here.
-    A non-finite or 2-D ``energy`` is a ValidationError, here as in
+    It takes every region :func:`count_operators` takes: a region is one
+    placed triangle or the ball (see :class:`lattice.LatticeRegion`), whose
+    cells are whole triangles, the hierarchy the elimination reads.  A
+    non-finite or 2-D ``energy`` is a ValidationError, here as in
     :func:`count_operators` and :func:`counting_curve`; so is a list of
-    operators on different regions, or a region whose cells are not whole
-    level-``region.level`` triangles, as the builders make them: the
-    elimination reads the cells as that hierarchy.
+    operators on different regions.
     """
     hams = ham if isinstance(ham, list) else [ham]
     grid = _energies(energy)
     region = hams[0].region
     if any(h.region is not region for h in hams):
         raise ValidationError("count_below counts operators built on one region")
-    if region.level is None or region.cells.shape[1] != 3**region.level:
-        raise ValidationError("count_below counts regions of whole gasket triangles")
     counts = _stacked_counts(hams, grid)
     if isinstance(ham, list):
         return counts

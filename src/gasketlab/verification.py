@@ -61,7 +61,10 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
     truncated triangle, three boundary conditions each) never differ by
     more than 9 at any grid energy, and (b) splitting a triangle into its
     three half-size children (same boundary condition, same potential
-    restriction) changes the count by at most 30."""
+    restriction) changes the count by at most 30.  Levels are at least 2,
+    as a level-1 triangle's truncated children would be empty."""
+    if min(levels, default=2) < 2:
+        raise ValidationError(f"counting checks need levels >= 2, got {min(levels)}")
     records = []
     dists = distributions or default_distributions(seed)
     for name, spec in dists.items():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,29 @@ def test_ids_bad_window_usage_error(tmp_path, capsys):
 def test_fit_missing_curve_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["fit", "--curve", "missing.csv", "--out", "f.json"],
                  tmp_path)
+
+
+@pytest.mark.parametrize("rows", ["", "1,2\n"])
+def test_fit_on_a_malformed_curve_usage_error(tmp_path, capsys, rows):
+    # a curve with no rows, or fewer than its four columns, is one error
+    # line and no warning or traceback
+    curve = tmp_path / "bad.curve.csv"
+    curve.write_text("E,mean,stderr,trials\n" + rows)
+    (tmp_path / "out").mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _usage_error(capsys, ["fit", "--curve", str(curve), "--out", "f.json"],
+                     tmp_path / "out")
+    with pytest.raises(ValueError, match="E,mean,stderr,trials"):
+        ids.read_curve_csv(curve)
+
+
+def test_counting_suite_below_level_two_names_it(tmp_path, capsys):
+    # the truncated children of a level-1 triangle are empty level-0 ones
+    rc = run(["verify", "--suite", "counting", "--levels", "3", "1", "--out", "o"],
+             tmp_path)
+    assert rc == 2 and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == "error: counting checks need levels >= 2, got 1\n"
 
 
 def test_env_threads_not_an_integer_usage_error(tmp_path, capsys, monkeypatch):

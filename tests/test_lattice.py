@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_ball_halves_share_only_the_origin():
 
 def test_degree_invariants():
     region = build_triangle(4)
-    extremes = np.sort(region.locate(region.spec.extreme_vertices()))
+    extremes = np.sort(region.locate(region.triangles[0].extreme_vertices()))
     assert np.all(region.full_degree == 4)
     expected = np.full(len(region), 4)
     expected[extremes] = 2
@@ -154,7 +156,7 @@ def test_subdivide_identity_partition():
     region = build_triangle(3)
     part = subdivide(region, 3, "cover")
     assert len(part.pieces) == 1
-    assert part.pieces[0] == region.spec
+    assert part.pieces == list(region.triangles)
 
 
 def test_subdivide_validation():
@@ -224,20 +226,57 @@ def test_canonical_order_and_export(tmp_path):
 
 
 def test_region_edges_are_its_cells_sides():
-    # two unit cells that share the corner (1, 0): 3 sides each, each once
-    coords = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-    region = LatticeRegion(coords, [[[0, 1, 3], [1, 2, 4]]])
-    assert region.edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 3], [1, 4], [2, 4]]
-    assert region.region_degree.tolist() == [2, 4, 2, 2, 2]
-    assert region.stats()["edge_count"] == 6
+    # the level-1 triangle's three unit cells: 3 sides each, each once
+    region = build_triangle(1)
+    assert region.coords.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]]
+    assert region.cells.tolist() == [[[0, 1, 3], [1, 2, 4], [3, 4, 5]]]
+    assert region.edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 3], [1, 4], [2, 4],
+                                     [3, 4], [3, 5], [4, 5]]
+    assert region.region_degree.tolist() == [2, 4, 2, 4, 4, 2]
+    assert region.stats()["edge_count"] == 9
     with pytest.raises(ValueError):
         region.cells[0, 0, 0] = 2
     # a truncated (-1) corner takes its two sides with it
-    cut = LatticeRegion([(0, 0), (1, 0), (0, 1), (1, 1)], [[[0, 1, 2], [1, -1, 3]]])
-    assert cut.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3]]
-    for cells in ([[0, 1, 3], [1, 2, 4]], [[[0, 1, 3], [1, 2, 5]]], [[[0, 1, -2]]]):
-        with pytest.raises(ValidationError):
-            LatticeRegion(coords, cells)
+    cut = build_triangle(TriangleSpec(1, truncated=True))
+    assert cut.coords.tolist() == [[1, 0], [0, 1], [1, 1]]
+    assert cut.cells.tolist() == [[[-1, 0, 1], [0, -1, 2], [1, 2, -1]]]
+    assert cut.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+
+
+def test_region_is_one_triangle_or_the_ball():
+    for triangles in ((TriangleSpec(1), TriangleSpec(1, mirrored=True), TriangleSpec(1)),
+                      (TriangleSpec(0), TriangleSpec(0, anchor=(3, 0))),
+                      (TriangleSpec(2, mirrored=True), TriangleSpec(2)), (),
+                      [TriangleSpec(1), TriangleSpec(1, mirrored=True)], 3):
+        with pytest.raises(ValidationError, match="one TriangleSpec or the ball"):
+            LatticeRegion(triangles)
+    ball = (TriangleSpec(2), TriangleSpec(2, mirrored=True))
+    with pytest.raises(ValidationError, match="without half_lattice"):
+        LatticeRegion(ball, half_lattice=True)
+    # the constructor and the builders give the arrays the former builders
+    # gave, pinned by a digest of every field's dtype, shape and bytes
+    pinned = {"full": "e9afcac7f7449d76", "mirrored": "7c52a6723e000ea3",
+              "half": "6f37d294a192ad7b", "ball": "7c5d429baf724bbc",
+              "truncated": "342a877d54222899"}
+
+    def made(kind, k):
+        """The region of ``kind`` at level k from the constructor and from
+        its builder."""
+        spec = TriangleSpec(k, truncated=kind == "truncated", mirrored=kind == "mirrored")
+        if kind == "ball":
+            return LatticeRegion((spec, TriangleSpec(k, mirrored=True))), build_ball(k)
+        half = kind == "half"
+        return LatticeRegion(spec, half), build_triangle(spec, half_lattice=half)
+
+    for kind, expected in pinned.items():
+        digests = [hashlib.sha256(), hashlib.sha256()]
+        for k in range(kind == "truncated", 5):
+            for region, digest in zip(made(kind, k), digests):
+                for name in ("coords", "cells", "edges", "region_degree",
+                             "full_degree", "interior_boundary"):
+                    array = getattr(region, name)
+                    digest.update(f"{array.dtype}{array.shape}".encode() + array.tobytes())
+        assert [d.hexdigest()[:16] for d in digests] == [expected] * 2, kind
 
 
 def test_locate_rows_and_outside_points():
@@ -246,8 +285,6 @@ def test_locate_rows_and_outside_points():
     assert region.locate((0, 0)) == region.locate([[0, 0]])[0]
     with pytest.raises(ValidationError):
         region.locate([[0, 0], [50, 0]])
-    with pytest.raises(ValidationError):
-        LatticeRegion([(1, 0), (0, 0)], np.zeros((1, 0, 3), dtype=int))
 
 
 def test_ball_export_carries_kind(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 
 from gasketlab import operators, spectra
 from gasketlab.errors import ValidationError
-from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
-                               build_triangle, subdivide)
+from gasketlab.lattice import TriangleSpec, build_ball, build_triangle, subdivide
 from gasketlab.operators import (assemble, bernoulli, constant, edge_energy,
                                  probabilistic_laplacian, quadratic_form,
                                  sample_potential, table_cdf, uniform)
@@ -235,12 +234,6 @@ def test_probabilistic_laplacian_small_cases():
         -1.0, 0.25, 0.5}
     # constant vector in the kernel
     assert np.allclose(ham.matrix @ np.ones(len(g1)), 0.0, atol=1e-14)
-
-
-def test_probabilistic_laplacian_rejects_isolated_vertex():
-    region = LatticeRegion([(0, 0)], np.zeros((1, 0, 3), dtype=int))
-    with pytest.raises(ValidationError):
-        probabilistic_laplacian(region)
 
 
 def test_quadratic_form_matches_edge_sum():

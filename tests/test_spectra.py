@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gasketlab import decimation, operators, spectra, verification
 from gasketlab.errors import CapacityError, ValidationError
-from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
-                               build_triangle, translation_map, triangle_count)
+from gasketlab.lattice import (TriangleSpec, build_ball, build_triangle,
+                               translation_map, triangle_count)
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
 from gasketlab.spectra import (count_below, counting_curve,
                                counts_from_eigenvalues, eigenvalues_dense)
@@ -78,33 +78,6 @@ def test_non_finite_energies_are_rejected_by_every_count():
         for bad in ([[1.0]], np.nan, [1.0, np.inf], [1.0, np.nan, np.inf]):
             with pytest.raises(ValidationError, match="finite scalar or 1-D"):
                 count(ham, bad)
-
-
-def test_count_below_refuses_cells_that_are_not_whole_triangles():
-    # two unit cells that share a corner are no level-L triangle: the
-    # elimination would misread them, while the band counts any region
-    energies = [2.0, 3.0, 4.5, 6.0]
-    for level in (None, 0, 1):
-        region = LatticeRegion([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
-                               [[[0, 1, 3], [1, 2, 4]]], level=level)
-        ham = assemble(region, "simple", np.zeros(len(region)))
-        assert _count(ham, energies).tolist() == counts_from_eigenvalues(
-            eigenvalues_dense(ham), energies).tolist() == [1, 2, 2, 5]
-        with pytest.raises(ValidationError, match="whole gasket triangles"):
-            count_below(ham, energies)
-
-
-def test_a_row_in_no_cell_keeps_its_place_in_the_band():
-    # a row in no cell has no edge: its one eigenvalue is its diagonal,
-    # alone or beside a cell
-    lone = LatticeRegion([(0, 0)], np.zeros((1, 0, 3), dtype=int))
-    ham = assemble(lone, "simple", [0.5])  # diagonal 4.5
-    assert spectra.count_operators(lone, lambda _: ham, 1, [4.0, 5.0]).tolist() == [[0, 1]]
-    region = LatticeRegion([(0, 0), (1, 0), (0, 1), (5, 5)], [[[0, 1, 2]]])
-    ham = assemble(region, "neumann", [0.0, 1.0, 0.5, 2.5])
-    energies = np.linspace(-1.0, 6.0, 29)
-    assert _count(ham, energies).tolist() == counts_from_eigenvalues(
-        eigenvalues_dense(ham), energies).tolist()
 
 
 def _placements(level):
@@ -508,6 +481,26 @@ def test_count_below_matches_dense_at_tie_energies(level, kind, bc, seed,
     region = _oracle_regions(level)[kind]
     values = np.random.default_rng(seed).choice([0.0, 10.0], len(region))
     assert _mismatches(assemble(region, bc, values), energies) == []
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(level=st.integers(1, 4),
+       kind=st.sampled_from(["full", "mirrored", "half", "ball", "truncated"]),
+       seed=st.integers(0, 2**32 - 1),
+       energies=st.lists(st.sampled_from(TIE_ENERGIES), min_size=1, max_size=8))
+def test_boundary_rules_order_the_counts(level, kind, seed, energies):
+    # neumann <= simple <= dirichlet as quadratic forms, so by min-max
+    # N_dirichlet(E) <= N_simple(E) <= N_neumann(E), on the band and the
+    # counter alike, with every count non-decreasing in E and in [0, n]
+    region = _oracle_regions(level)[kind]
+    values = np.random.default_rng(seed).choice([0.0, 10.0], len(region))
+    hams = [assemble(region, bc, values) for bc in ("dirichlet", "simple", "neumann")]
+    energies = np.sort(energies)
+    for counts in (spectra.count_operators(region, hams.__getitem__, 3, energies),
+                   count_below(hams, energies)):
+        assert np.all(counts[:-1] <= counts[1:]), counts
+        assert np.all(np.diff(counts, axis=1) >= 0), counts
+        assert 0 <= counts.min() and counts.max() <= len(region)
 
 
 # the band count of count_operators against eigvalsh
