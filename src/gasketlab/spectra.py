@@ -4,12 +4,14 @@ Every solve and count takes an :class:`operators.HamiltonianMatrix` and
 reads its arrays; the probabilistic Laplacian enters through its symmetric
 form D^{-1/2} L D^{-1/2}, whose edge values one expression gives to the
 dense array and the band alike.  Eigenvalue outputs come from a dense
-``eigvalsh`` that runs in place, on the one n x n array it fills, so a
-solve holds no second copy.  Counting curves go through one entry,
-:func:`count_operators`, which counts the operators a caller builds on one
-region and alone picks the method, by size.  A small operator is counted
-from the band of each of its trees (a triangle has one, a ball two that
-share only the origin), rows sorted outward from the origin along the
+``dsyevr`` that runs in place, on the one n x n array it fills, so a
+solve holds no second copy.  LAPACK comes from ``numpy.linalg``'s own
+(:func:`_lapack`), so no count or solve imports ``scipy.linalg``.
+Counting curves go through one entry, :func:`count_operators`, which
+counts the operators a caller builds on one region and alone picks the
+method, by size.  A small operator is counted from the band of each of
+its trees (a triangle has one, a ball two that share only the origin),
+rows sorted outward from the origin along the
 Euclidean x axis (bandwidth 30 at level 6): each tree is reduced to its
 ``dsbtrd`` tridiagonal form, a ball's two forms are joined at the
 origin, and the result is counted by Sturm sequences, without the
@@ -49,6 +51,7 @@ inequality checks built on these counts live in :mod:`gasketlab.verification`.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -124,9 +127,33 @@ def eigenvalues_dense(ham: HamiltonianMatrix) -> np.ndarray:
     """All eigenvalues, ascending, by dense symmetric diagonalization in
     place: the array is exactly symmetric, so its transpose is the same
     matrix in Fortran order, which LAPACK overwrites without a copy."""
-    from scipy import linalg  # only dense solves need it
+    return _eigvalsh(dense_array(ham).T)
 
-    return linalg.eigvalsh(dense_array(ham).T, overwrite_a=True)
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the Fortran-ordered symmetric array
+    ``a``, overwritten, by ``dsyevr`` as ``scipy.linalg.eigvalsh(a,
+    overwrite_a=True)`` calls it (JOBZ 'N', RANGE 'A', UPLO 'L', ABSTOL 0,
+    LWORK and LIWORK queried); a non-finite entry is a ValueError."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
+    dsyevr, dtype = _lapack("dsyevr", 21)
+    # VL, VU and ABSTOL (RANGE 'A' reads only ABSTOL), then W
+    floats = np.zeros(3 + len(a))
+    # N (also LDA), IL, IU, M, LDZ, LWORK, LIWORK and INFO
+    ints = np.array([len(a), 1, len(a), 0, 1, -1, -1, 0], dtype=dtype)
+    at, to = _addresses(ints, range(8)), _addresses(floats, range(4))
+    work, iwork = np.zeros(1), np.zeros(1, dtype=dtype)
+    for query in (True, False):  # Z and ISUPPZ, not referenced, share WORK and IWORK
+        dsyevr(b"N", b"A", b"L", at[0], a.ctypes.data, at[0], to[0], to[1], at[1], at[2],
+               to[2], at[3], to[3], work.ctypes.data, at[4], iwork.ctypes.data,
+               work.ctypes.data, at[5], iwork.ctypes.data, at[6], at[7])
+        if query:  # LWORK = LIWORK = -1 asks for their sizes
+            ints[5:7] = work[0], iwork[0]
+            work, iwork = np.zeros(ints[5]), np.zeros(ints[6], dtype=dtype)
+    if ints[7]:
+        raise np.linalg.LinAlgError(f"dsyevr failed with INFO = {ints[7]}")
+    return floats[3:]
 
 
 def counts_from_eigenvalues(eigenvalues, grid) -> np.ndarray:
@@ -179,20 +206,20 @@ def _sweep_band(ham: HamiltonianMatrix, sweep: _Sweep):
 @functools.cache
 def _lapack(name: str, nargs: int):
     """The LAPACK routine ``name`` of ``nargs`` arguments, each passed by
-    reference, as a ctypes foreign function taken from scipy's
-    ``cython_lapack`` capsule.  It is typed with ``CFUNCTYPE``, not
-    ``PYFUNCTYPE``, so a call releases the interpreter lock."""
-    import ctypes
-
-    from scipy.linalg import cython_lapack  # only band counts need it
-
-    capsule = cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    tag = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))(capsule)
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, tag)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(pointer)
+    reference, as a ``CFUNCTYPE`` foreign function (a call releases the
+    interpreter lock), with the integer dtype it takes.  It is looked up
+    where ``numpy.linalg``'s extension finds its LAPACK, numpy's OpenBLAS,
+    as ``scipy_{name}_64_`` (numpy >= 2 wheels), ``{name}_64_`` (numpy
+    1.2x wheels), both ILP64, or ``{name}_`` (an LP64 system LAPACK, C
+    ints); a routine found under none of them is an ImportError."""
+    library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    symbols = {f"scipy_{name}_64_": np.int64, f"{name}_64_": np.int64,
+               f"{name}_": np.intc}
+    for symbol, dtype in symbols.items():
+        if hasattr(library, symbol):
+            prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
+            return prototype((symbol, library)), dtype
+    raise ImportError(f"numpy's LAPACK has no {name}: tried {', '.join(symbols)}")
 
 
 def _addresses(whole: np.ndarray, starts) -> list[int]:
@@ -208,9 +235,10 @@ def _reduction_work(rows: int, n: int):
     ``rows`` rows and n columns, with their addresses: D, E and WORK (Q is
     not referenced for VECT = 'N', so it shares WORK), then N, KD, LDAB,
     LDQ and INFO."""
+    dsbtrd, dtype = _lapack("dsbtrd", 12)
     out = np.zeros(3 * n)
-    ints = np.array([n, rows - 1, rows, 1, 0], dtype=np.intc)
-    return (_lapack("dsbtrd", 12), out, ints,
+    ints = np.array([n, rows - 1, rows, 1, 0], dtype=dtype)
+    return (dsbtrd, out, ints,
             _addresses(out, (0, n, 2 * n)) + _addresses(ints, range(5)))
 
 
@@ -241,15 +269,16 @@ def _tridiagonal(band, work=None):
 def _sturm_work(n: int, energies: int):
     """``dlaebz`` and the arrays :func:`_sturm_counts` hands it for a form
     of n rows and at most ``energies`` energies, with their addresses."""
+    dlaebz, dtype = _lapack("dlaebz", 20)
     m = 2 * max(1, (energies + 1) // 2)
     # AB, E2, ABSTOL, RELTOL, PIVMIN, then a spare for the arrays dlaebz
     # does not reference for IJOB = 1 (E, C and WORK)
     floats = np.zeros(m + n + 3 + max(n, m))
     # N, IJOB, NITMAX, MMAX, MINP, NBMIN, MOUT and INFO, then NAB, which
     # NVAL and IWORK (not referenced either) share
-    ints = np.zeros(8 + m, dtype=np.intc)
+    ints = np.zeros(8 + m, dtype=dtype)
     ints[:3] = n, 1, 0
-    return (_lapack("dlaebz", 20), floats, ints,
+    return (dlaebz, floats, ints,
             _addresses(floats, (0, m, m + n, m + n + 1, m + n + 2, m + n + 3)),
             _addresses(ints, range(9)))
 
@@ -354,7 +383,7 @@ def _band_counts(region, operator, count: int, grid, threads) -> np.ndarray:
     shifted = grid + tie_guard(grid)
     counts = np.empty((count, len(grid)), dtype=np.int64)
     workers = max(1, min(trial_threads() if threads is None else threads, count))
-    # each worker's arrays, set up here so that LAPACK (and scipy) load on
+    # each worker's arrays, set up here so that the LAPACK routines load on
     # the calling thread
     works = [([(s, _reduction_work(s.width + 1, len(s.order))) for s in sweeps],
               _sturm_work(n, len(grid))) for _ in range(workers)]

@@ -417,6 +417,8 @@ def zero_extension_residual(level: int, vector: np.ndarray) -> float:
 
 def kernel_suite(levels=(3, 4, 5)) -> list[CheckRecord]:
     """Compactly supported eigenfunctions at energy 6 and their translates."""
+    if min(levels, default=2) < 2:
+        raise ValidationError(f"kernel6 checks need levels >= 2, got {min(levels)}")
     records = []
     for level in levels:
         basis = compact_eigenfunction_at_six(level)

@@ -152,8 +152,6 @@ def _triplet_csr(region, diagonal, row_scale=None):
 
 @pytest.mark.parametrize("name", sorted(_bitwise_regions()))
 def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
-    import scipy.linalg
-
     region = _bitwise_regions()[name]
     # -4 cancels the diagonal at interior sites under every boundary rule
     values = sample_potential(region, bernoulli(-4.0, 10.0, 0.5, seed=7))
@@ -164,26 +162,27 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
     assert all(np.any(ham.diagonal == 0.0) for ham, _ in cases)
     prob = probabilistic_laplacian(region)
     cases.append((prob, _triplet_csr(region, reg + 0.0, 1.0 / reg)))
-    handed = []
-    monkeypatch.setattr(scipy.linalg, "eigvalsh",
-                        lambda a, **kw: handed.append((a, kw)) or np.zeros(len(a)))
+    handed, solve = [], spectra._eigvalsh
+    monkeypatch.setattr(spectra, "_eigvalsh",
+                        lambda a: handed.append((a, a.tobytes())) or solve(a))
     grid = [0.31, 1.13, 4.7]
     for ham, want in cases:
-        # counting reads the arrays and builds no CSR, in the counter and
-        # on the band
+        # counting and the dense solve read the arrays and build no CSR, in
+        # the counter and on the band
         spectra.count_below(ham, grid)
         spectra.counting_curve(ham, grid)
+        spectra.eigenvalues_dense(ham)
         assert "matrix" not in ham.__dict__
         assert np.array_equal(ham.diagonal, ham.matrix.diagonal())
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(ham.matrix, attr), getattr(want, attr))
         assert ham.matrix.data.tobytes() == want.data.tobytes()
-        spectra.eigenvalues_dense(ham)
         dense = spectra._dense_symmetric(ham)
-        # solved in place: the same matrix in Fortran order, free to overwrite
-        array, options = handed[-1]
-        assert array.tobytes() == dense.tobytes() and array.flags.f_contiguous
-        assert options == {"overwrite_a": True}
+        # solved in place: dsyevr gets the same matrix in Fortran order and
+        # overwrites it
+        array, given = handed[-1]
+        assert given == dense.tobytes() and array.flags.f_contiguous
+        assert array.tobytes() != given
         # the bands that dense counting solves, one per tree, are the same
         # matrix bit for bit, their rows in sweep order (the probabilistic
         # couplings are -1/sqrt(d_i d_j), rounded once, in both); the trees

@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import sys
 import threading
@@ -597,6 +598,28 @@ def test_eigenvalues_dense_hold_one_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * ham.dimension ** 2 * 8
+
+
+def test_lapack_routines_come_from_numpy_with_one_integer_type():
+    # every routine resolves on the LAPACK numpy.linalg links, all taking
+    # one integer type; a routine it lacks is an ImportError naming it
+    dtypes = {spectra._lapack(name, nargs)[1]
+              for name, nargs in (("dsbtrd", 12), ("dlaebz", 20), ("dsyevr", 21))}
+    assert len(dtypes) == 1 and dtypes <= {np.int64, np.intc}
+    with pytest.raises(ImportError, match="dnosuch: tried scipy_dnosuch_64_"):
+        spectra._lapack("dnosuch", 1)
+
+
+def test_dense_solve_errors(monkeypatch):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectra._eigvalsh(np.asfortranarray(np.diag([1.0, np.nan])))
+
+    def fails(*args):  # INFO is the last argument
+        ctypes.c_int64.from_address(args[-1]).value = 1
+
+    monkeypatch.setattr(spectra, "_lapack", lambda name, nargs: (fails, np.int64))
+    with pytest.raises(np.linalg.LinAlgError, match="dsyevr failed with INFO = 1"):
+        eigenvalues_dense(_simple_triangle())
 
 
 def _tree_bands(ham):
