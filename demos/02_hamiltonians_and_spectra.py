@@ -46,7 +46,7 @@ print("\n== degree-normalized operator: same kernel, rescaled spectrum ==")
 prob = probabilistic_laplacian(region)
 wp = spectra.eigenvalues_dense(prob)
 print(f"normalized spectrum in [0, {wp[-1]:.3f}]; "
-      f"constant vector residual {np.abs(prob.matrix @ np.ones(len(region))).max():.1e}")
+      f"<1, P 1> = {quadratic_form(prob, np.ones(len(region))):.1e}")
 
 print("\n== compactly supported eigenfunctions at the top value 6 ==")
 basis = verification.compact_eigenfunction_at_six(3)

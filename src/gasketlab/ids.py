@@ -93,9 +93,11 @@ def tail_grid(lo: float = 1e-4, hi: float = 1e-1, n: int = 33) -> np.ndarray:
 
 
 def global_grid(potential_spec: PotentialSpec, n: int = 129) -> np.ndarray:
-    """Uniform grid covering the whole spectrum of any boundary condition."""
-    _, hi = potential_spec.support()
-    return np.linspace(0.0, 16.0 + max(hi, 0.0), n)
+    """Uniform grid covering the whole spectrum of any boundary condition:
+    from the least potential value (0 if that is not negative) to 16 plus
+    the greatest."""
+    lo, hi = potential_spec.support()
+    return np.linspace(lo if lo < 0 else 0.0, 16.0 + max(hi, 0.0), n)
 
 
 def _region_size(level, region_kind) -> int:

@@ -8,16 +8,17 @@ rule at each vertex x:
 * neumann:            deg_A(x)          (subgraph degree)
 * modified dirichlet: 2*deg(x) - deg_A(x)
 
-so neumann <= simple <= dirichlet as quadratic forms.  The probabilistic
+so neumann <= simple <= dirichlet as quadratic forms.  An operator is
+arrays, not a sparse matrix: the diagonal (the rule's degree plus V) and
+the region, whose edges carry the off-diagonal -1.  The probabilistic
 Laplacian divides each row of the Neumann operator by the subgraph degree;
-it is kept with its degree weights so spectral code can work with the
-similar symmetric form instead.
+it keeps those degree weights, so spectral code can work with the similar
+symmetric form instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -148,20 +149,20 @@ def sample_potential(region: LatticeRegion, spec: PotentialSpec,
 class HamiltonianMatrix:
     """An operator on one region, held as arrays: its ``diagonal`` (n,)
     and, off the diagonal, -1 on every edge of ``region`` (-1/d_i in row i
-    of the probabilistic Laplacian).
+    of the probabilistic Laplacian, whose ``degree_weights`` d are kept).
 
-    ``symmetric`` is False only for the probabilistic Laplacian, whose
-    degree weights are kept so that the similar symmetric matrix
-    D^{-1/2} L D^{-1/2} can be formed when eigenvalues are needed.
-    ``matrix``, the CSR with exact zeros dropped, is built on first access.
+    Only the probabilistic Laplacian has ``degree_weights``; it is not
+    ``symmetric``, but similar to D^{-1/2} L D^{-1/2}, which is what
+    eigenvalue and counting code forms.
     """
 
     diagonal: np.ndarray
     region: LatticeRegion
-    bc: str
-    potential: np.ndarray
-    symmetric: bool = True
     degree_weights: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def symmetric(self) -> bool:
+        return self.degree_weights is None
 
     @property
     def dimension(self) -> int:
@@ -173,19 +174,6 @@ class HamiltonianMatrix:
         if self.symmetric:
             return np.full(self.dimension, -1.0)
         return -(1.0 / self.degree_weights)
-
-    @cached_property
-    def matrix(self):
-        """The operator as a CSR matrix (scipy.sparse), exact zeros dropped."""
-        from scipy import sparse
-
-        n, (i, j) = self.dimension, self.region.edges.T
-        rows = np.concatenate([np.arange(n), i, j])
-        cols = np.concatenate([np.arange(n), j, i])
-        data = np.concatenate([self.diagonal, self._couplings()[rows[n:]]])
-        mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        mat.eliminate_zeros()
-        return mat
 
     def export_coordinate_text(self, path) -> None:
         """Write `i j value` rows, upper triangle only, canonical order;
@@ -207,11 +195,13 @@ def assemble(region: LatticeRegion, bc: str,
     if potential.shape != (len(region),):
         raise ValidationError(
             f"potential length {potential.shape} != region size {len(region)}")
+    if not np.isfinite(potential).all():
+        raise ValidationError("potential has a non-finite value")
     reg, full = region.region_degree, region.full_degree
     diag = {SIMPLE: full, NEUMANN: reg, DIRICHLET: 2.0 * full - reg}.get(bc)
     if diag is None:
         raise ValidationError(f"unknown boundary condition {bc!r}")
-    return HamiltonianMatrix(diag + potential, region, bc, potential)
+    return HamiltonianMatrix(diag + potential, region)
 
 
 def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
@@ -221,17 +211,18 @@ def probabilistic_laplacian(region: LatticeRegion) -> HamiltonianMatrix:
     not symmetric but is similar to one, and its eigenvalues are real.
     """
     reg = region.region_degree.astype(float)
-    return HamiltonianMatrix(reg * (1.0 / reg), region, NEUMANN,
-                             np.zeros(len(region)), symmetric=False,
-                             degree_weights=reg)
+    return HamiltonianMatrix(reg * (1.0 / reg), region, degree_weights=reg)
 
 
 def quadratic_form(ham: HamiltonianMatrix, f: np.ndarray) -> float:
-    """<f, H f> for a real vector f."""
+    """<f, H f> for a real vector f: f.(diagonal f) plus, over each edge
+    (i, j), (c_i + c_j) f_i f_j with c the row couplings."""
     f = np.asarray(f, dtype=float)
     if f.shape != (ham.dimension,):
         raise ValidationError("vector length does not match the operator")
-    return float(f @ (ham.matrix @ f))
+    i, j = ham.region.edges.T
+    c = ham._couplings()
+    return float(f @ (ham.diagonal * f) + np.sum((c[i] + c[j]) * f[i] * f[j]))
 
 
 def edge_energy(region: LatticeRegion, f: np.ndarray,

@@ -77,35 +77,38 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
 
 def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
     """The counting-suite records of potential ``name`` on one triangle
-    size.  Each trial's potential is sampled once, on the parent, and each
-    structure (the whole and the truncated parent, and each of their
-    children) locates its vertices in the parent once; its operators,
-    every (trial, boundary rule) pair, are counted in one
-    :func:`spectra.count_operators` call.  The records are written trial
-    by trial, so the report is the same for any thread count."""
+    size.  Each trial's potential is sampled once, on the parent.  A
+    structure is the parent's ``cover`` pieces of one size, whole or
+    truncated (the parent, or its three children): translates of the first
+    piece, which keep its canonical order and share its region.  Its
+    (piece, trial, boundary rule) operators are counted in one
+    :func:`spectra.count_operators` call and summed over the pieces.  The
+    records are written trial by trial, so the report is the same for any
+    thread count."""
     parent = build_triangle(level)
-    pieces = subdivide(parent, level - 1, "cover").pieces
-    regions = {"full": (parent, [build_triangle(p) for p in pieces]),
-               "trunc": (build_triangle(TriangleSpec(level, truncated=True)),
-                         [build_triangle(replace(p, truncated=True))
-                          for p in pieces])}
     samples = [sample_potential(parent, spec, trial) for trial in range(trials)]
     rules = len(BOUNDARY_CONDITIONS)
 
-    def counts(region):
+    def counts(size, truncated):
         """The (trial, rule, energy) counts of one structure."""
-        rows = parent.locate(region.coords)
+        pieces = [replace(p, truncated=truncated)
+                  for p in subdivide(parent, size, "cover").pieces]
+        region = build_triangle(pieces[0])
+        rows = [parent.locate(p.place(pieces[0].unplace(region.coords)))
+                for p in pieces]
 
         def operator(i):
-            return assemble(region, BOUNDARY_CONDITIONS[i % rules],
-                            samples[i // rules][rows])
+            piece, trial, rule = np.unravel_index(i, (len(pieces), trials, rules))
+            return assemble(region, BOUNDARY_CONDITIONS[rule],
+                            samples[trial][rows[piece]])
 
-        return spectra.count_operators(region, operator, trials * rules,
-                                       grid).reshape(trials, rules, -1)
+        return spectra.count_operators(
+            region, operator, len(pieces) * trials * rules,
+            grid).reshape(len(pieces), trials, rules, -1).sum(axis=0)
 
-    whole = {kind: counts(region) for kind, (region, _) in regions.items()}
-    split = {kind: sum(counts(child) for child in children)
-             for kind, (_, children) in regions.items()}
+    regions = {"full": False, "trunc": True}
+    whole = {kind: counts(level, truncated) for kind, truncated in regions.items()}
+    split = {kind: counts(level - 1, truncated) for kind, truncated in regions.items()}
     records = []
     for trial in range(trials):
         at = f"{name} L={level} trial={trial}"

@@ -524,45 +524,75 @@ INERTIA_GRID = ["--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
                 "--grid-n", "4"]
 
 
-@pytest.mark.parametrize("args, loaded", [
-    pytest.param(None, [], id="parser"),
+@pytest.mark.parametrize("args", [
+    pytest.param(None, id="parser"),
     # 9843 rows, above DENSE_THRESHOLD: counted by the counter
     pytest.param(["ids", "--level", "8", "--dist", "bernoulli:0,10,0.5",
-                  "--trials", "2", *INERTIA_GRID], [], id="ids-inertia"),
-    pytest.param(["spectrum", "--level", "8", *INERTIA_GRID], [],
-                 id="spectrum-inertia"),
-    pytest.param(["spectrum", "--level", "3", "--dist", "const:0"], [],
-                 id="spectrum-dense"),
-    pytest.param(["spectrum", "--level", "4", "--prob", *INERTIA_GRID], [],
+                  "--trials", "2", *INERTIA_GRID], id="ids-inertia"),
+    pytest.param(["spectrum", "--level", "8", *INERTIA_GRID], id="spectrum-inertia"),
+    pytest.param(["spectrum", "--level", "3", "--dist", "const:0"], id="spectrum-dense"),
+    pytest.param(["spectrum", "--level", "4", "--prob", *INERTIA_GRID],
                  id="spectrum-prob-dense"),
     pytest.param(["ids", "--level", "4", "--region", "full", "--dist",
-                  "uniform:0,1", "--trials", "2", *INERTIA_GRID], [],
-                 id="ids-dense"),
+                  "uniform:0,1", "--trials", "2", *INERTIA_GRID], id="ids-dense"),
     # dense eigenvalue solves
-    pytest.param(["verify", "--suite", "temple", "--levels", "2"], [],
-                 id="verify-temple"),
+    pytest.param(["verify", "--suite", "temple", "--levels", "2"], id="verify-temple"),
     # the kernel residuals sum over the region's edges
-    pytest.param(["verify", "--suite", "kernel6", "--levels", "3"], [],
-                 id="verify-kernel6"),
+    pytest.param(["verify", "--suite", "kernel6", "--levels", "3"], id="verify-kernel6"),
 ])
-def test_scipy_modules_load_only_where_needed(tmp_path, args, loaded):
-    # neither import is needed to start, and counting reads the operator's
-    # arrays: scipy.sparse (about 0.2 s of start-up) stays unloaded, and
-    # scipy.linalg (about 27 MiB of peak RSS and 0.3 s after numpy and
-    # scipy) never loads, as counts and dense solves call the LAPACK numpy
-    # links; a built region is counted by elimination alone, at tie
-    # energies too
+def test_scipy_modules_load_only_where_needed(tmp_path, args):
+    # with scipy installed, no scipy module loads: not scipy.sparse (about
+    # 0.2 s of start-up), nor scipy.linalg (about 27 MiB of peak RSS and
+    # 0.3 s), as counts and dense solves call the LAPACK numpy links; a
+    # module that imported scipy only where it can would pass the test
+    # below, which blocks it, but not this one
     call = f"main({args!r} + ['--out', 'o'])" if args else "0"
     code = ("import sys\nfrom gasketlab.cli import build_parser, main\n"
             f"build_parser()\nrc = {call}\n"
-            "print(rc, [m for m in ('scipy.linalg', 'scipy.sparse')"
-            " if m in sys.modules])\n")
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     src = os.path.dirname(os.path.dirname(gasketlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.splitlines()[-1:] == [f"0 {loaded}"], done.stderr
+    assert done.stdout.splitlines()[-1:] == ["0 []"], done.stderr
+
+
+#: One call of every subcommand and its documented exit code: 1 for
+#: ``verify --suite all``, whose containment record at radius 2^6 fails.
+NO_SCIPY_CALLS = [
+    (["lattice", "--level", "3"], 0),
+    (["spectrum", "--level", "3", "--export-matrix"], 0),
+    # 9843 rows, above DENSE_THRESHOLD: counted by the counter
+    (["spectrum", "--level", "8", "--prob", *INERTIA_GRID], 0),
+    (["ids", "--level", "4", "--dist", "uniform:0,1", "--trials", "2",
+      "--grid-kind", "lin", "--grid-lo", "0.3", "--grid-hi", "7.3",
+      "--grid-n", "12"], 0),
+    (["verify", "--suite", "all"], 1),
+    (["decimate", "--neumann", "--level", "3", "--compare-dense"], 0),
+    (["decimate", "--free"], 0),
+    (["fit", "--curve", "o.curve.csv", "--kind", "power", "--window", "0.3,7.3"], 0),
+]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: in a process where importing
+    # scipy fails, every subcommand exits with its documented code, and the
+    # quadratic form sums on the operator's arrays
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from gasketlab import lattice, operators\n"
+            "from gasketlab.cli import main\n"
+            f"print([main(args + ['--out', 'o']) for args, _ in {NO_SCIPY_CALLS!r}])\n"
+            "ham = operators.probabilistic_laplacian(lattice.build_triangle(1))\n"
+            "print(operators.quadratic_form(ham, np.ones(ham.dimension)))\n")
+    src = os.path.dirname(os.path.dirname(gasketlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout.splitlines()[-2:] == [
+        str([rc for _, rc in NO_SCIPY_CALLS]), "0.0"], done.stderr
 
 
 NUMBERS = ["-1", "0", "0.5", "3", "nan", "inf", "-inf", "1e308", "x", ""]

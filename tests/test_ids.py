@@ -36,6 +36,19 @@ def test_curve_saturates_above_the_row_sum_bound():
     assert curve.mean_counts[-1] == 1.0
 
 
+def test_global_grid_covers_a_negative_potential():
+    # the spectrum of -Laplacian + V starts at or above inf V
+    spec = uniform(-5, -1, seed=4)
+    grid = ids.global_grid(spec, 5)
+    assert grid[0] == -5.0
+    for bc in ("simple", "neumann", "dirichlet"):
+        curve = estimate_ids(4, bc, spec, 2, grid)
+        assert curve.mean_counts[0] == 0.0 and curve.mean_counts[-1] == 1.0
+    # a support that starts at 0 or above keeps its grid from 0, and -0
+    # is not below 0
+    assert str(ids.global_grid(constant(-0.0), 3)[0]) == "0.0"
+
+
 def test_free_curve_jumps_inside_the_scale_band():
     # combinatorial Neumann eigenvalues sit within [2s, 4s] of the
     # degree-normalized decimation values, index by index

@@ -39,7 +39,10 @@ def test_dense_fixture():
     assert np.allclose(eigenvalues_dense(_simple_triangle()), [2.0, 5.0, 5.0])
     region = build_triangle(2)
     free = assemble(region, "simple", np.zeros(len(region)))
-    assert np.array_equal(spectra.dense_array(free), free.matrix.toarray())
+    want = 4.0 * np.eye(len(region))
+    i, j = region.edges.T
+    want[i, j] = want[j, i] = -1.0
+    assert np.array_equal(spectra.dense_array(free), want)
 
 
 def test_dense_threshold_capacity(monkeypatch):
@@ -58,7 +61,12 @@ def test_dense_probabilistic_symmetrization():
     region = build_triangle(2)
     ham = operators.probabilistic_laplacian(region)
     sym = eigenvalues_dense(ham)
-    direct = np.sort(np.linalg.eigvals(ham.matrix.toarray()).real)
+    # the walk Laplacian I - D^{-1} A, built from the edges
+    adjacency = np.zeros((len(region), len(region)))
+    i, j = region.edges.T
+    adjacency[i, j] = adjacency[j, i] = 1.0
+    walk = np.eye(len(region)) - adjacency / region.region_degree[:, None]
+    direct = np.sort(np.linalg.eigvals(walk).real)
     assert np.allclose(sym, direct, atol=1e-9)
 
 
@@ -200,9 +208,10 @@ def test_counting_bounds_count_through_counting_curve(monkeypatch):
                         lambda *args: calls.append(1) or original(*args))
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 0)
     counter = verification._counting_records("b", 3, spec, 2, grid)
-    # one call per structure: the whole and the truncated triangle and
-    # their 3 children each, every (sample, rule) pair an operator of it
-    assert len(calls) == 2 + 2 * 3
+    # one call per structure: the whole and the truncated triangle, and
+    # the 3 children of each, every (piece, sample, rule) triple an
+    # operator of it
+    assert len(calls) == 2 + 2
     assert [r.to_dict() for r in counter] == [r.to_dict() for r in band]
 
 
@@ -276,7 +285,7 @@ def test_compact_eigenfunctions_exist_and_extend():
     basis = compact_eigenfunction_at_six(3)
     assert len(basis) >= 1
     region = build_ball(3)
-    free = assemble(region, "simple", np.zeros(len(region))).matrix
+    free = spectra.dense_array(assemble(region, "simple", np.zeros(len(region))))
     shifted = free - 6.0 * np.eye(len(region))
     for vec in basis[:3]:
         assert np.linalg.norm(shifted @ vec) <= 1e-8
@@ -288,7 +297,7 @@ def test_compact_eigenfunctions_exist_and_extend():
 
 def test_constant_vector_is_not_in_the_kernel():
     region = build_ball(3)
-    free = assemble(region, "simple", np.zeros(len(region))).matrix
+    free = spectra.dense_array(assemble(region, "simple", np.zeros(len(region))))
     shifted = free - 6.0 * np.eye(len(region))
     ones = np.ones(len(region)) / np.sqrt(len(region))
     assert np.linalg.norm(shifted @ ones) > 1.0
