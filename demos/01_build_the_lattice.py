@@ -48,7 +48,7 @@ print(f"disjoint truncation: {len(disjoint.pieces)} pieces "
 print("\n== translations are exact graph isomorphisms ==")
 a, b = cover.pieces[0], cover.pieces[4]
 source, target = build_triangle(a), build_triangle(b)
-rows = target.locate(lattice.translation_map(a, b))   # target row per source row
+rows = target.locate(lattice.translation_map(source, b))   # target row per source row
 mapped = np.sort(rows[source.edges], axis=1)
 mapped = mapped[np.lexsort((mapped[:, 1], mapped[:, 0]))]
 print(f"piece at {a.anchor} -> piece at {b.anchor}: "

@@ -387,10 +387,11 @@ def _config_tokens(path: str) -> list[str]:
 #: ``spectrum --grid-n 0`` lists the eigenvalues instead of a counting
 #: curve.  ``verify --levels`` starts at 1, as a level-0 region is one
 #: 3-vertex cell; the counting suite, which splits truncated triangles into
-#: truncated halves, refuses levels below 2 itself.
+#: truncated halves, refuses levels below 2 itself.  No level is below 0.
 _LEAST = {
-    "spectrum": {"grid_n": 0, "seed": 0, "trial": 0},
-    "ids": {"grid_n": 1, "trials": 1, "seed": 0},
+    "lattice": {"max_level": 0},
+    "spectrum": {"grid_n": 0, "seed": 0, "trial": 0, "max_level": 0},
+    "ids": {"grid_n": 1, "trials": 1, "seed": 0, "max_level": 0},
     "verify": {"grid_n": 1, "seeds": 1, "trials": 1, "n": 1, "samples": 1,
                "max_level": 1, "levels": 1, "seed": 0},
     "decimate": {"seed": 0},

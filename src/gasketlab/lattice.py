@@ -294,16 +294,15 @@ def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
     return Partition(DISJOINT, pieces, corners[first])
 
 
-def translation_map(a: TriangleSpec, b: TriangleSpec,
-                    *, max_level=MAX_LEVEL) -> np.ndarray:
-    """Adjacency-preserving vertex bijection from triangle ``a`` onto ``b``:
-    the (n, 2) images in ``b`` of the vertices of ``a``, in the canonical
-    order of ``a``."""
+def translation_map(source: LatticeRegion, b: TriangleSpec) -> np.ndarray:
+    """Adjacency-preserving vertex bijection from the built triangle
+    ``source`` onto triangle ``b``: the (n, 2) images in ``b`` of the
+    vertices of ``source``, in its canonical order."""
+    a, *rest = source.triangles
+    if rest:
+        raise ValidationError("translation_map maps a triangle, not the ball")
     if a.level != b.level:
-        raise ValidationError(
-            f"levels differ: {a.level} vs {b.level}")
+        raise ValidationError(f"levels differ: {a.level} vs {b.level}")
     if a.truncated != b.truncated:
         raise ValidationError("truncation flags differ")
-    _check_capacity(a.level, max_level)
-    source = build_triangle(a, max_level=max_level)
     return b.place(a.unplace(source.coords))

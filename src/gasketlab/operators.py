@@ -224,12 +224,3 @@ def quadratic_form(ham: HamiltonianMatrix, f: np.ndarray) -> float:
     c = ham._couplings()
     return float(f @ (ham.diagonal * f) + np.sum((c[i] + c[j]) * f[i] * f[j]))
 
-
-def edge_energy(region: LatticeRegion, f: np.ndarray,
-                potential: np.ndarray | None = None) -> float:
-    """Independent evaluation of the Neumann form as a sum over edges:
-    (1/2) sum_{x~y} (f(x)-f(y))^2 plus the on-site potential term."""
-    total = float(np.sum(np.diff(np.asarray(f)[region.edges], axis=1) ** 2))
-    if potential is not None:
-        total += float(np.sum(potential * np.asarray(f) ** 2))
-    return total

@@ -94,8 +94,7 @@ def _counting_records(name, level, spec, trials, grid) -> list[CheckRecord]:
         pieces = [replace(p, truncated=truncated)
                   for p in subdivide(parent, size, "cover").pieces]
         region = build_triangle(pieces[0])
-        rows = [parent.locate(p.place(pieces[0].unplace(region.coords)))
-                for p in pieces]
+        rows = [parent.locate(translation_map(region, p)) for p in pieces]
 
         def operator(i):
             piece, trial, rule = np.unravel_index(i, (len(pieces), trials, rules))
@@ -443,14 +442,12 @@ def translated_kernel_residual(level: int) -> float:
     """Build a kernel vector inside one small triangle, carry it by the
     translation bijection into the mirrored half of the ball, and measure
     the eigenvalue-equation residual there."""
-    source = TriangleSpec(2)
-    target = TriangleSpec(2, mirrored=True)
-    vectors, _ = localized_kernel_at_six(source)
+    vectors, source = localized_kernel_at_six(TriangleSpec(2))
     if not vectors:
         return np.inf
     ball = build_ball(max(level, 2))
     x = np.zeros(len(ball))
-    x[ball.locate(translation_map(source, target))] = vectors[0]
+    x[ball.locate(translation_map(source, TriangleSpec(2, mirrored=True)))] = vectors[0]
     return _relative_residual_at_six(ball, x)
 
 

@@ -474,7 +474,11 @@ def test_bad_input_usage_error(tmp_path, capsys, args):
     ["spectrum", "--level", "2", "--seed", "-1"],
     ["spectrum", "--level", "2", "--trial", "-1"],
     ["ids", "--level", "2", "--dist", "const:0", "--trials", "1", "--seed", "-1"],
-    ["decimate", "--free", "--depth", "1", "--seed", "-1"]])
+    ["decimate", "--free", "--depth", "1", "--seed", "-1"],
+    # a negative guardrail is malformed, not a capacity error
+    ["lattice", "--level", "3", "--max-level", "-1"],
+    ["spectrum", "--level", "3", "--max-level", "-1"],
+    ["ids", "--level", "3", "--dist", "const:0", "--max-level", "-1"]])
 def test_size_below_its_least_value_usage_error(tmp_path, capsys, args):
     # each would check or compute nothing, alias another run, or end in a
     # traceback

@@ -171,8 +171,8 @@ def test_subdivide_validation():
 
 def test_translation_map_identity():
     spec = TriangleSpec(2)
-    mapping = translation_map(spec, spec)
-    assert np.array_equal(mapping, build_triangle(spec).coords)
+    source = build_triangle(spec)
+    assert np.array_equal(translation_map(source, spec), source.coords)
 
 
 def test_translation_map_preserves_edges():
@@ -180,9 +180,9 @@ def test_translation_map_preserves_edges():
     for piece_level in (1, 2, 3, 4):
         parent = build_triangle(piece_level + 1)
         pieces = subdivide(parent, piece_level, "cover").pieces
+        source = build_triangle(pieces[0])
         for target_spec in pieces[1:]:
-            mapping = translation_map(pieces[0], target_spec)
-            source = build_triangle(pieces[0])
+            mapping = translation_map(source, target_spec)
             target = build_triangle(target_spec)
             mapped_edges = np.sort(target.locate(mapping)[source.edges], axis=1)
             assert _point_set(mapped_edges) == _point_set(target.edges)
@@ -191,20 +191,23 @@ def test_translation_map_preserves_edges():
 def test_translation_map_to_mirrored_triangle():
     a = TriangleSpec(2)
     b = TriangleSpec(2, mirrored=True)
-    mapping = translation_map(a, b)
+    source = build_triangle(a)
+    mapping = translation_map(source, b)
     target = build_triangle(b)
     assert _point_set(mapping) == _point_set(target.coords)
     assert len(mapping) == len(target)
-    back = translation_map(b, a)
-    source = build_triangle(a).coords
-    assert np.array_equal(back[target.locate(mapping)], source)
+    back = translation_map(target, a)
+    assert np.array_equal(back[target.locate(mapping)], source.coords)
 
 
 def test_translation_map_level_mismatch():
     with pytest.raises(ValidationError):
-        translation_map(TriangleSpec(1), TriangleSpec(2))
+        translation_map(build_triangle(1), TriangleSpec(2))
     with pytest.raises(ValidationError):
-        translation_map(TriangleSpec(2), TriangleSpec(2, truncated=True))
+        translation_map(build_triangle(2), TriangleSpec(2, truncated=True))
+    # a ball is two triangles, and maps onto none
+    with pytest.raises(ValidationError):
+        translation_map(build_ball(2), TriangleSpec(2))
 
 
 def test_canonical_order_and_export(tmp_path):

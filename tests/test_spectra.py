@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gasketlab import decimation, operators, spectra, verification
+from gasketlab import decimation, elimination, operators, spectra, verification
 from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import (TriangleSpec, build_ball, build_triangle,
                                translation_map, triangle_count)
@@ -115,7 +115,7 @@ def test_mirrored_and_translated_triangles_count_as_the_standard_one(level):
     for name, spec in _placements(level).items():
         region = build_triangle(spec)
         placed = np.empty(len(region))
-        placed[region.locate(translation_map(TriangleSpec(level), spec))] = values
+        placed[region.locate(translation_map(standard, spec))] = values
         hams = [assemble(region, bc, placed) for bc in operators.BOUNDARY_CONDITIONS]
         if name == "standard":
             eigenvalues = np.concatenate([eigenvalues_dense(ham) for ham in hams])
@@ -716,13 +716,13 @@ def test_delayed_pivots_match_dense_at_tie_energies(monkeypatch):
     # every count at the tie energies equals the eigvalsh count, with no
     # window left out around nearby eigenvalues; the cases delay pivots
     delayed = []
-    merge = spectra._merge
+    merge = elimination._merge
 
     def recording(schur, corners, rows, *args):
         delayed.append(len(rows[0]))
         return merge(schur, corners, rows, *args)
 
-    monkeypatch.setattr(spectra, "_merge", recording)
+    monkeypatch.setattr(elimination, "_merge", recording)
     energies = sorted(set(TIE_ENERGIES) | {12.0, 15.0})
     bad = [(level, name, potential, bc, *m)
            for level in (5, 6)
@@ -752,13 +752,13 @@ def test_array_call_is_one_pass_like_scalar_calls(monkeypatch):
     energies = np.arange(27.0)
     single = [count_below(ham, e) for e in energies]
     passes = []
-    negative_counts = spectra._negative_counts
+    negative_counts = elimination.negative_counts
 
     def recording(cells, diag, weights, shift):
         passes.append(shift.shape)
         return negative_counts(cells, diag, weights, shift)
 
-    monkeypatch.setattr(spectra, "_negative_counts", recording)
+    monkeypatch.setattr(elimination, "negative_counts", recording)
     assert count_below(ham, energies).tolist() == single
     # every eigenvalue is at most 4 + 10 + 4 = 18 (Gershgorin), so the
     # energies 19..26 are counted n without a row of the pass
@@ -775,7 +775,7 @@ def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
     # would at level 7 if they were all carried up)
     region = build_triangle(7)
     left = []
-    eliminate = spectra._eliminate
+    eliminate = elimination._eliminate
 
     def recording(*args):
         result = eliminate(*args)
@@ -784,7 +784,7 @@ def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
                 initial=0))
         return result
 
-    monkeypatch.setattr(spectra, "_eliminate", recording)
+    monkeypatch.setattr(elimination, "_eliminate", recording)
     energies = [5.0, 6.0]
     for bc in operators.BOUNDARY_CONDITIONS:
         ham = assemble(region, bc, np.zeros(len(region)))
@@ -807,13 +807,13 @@ def test_counts_at_the_gershgorin_bounds_equal_the_band(bc, monkeypatch):
     # its eigenvalue 0 on the lower bound
     region = build_triangle(4)
     passes = []
-    negative_counts = spectra._negative_counts
+    negative_counts = elimination.negative_counts
 
     def recording(cells, diag, weights, shift):
         passes.append(shift)
         return negative_counts(cells, diag, weights, shift)
 
-    monkeypatch.setattr(spectra, "_negative_counts", recording)
+    monkeypatch.setattr(elimination, "negative_counts", recording)
     if bc == "prob":
         hams = [operators.probabilistic_laplacian(region)]
     else:
@@ -860,11 +860,17 @@ def test_a_list_with_different_key_sets_counts_as_its_single_calls():
         assert row.tolist() == _count(ham, energies).tolist()
 
 
-@pytest.mark.parametrize("kind", ["ball7", "half8"])
+LIST_REGIONS = {"ball7": lambda: build_ball(7),
+                "half8": lambda: build_triangle(8, half_lattice=True),
+                "truncated5": lambda: build_triangle(TriangleSpec(5, truncated=True)),
+                "mirrored5": lambda: build_triangle(TriangleSpec(5, mirrored=True))}
+
+
+@pytest.mark.parametrize("kind", LIST_REGIONS)
 def test_a_list_of_operators_counts_as_its_single_calls(kind):
-    # 6563 and 9843 rows: three trials of each boundary rule are rows of
-    # one pass, and each row equals the operator's own count
-    region = build_ball(7) if kind == "ball7" else build_triangle(8, half_lattice=True)
+    # 6563, 9843, 363 and 366 rows: three trials of each boundary rule are
+    # rows of one pass, and each row equals the operator's own count
+    region = LIST_REGIONS[kind]()
     energies = np.concatenate([np.arange(27.0), [0.3, 2.5, 17.999]])
     spec = bernoulli(0.0, 10.0, 0.5, seed=7)
     trials = [sample_potential(region, spec, t) for t in range(3)]
@@ -872,13 +878,13 @@ def test_a_list_of_operators_counts_as_its_single_calls(kind):
         hams = [assemble(region, bc, values) for values in trials]
         single = np.array([count_below(ham, energies) for ham in hams])
         passes = []
-        negative_counts = spectra._negative_counts
+        negative_counts = elimination.negative_counts
 
         def recording(cells, diag, weights, shift):
             passes.append(shift.shape)
             return negative_counts(cells, diag, weights, shift)
 
-        with mock.patch.object(spectra, "_negative_counts", recording):
+        with mock.patch.object(elimination, "negative_counts", recording):
             stacked = count_below(hams, energies)
         assert np.array_equal(stacked, single)
         assert len(passes) == 1 and passes[0][0] == 3
@@ -921,8 +927,8 @@ def test_count_operators_equals_per_operator_counts(level, monkeypatch):
         assert counting_curve(hams[0], energies).counts.tolist() == single[0].tolist()
         threads = 1 + kind % 3
         with monkeypatch.context() as patch:
-            for private in ("count_below", "_negative_counts"):
-                patch.setattr(spectra, private, _refuse(private))
+            patch.setattr(spectra, "count_below", _refuse("count_below"))
+            patch.setattr(elimination, "negative_counts", _refuse("negative_counts"))
             band = spectra.count_operators(region, hams.__getitem__, len(hams),
                                            energies, threads)
         with monkeypatch.context() as patch:
