@@ -86,9 +86,9 @@ def _parse_window(text):
     except ValueError as exc:
         raise ValidationError(
             f"bad --window {text!r}: expected lo,hi") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (0.0 < lo < hi and math.isfinite(hi)):  # the fits take log E
         raise ValidationError(
-            f"bad --window {text!r}: expected finite lo < hi")
+            f"bad --window {text!r}: expected finite 0 < lo < hi")
     return lo, hi
 
 
@@ -282,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="flat key=value file; command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+    window = argparse.ArgumentParser(add_help=False)  # ids and fit take it
+    window.add_argument("--window", default="1e-3,5e-2", help="fit window lo,hi")
 
     p = sub.add_parser("lattice", help="build and export a region")
     _add_region(p)
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("ids", help="Monte-Carlo density of states")
+    p = sub.add_parser("ids", help="Monte-Carlo density of states", parents=[window])
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--bc", choices=operators.BOUNDARY_CONDITIONS,
                    default=operators.SIMPLE)
@@ -314,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=("half", "full"), default="half")
     p.add_argument("--fit", choices=("none", "power", "lifshitz", "exp"),
                    default="none")
-    p.add_argument("--window", default="1e-3,5e-2")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads for independent trials; default is "
                         "the CPUs the process may run on (GASKET_THREADS "
@@ -353,11 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_decimate)
 
-    p = sub.add_parser("fit", help="fit a stored IDS curve")
+    p = sub.add_parser("fit", help="fit a stored IDS curve", parents=[window])
     p.add_argument("--curve", required=True)
     p.add_argument("--kind", choices=("power", "lifshitz", "exp"),
                    default="power")
-    p.add_argument("--window", default="1e-3,5e-2")
     _add_common(p)
     p.set_defaults(func=cmd_fit, out="fit_report.json")
 

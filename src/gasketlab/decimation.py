@@ -212,16 +212,16 @@ def branch_iteration_bounds(n: int, samples) -> dict:
 
 
 def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
-                         julia_depth: int = 40, seed: int = 0) -> DecimationSpectrum:
+                         seed: int = 0) -> DecimationSpectrum:
     """Approximate spectrum of the free operator on the infinite lattice.
 
     The explicit part is {-3/2} plus the preimages of -3/4 to ``depth``
-    compositions; its limit points are approximated by a seeded random
-    backward orbit of the two inverse branches started from -3/2 (tagged
-    generation -1).  Points within DEDUP_TOL of a smaller one are dropped.
-    On the (-4x) scale everything lies in [0, 6].  A negative depth or a
-    seed outside [0, 2^64) is a ValidationError, a depth above MAX_DEPTH a
-    CapacityError.
+    compositions; its limit points are approximated by seeded random
+    backward orbits, 40 steps of the two inverse branches started from -3/2
+    (tagged generation -1).  Points within DEDUP_TOL of a smaller one are
+    dropped.  On the (-4x) scale everything lies in [0, 6].  A negative
+    depth or a seed outside [0, 2^64) is a ValidationError, a depth above
+    MAX_DEPTH a CapacityError.
     """
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
@@ -241,7 +241,7 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
         key = np.array([seed, 1], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         z = np.full(julia_samples, BOTTOM)
-        for _ in range(julia_depth):
+        for _ in range(40):
             take_upper = rng.random(julia_samples) < 0.5
             z = np.where(take_upper, f(z), lower_branch(z))
         pts = np.append(pts, z)

@@ -87,13 +87,13 @@ def _split_by(keys):
 def _bordered(base, value, coupling, at):
     """The (pairs, s + d, s + d) blocks of ``base`` (pairs, s, s) bordered
     by d mutually uncoupled delayed rows a pair: row s + i holds
-    ``value[:, i]`` and, symmetrically, ``coupling[:, i]`` in the 3 columns
-    ``at[:, i]``."""
+    ``value[:, i]`` and ``coupling[:, i]`` in the 3 columns ``at[:, i]``:
+    lower triangles, the only entries eigh and eigvalsh read (UPLO 'L')."""
     pairs, s = base.shape[:2]
     band, pair = s + np.arange(value.shape[1]), np.arange(pairs)[:, None, None]
     block = np.zeros((pairs, s + len(band), s + len(band)))
     block[:, :s, :s] = base
-    block[pair, band[:, None], at] = block[pair, at, band[:, None]] = coupling
+    block[pair, band[:, None], at] = coupling
     block[:, band, band] = value
     return block
 

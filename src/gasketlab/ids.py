@@ -5,7 +5,8 @@ The IDS of H = -Laplacian + V is approximated by the trial average of
 (two-sided) region.  Near the bottom of the spectrum two regimes are
 fitted: the free operator vanishes like a power E^tau, the random one
 like a stretched exponential whose double logarithm is again a power law
-with the same exponent tau = log3/log5.
+with the same exponent tau = log 3/log 5: the gasket's volume growth
+exponent log 3/log 2 over its walk dimension log 5/log 2.
 """
 
 from __future__ import annotations
@@ -25,17 +26,12 @@ from .operators import (BOUNDARY_CONDITIONS, NEUMANN, PotentialSpec, assemble,
                         sample_potential)
 from .spectra import count_operators, eigenvalues_dense
 
-#: Volume growth exponent (base 2) of the gasket.
-ALPHA = math.log(3.0) / math.log(2.0)
-#: Random-walk/space-time scaling exponent (base 2).
-BETA = math.log(5.0) / math.log(2.0)
-#: Their ratio: the tail exponent of both fitted regimes.
+#: The tail exponent of both fitted regimes: the volume growth exponent
+#: log 3/log 2 over the walk dimension log 5/log 2.
 TAU = math.log(3.0) / math.log(5.0)
 
 #: Neumann gap constant: first nonzero eigenvalue >= TEMPLE_C0 * 5^-level.
 TEMPLE_C0 = 15.0 / 2.0
-
-DEFAULT_WINDOW = (1e-3, 5e-2)
 
 
 @dataclass
@@ -92,7 +88,7 @@ def tail_grid(lo: float = 1e-4, hi: float = 1e-1, n: int = 33) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def global_grid(potential_spec: PotentialSpec, n: int = 129) -> np.ndarray:
+def global_grid(potential_spec: PotentialSpec, n: int) -> np.ndarray:
     """Uniform grid covering the whole spectrum of any boundary condition:
     from the least potential value (0 if that is not negative) to 16 plus
     the greatest."""
@@ -147,16 +143,14 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
     return IdsCurve(grid, mean, stderr, trials, level, bc, region_kind, n)
 
 
-def bc_independence_report(level, potential_spec, trials, grid, *,
-                           region_kind: str = "half") -> dict:
-    """Compare the estimated curves across boundary conditions.
+def bc_independence_report(level, potential_spec, trials, grid) -> dict:
+    """Compare the estimated half-lattice curves across boundary conditions.
 
     The same potential samples are used for every boundary condition, so
     pointwise curve differences must stay within 9/|region| plus four
     combined standard errors.
     """
-    curves = {bc: estimate_ids(level, bc, potential_spec, trials, grid,
-                               region_kind=region_kind)
+    curves = {bc: estimate_ids(level, bc, potential_spec, trials, grid)
               for bc in BOUNDARY_CONDITIONS}
     n = next(iter(curves.values())).region_size
     pairs = []
@@ -181,8 +175,6 @@ class TempleBound:
     """Ground-state lower bound from the truncated-potential mean."""
 
     value: float
-    mean_truncated: float
-    cap: float
     hypothesis_ok: bool
 
 
@@ -197,8 +189,7 @@ def temple_lower_bound(level, potential_sample) -> TempleBound:
     trunc = truncated_potential(sample, level)
     cap = TEMPLE_C0 / 3.0 * 5.0 ** (-level)
     mean = float(np.mean(trunc))
-    return TempleBound(value=0.5 * mean, mean_truncated=mean, cap=cap,
-                       hypothesis_ok=mean < cap)
+    return TempleBound(value=0.5 * mean, hypothesis_ok=mean < cap)
 
 
 def temple_check(level, potential_spec, trial: int = 0) -> dict:
@@ -220,10 +211,11 @@ def temple_check(level, potential_spec, trial: int = 0) -> dict:
 
 def _usable_points(curve: IdsCurve, window):
     """The (energies, mean counts) a fit of the window can use; fewer than
-    5 is an InsufficientDataError."""
+    5 is an InsufficientDataError.  Every fit takes log E or E^-tau, so
+    the window needs 0 < lo < hi (else a ValidationError)."""
     lo, hi = window
-    if not lo < hi:
-        raise ValidationError("window must satisfy lo < hi")
+    if not 0.0 < lo < hi:
+        raise ValidationError("window must satisfy 0 < lo < hi")
     floor = max(curve.min_usable_count(), 0.0)
     mask = ((curve.energies >= lo) & (curve.energies <= hi)
             & (curve.mean_counts > floor) & (curve.mean_counts > 0.0)
@@ -255,12 +247,8 @@ class LifshitzFit:
     n_points: int
     target: float = -TAU
 
-    @property
-    def deviation(self) -> float:
-        return abs(self.slope - self.target)
 
-
-def lifshitz_fit(curve: IdsCurve, window=DEFAULT_WINDOW) -> LifshitzFit:
+def lifshitz_fit(curve: IdsCurve, window) -> LifshitzFit:
     """Fit the double-log tail exponent on the usable window points."""
     energies, counts = _usable_points(curve, window)
     slope, intercept, r2 = _linear_fit(np.log(energies),
@@ -280,7 +268,7 @@ class PowerLawFit:
     target: float = TAU
 
 
-def free_ids_exponent(curve: IdsCurve, window=DEFAULT_WINDOW) -> PowerLawFit:
+def free_ids_exponent(curve: IdsCurve, window) -> PowerLawFit:
     """Power-law fit of the zero-potential curve near the bottom."""
     energies, counts = _usable_points(curve, window)
     slope, intercept, r2 = _linear_fit(np.log(energies), np.log(counts))
@@ -288,17 +276,16 @@ def free_ids_exponent(curve: IdsCurve, window=DEFAULT_WINDOW) -> PowerLawFit:
                        len(energies))
 
 
-def exponential_tail_fit(curve: IdsCurve, window=DEFAULT_WINDOW,
-                         exponent: float = TAU) -> dict:
+def exponential_tail_fit(curve: IdsCurve, window) -> dict:
     """Two-parameter stretched-exponential reference fit
-    log N = m1 + m2 * E^-exponent.  Diagnostic only."""
+    log N = m1 + m2 * E^-tau.  Diagnostic only."""
     energies, counts = _usable_points(curve, window)
-    design = np.column_stack([np.ones_like(energies), energies ** -exponent])
+    design = np.column_stack([np.ones_like(energies), energies ** -TAU])
     coef, *_ = np.linalg.lstsq(design, np.log(counts), rcond=None)
     fitted = design @ coef
     ss_res = float(np.sum((np.log(counts) - fitted) ** 2))
     ss_tot = float(np.sum((np.log(counts) - np.mean(np.log(counts))) ** 2))
     return {"m1": float(coef[0]), "m2": float(coef[1]),
-            "exponent": exponent,
+            "exponent": TAU,
             "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
             "n_points": len(energies)}

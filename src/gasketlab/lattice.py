@@ -22,9 +22,6 @@ from .errors import CapacityError, ValidationError
 
 Coord = tuple[int, int]
 
-#: Difference vectors between adjacent vertices of the triangular lattice.
-NEIGHBOR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-
 #: Default guardrail: level 12 is about 800k vertices.
 MAX_LEVEL = 12
 
@@ -114,7 +111,6 @@ class Partition:
     the removed corners, in canonical order.
     """
 
-    kind: str
     pieces: list[TriangleSpec]
     residual: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
@@ -288,10 +284,10 @@ def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
     pieces = [TriangleSpec(level, anchor=tuple(a), truncated=kind == DISJOINT,
                            mirrored=spec.mirrored) for a in placed]
     if kind == COVER:
-        return Partition(COVER, pieces)
+        return Partition(pieces)
     corners = np.concatenate([p.extreme_vertices() for p in pieces])
     _, first = np.unique(_key(corners), return_index=True)
-    return Partition(DISJOINT, pieces, corners[first])
+    return Partition(pieces, corners[first])
 
 
 def translation_map(source: LatticeRegion, b: TriangleSpec) -> np.ndarray:

@@ -264,8 +264,12 @@ def _sturm_counts(d, e, shifted, work=None) -> np.ndarray:
     lock, a pivot within PIVMIN = max(1, max e^2) * tiny of zero counted
     as negative, as in ``dstebz``.  ``work`` is :func:`_sturm_work` for
     len(d) rows and at least as many energies, set up once for many
-    counts."""
+    counts.  Past 2^500, d, e and the shifts are scaled below it by a power
+    of two, which is exact, so that e^2 cannot overflow."""
     d = np.ascontiguousarray(d, dtype=float)
+    big = max(np.abs(x).max(initial=0.0) for x in (d, e, shifted))
+    if big > 2.0**500:
+        d, e, shifted = (np.ldexp(x, 500 - np.frexp(big)[1]) for x in (d, e, shifted))
     n, k = len(d), len(shifted)
     dlaebz, floats, ints, (at_ab, at_e2, *tol, at_spare), ref = work or _sturm_work(n, k)
     m = len(ints) - 8

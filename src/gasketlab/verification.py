@@ -55,7 +55,7 @@ def default_distributions(seed: int = 0):
 
 
 def counting_suite(levels=(4,), seeds=20, grid_points=64,
-                   distributions=None, seed=0) -> list[CheckRecord]:
+                   seed=0) -> list[CheckRecord]:
     """Counting-function comparisons on gasket triangles, per sampled
     potential: (a) the counting functions of the six operators (full and
     truncated triangle, three boundary conditions each) never differ by
@@ -66,8 +66,7 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
     if min(levels, default=2) < 2:
         raise ValidationError(f"counting checks need levels >= 2, got {min(levels)}")
     records = []
-    dists = distributions or default_distributions(seed)
-    for name, spec in dists.items():
+    for name, spec in default_distributions(seed).items():
         grid = ids.global_grid(spec, grid_points)
         trials = 1 if spec.distribution[0] == "constant" else seeds
         for level in levels:
@@ -235,12 +234,10 @@ def branch_suite(n=30, samples=100) -> list[CheckRecord]:
                         f"n={n} samples={samples}", -worst, 1e-13)]
 
 
-def temple_suite(levels=(2, 3, 4), seeds=100, distributions=None,
-                 seed=0) -> list[CheckRecord]:
+def temple_suite(levels=(2, 3, 4), seeds=100, seed=0) -> list[CheckRecord]:
     """Temple bound never exceeds the dense ground state."""
     records = []
-    dists = distributions or default_distributions(seed)
-    for name, spec in dists.items():
+    for name, spec in default_distributions(seed).items():
         trials = 1 if spec.distribution[0] == "constant" else seeds
         for level in levels:
             for trial in range(trials):
@@ -290,18 +287,17 @@ def nearest_distance(values, points) -> np.ndarray:
     return np.minimum(np.abs(points - below), np.abs(points - above))
 
 
-def spectrum_containment_check(level, potential_spec, decimation_depth,
-                               trial: int = 0, proximity_grid: int = 21) -> dict:
-    """Finite-volume containment of the sampled spectrum.
+def spectrum_containment_check(level, potential_spec, decimation_depth) -> dict:
+    """Finite-volume containment of the sampled spectrum (trial 0).
 
     (a) every eigenvalue of the simple-boundary Hamiltonian on the ball
     lies in [0, 6] shifted by the potential support; (b) for an interval
-    support, every point of the (depth-truncated) free spectrum plus the
-    support interval is close to some sampled eigenvalue, with the largest
-    gap reported as delta.
+    support, every point of the (depth-truncated) free spectrum plus 21
+    evenly spaced points of the support interval is close to some sampled
+    eigenvalue, with the largest gap reported as delta.
     """
     region = build_ball(level)
-    values = sample_potential(region, potential_spec, trial)
+    values = sample_potential(region, potential_spec, 0)
     evals = spectra.eigenvalues_dense(assemble(region, SIMPLE, values))
     intervals, is_interval = _allowed_intervals(potential_spec)
     violation = containment_violation(evals, intervals)
@@ -317,7 +313,7 @@ def spectrum_containment_check(level, potential_spec, decimation_depth,
         free = decimation.free_spectrum_approx(decimation_depth,
                                                julia_samples=0).combinatorial()
         targets = (free[:, None]
-                   + np.linspace(lo, hi, proximity_grid)[None, :]).ravel()
+                   + np.linspace(lo, hi, 21)[None, :]).ravel()
         delta = float(np.max(nearest_distance(evals, targets)))
         report["proximity_delta"] = delta
     return report
@@ -353,7 +349,7 @@ def _excluded_support(region) -> np.ndarray:
     return bad
 
 
-def _kernel_at_six(region, tol):
+def _kernel_at_six(region):
     free = assemble(region, SIMPLE, np.zeros(len(region)))
     shifted = spectra.dense_array(free) - 6.0 * np.eye(len(region))
     allowed = np.flatnonzero(~_excluded_support(region))
@@ -367,13 +363,13 @@ def _kernel_at_six(region, tol):
         x = np.zeros(len(region))
         x[allowed] = row
         x /= np.linalg.norm(x)
-        if np.linalg.norm(shifted @ x) <= tol:
+        if np.linalg.norm(shifted @ x) <= 1e-8:
             vectors.append(x)
     return vectors
 
 
-def compact_eigenfunction_at_six(level: int, tol: float = 1e-8) -> list[np.ndarray]:
-    """Unit vectors f on the radius-2^level ball with (-Lap - 6) f = 0,
+def compact_eigenfunction_at_six(level: int) -> list[np.ndarray]:
+    """Unit vectors f on the radius-2^level ball with |(-Lap - 6) f| <= 1e-8,
     vanishing on the interior boundary and its neighbors.
 
     Because such an f is zero near the boundary, its zero-extension solves
@@ -382,10 +378,10 @@ def compact_eigenfunction_at_six(level: int, tol: float = 1e-8) -> list[np.ndarr
     """
     if level < 2:
         raise ValidationError("need level >= 2 for a nonempty strict interior")
-    return _kernel_at_six(build_ball(level), tol)
+    return _kernel_at_six(build_ball(level))
 
 
-def localized_kernel_at_six(piece: TriangleSpec, tol: float = 1e-8):
+def localized_kernel_at_six(piece: TriangleSpec):
     """Kernel vectors supported strictly inside one triangle (away from its
     corners), returned with the piece's region.
 
@@ -394,7 +390,7 @@ def localized_kernel_at_six(piece: TriangleSpec, tol: float = 1e-8):
     same-size triangle by a translation map.
     """
     region = build_triangle(piece)
-    return _kernel_at_six(region, tol), region
+    return _kernel_at_six(region), region
 
 
 def _relative_residual_at_six(region, x) -> float:

@@ -344,11 +344,26 @@ def _usage_error(capsys, args, cwd):
 
 
 def test_ids_bad_window_usage_error(tmp_path, capsys):
-    # a window that is not a finite lo < hi fails before the curve is counted
-    for window in ("abc", "1,nan", "2,0.3", "nan,1"):
+    # a window that is not a finite 0 < lo < hi fails before the curve is
+    # counted: every fit takes log E or E^-tau
+    for window in ("abc", "1,nan", "2,0.3", "nan,1", "0,1", "-2,3"):
         _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
-                              "--trials", "1", "--fit", "power", "--window",
-                              window, "--out", "i"], tmp_path)
+                              "--trials", "1", "--fit", "power",
+                              f"--window={window}", "--out", "i"], tmp_path)
+
+
+def test_fit_window_at_zero_usage_error(tmp_path, capsys):
+    # a window reaching E = 0 or below fails before the curve is read or
+    # fitted, for every kind of fit
+    curve = tmp_path / "c.curve.csv"
+    curve.write_text("E,mean,stderr,trials\n" + "".join(
+        f"{e},{e / 2},0,1\n" for e in np.linspace(-2.0, 3.0, 11)))
+    (tmp_path / "out").mkdir()
+    for kind in ("power", "lifshitz", "exp"):
+        for window in ("0,1", "-2,3"):
+            _usage_error(capsys, ["fit", "--curve", str(curve), "--kind", kind,
+                                  f"--window={window}", "--out", "f.json"],
+                         tmp_path / "out")
 
 
 def test_fit_missing_curve_usage_error(tmp_path, capsys):

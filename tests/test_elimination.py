@@ -130,3 +130,18 @@ def test_a_delayed_row_is_carried_up_two_merges(bc):
         assert len(delayed[0]) == left
     counts = _top(negatives, schur, delayed, kids[0, [0, 1, 2], [0, 1, 2]], diag, shift)
     assert counts.tolist() == _dense(cells, diag, energies).tolist() == [27]
+
+
+def test_a_bordered_block_counts_as_its_symmetric_copy():
+    # the border is written below the diagonal only: eigvalsh reads the
+    # lower triangle, so its eigenvalues are those of the full symmetric
+    # block, bit for bit
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((4, 3, 3))
+    base = base + np.swapaxes(base, 1, 2)
+    at = np.stack([rng.permutation(3) for _ in range(8)]).reshape(4, 2, 3)
+    block = elimination._bordered(base, rng.standard_normal((4, 2)),
+                                  rng.standard_normal((4, 2, 3)), at)
+    assert not np.any(np.triu(block, 1)[:, :, 3:])
+    full = np.tril(block) + np.swapaxes(np.tril(block, -1), 1, 2)
+    assert np.linalg.eigvalsh(block).tobytes() == np.linalg.eigvalsh(full).tobytes()

@@ -49,6 +49,18 @@ def test_global_grid_covers_a_negative_potential():
     assert str(ids.global_grid(constant(-0.0), 3)[0]) == "0.0"
 
 
+def test_a_huge_potential_curve_equals_the_dense_counts():
+    # band counts of a potential past about 1e154 must not overflow
+    spec = uniform(0.0, 1.0, seed=0, scale=1e200)
+    grid = ids.global_grid(spec, 5)
+    curve = estimate_ids(3, "simple", spec, 2, grid, region_kind="full")
+    region = build_ball(3)
+    dense = [spectra.counts_from_eigenvalues(spectra.eigenvalues_dense(
+        operators.assemble(region, "simple", operators.sample_potential(region, spec, t))),
+        grid) for t in range(2)]
+    assert curve.mean_counts.tolist() == (np.array(dense) / len(region)).mean(axis=0).tolist()
+
+
 def test_free_curve_jumps_inside_the_scale_band():
     # combinatorial Neumann eigenvalues sit within [2s, 4s] of the
     # degree-normalized decimation values, index by index
@@ -177,8 +189,11 @@ def test_lifshitz_fit_insufficient_data():
     curve = synthetic_curve(energies, np.zeros(30))
     with pytest.raises(InsufficientDataError):
         lifshitz_fit(curve, (1e-3, 1e-1))
-    with pytest.raises(ValidationError):
-        lifshitz_fit(curve, (1.0, 0.1))
+    # every fit takes log E or E^-tau, so a window needs 0 < lo < hi
+    for fit in (lifshitz_fit, free_ids_exponent, exponential_tail_fit):
+        for window in ((1.0, 0.1), (0.0, 0.1)):
+            with pytest.raises(ValidationError):
+                fit(curve, window)
 
 
 def test_power_law_fit_exact_synthetic():

@@ -3,11 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from gasketlab import lattice
 from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
                                build_triangle, mirror, subdivide,
                                translation_map, triangle_count)
+
+
+#: Difference vectors between adjacent vertices of the triangular lattice.
+NEIGHBOR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 
 def _point_set(points):
@@ -89,7 +92,7 @@ def test_mirror_is_an_involution_and_preserves_adjacency():
     rng = np.random.default_rng(0)
     points = rng.integers(-20, 20, (50, 2))
     assert np.array_equal(mirror(mirror(points)), points)
-    offsets = np.array(lattice.NEIGHBOR_OFFSETS)
+    offsets = np.array(NEIGHBOR_OFFSETS)
     moved = mirror(np.array([3, 4]) + offsets) - mirror(np.array([3, 4]))
     assert _point_set(moved) == _point_set(offsets)
 

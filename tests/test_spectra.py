@@ -972,3 +972,14 @@ def test_band_counts_decided_by_the_bounds_equal_the_sturm_counts(kind, monkeypa
         assert counted[0] < len(energies) == counted[1]
         skipped += len(energies) - counted[0]
     assert skipped >= 10 * len(hams)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e300])
+def test_band_counts_of_a_huge_potential_equal_the_dense_counts(scale):
+    # the Sturm count reads e^2, which would overflow past about 1e154
+    for region in (build_triangle(3), build_ball(3)):
+        values = sample_potential(region, uniform(0.0, 1.0, seed=0, scale=scale))
+        ham = assemble(region, "simple", values)
+        energies = np.linspace(-0.1, 1.1, 25) * scale
+        assert (_count(ham, energies).tolist()
+                == counts_from_eigenvalues(eigenvalues_dense(ham), energies).tolist())
