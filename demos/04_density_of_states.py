@@ -22,8 +22,7 @@ print(f"power-law fit on [2e-3, 0.1]: slope {fit.slope:.4f} "
 
 print(f"\n== 0/10 potential, {LEVEL=}: the bottom thins drastically ==")
 spec = bernoulli(0.0, 10.0, 0.5, seed=0)
-tail = ids.estimate_ids(LEVEL, "simple", spec, 8, np.geomspace(0.3, 2.0, 14),
-                        threads=2)
+tail = ids.estimate_ids(LEVEL, "simple", spec, 8, np.geomspace(0.3, 2.0, 14))
 for e, m, s in zip(tail.energies, tail.mean_counts, tail.std_errors):
     bar = "#" * int(60 * m / tail.mean_counts[-1]) if tail.mean_counts[-1] else ""
     print(f"  E={e:7.4f}  N={m:10.3e} +- {s:.1e}  {bar}")

@@ -47,8 +47,9 @@ def parse_distribution(text: str, seed: int, scale: float) -> operators.Potentia
 
 
 def _write_config(args: argparse.Namespace, path: str) -> None:
-    skip = {"func", "config"}
-    items = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    # an unset option (None) is left out, so a replay leaves it unset
+    items = {k: v for k, v in sorted(vars(args).items())
+             if k not in ("func", "config") and v is not None}
     with open(path, "w") as fh:
         for key, value in items.items():
             if isinstance(value, (list, tuple)):
@@ -124,9 +125,12 @@ def cmd_spectrum(args) -> int:
         values = operators.sample_potential(region, potential, args.trial)
         ham = operators.assemble(region, args.bc, values)
     if args.grid_n > 0:
-        grid = _parse_grid(args, potential)
-        curve = spectra.counting_curve(ham, grid)
-        curve.to_csv(args.out + ".counts.csv")
+        grid = np.sort(_parse_grid(args, potential))
+        counts = spectra.count_operators(region, lambda _: ham, 1, grid)[0]
+        with open(args.out + ".counts.csv", "w") as fh:
+            fh.write("E,count\n")
+            for e, c in zip(grid, counts):
+                fh.write(f"{e:.17g},{c}\n")
         print(f"counting curve on {len(grid)} energies -> {args.out}.counts.csv")
     else:
         if ham.dimension > spectra.DENSE_THRESHOLD:
@@ -146,7 +150,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    args.threads = spectra.trial_threads(args.threads)
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
     window = _parse_window(args.window) if args.fit != "none" else None
     grid = _parse_grid(args, potential)
@@ -154,7 +157,7 @@ def cmd_ids(args) -> int:
         args.trials = 8 if args.level >= 8 else 32
     curve = ids.estimate_ids(args.level, args.bc, potential, args.trials,
                              grid, region_kind=args.region,
-                             threads=args.threads, max_level=args.max_level)
+                             max_level=args.max_level)
     curve.to_csv(args.out + ".curve.csv")
     _write_config(args, args.out + ".config")
     print(f"IDS curve ({args.trials} trials, |region|={curve.region_size}) "
@@ -317,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", choices=("none", "power", "lifshitz", "exp"),
                    default="none")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for independent trials; default is "
-                        "the CPUs the process may run on (GASKET_THREADS "
-                        "overrides)")
+                   help="ignored, so that older snapshots replay: the trials "
+                        "run on the CPUs the process may run on; limit them "
+                        "with taskset")
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.add_argument("--max-level", type=int, default=lattice.MAX_LEVEL)
     _add_grid(p)
@@ -391,7 +394,7 @@ def _config_tokens(path: str) -> list[str]:
 _LEAST = {
     "lattice": {"max_level": 0},
     "spectrum": {"grid_n": 0, "seed": 0, "trial": 0, "max_level": 0},
-    "ids": {"grid_n": 1, "trials": 1, "seed": 0, "max_level": 0},
+    "ids": {"grid_n": 1, "trials": 1, "threads": 1, "seed": 0, "max_level": 0},
     "verify": {"grid_n": 1, "seeds": 1, "trials": 1, "n": 1, "samples": 1,
                "max_level": 1, "levels": 1, "seed": 0},
     "decimate": {"seed": 0},
@@ -437,7 +440,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
     except InsufficientDataError as exc:

@@ -113,17 +113,17 @@ def _region_for(level, region_kind, max_level):
 
 
 def estimate_ids(level, bc, potential_spec, trials, grid, *,
-                 region_kind: str = "half", threads=None,
+                 region_kind: str = "half",
                  max_level: int = MAX_LEVEL) -> IdsCurve:
     """Average the normalized counting function over independent trials.
 
     The trials are counted in one :func:`spectra.count_operators` call,
-    which picks the method by size (the band on ``threads`` trial threads,
-    None for :func:`spectra.trial_threads`, or rows of ``count_below``
-    eliminations) and builds each trial's operator when it is counted.
-    Trials are keyed by (seed, trial index) and reduced in fixed order, so
-    the result does not depend on scheduling or ``threads``.  A level
-    above ``max_level`` is a CapacityError, as in the region builders.
+    which picks the method by size (the band on the trial threads, or rows
+    of ``count_below`` eliminations) and builds each trial's operator when
+    it is counted.  Trials are keyed by (seed, trial index) and reduced in
+    fixed order, so the result does not depend on scheduling or threads.
+    A level above ``max_level`` is a CapacityError, as in the region
+    builders.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -134,7 +134,7 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
     def operator(t):
         return assemble(region, bc, sample_potential(region, potential_spec, t))
 
-    stacked = count_operators(region, operator, trials, grid, threads) / n
+    stacked = count_operators(region, operator, trials, grid) / n
     mean = stacked.mean(axis=0)
     if trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(trials)

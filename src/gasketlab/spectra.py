@@ -15,8 +15,8 @@ rows sorted outward from the origin along the Euclidean x axis
 (bandwidth 30 at level 6): each tree is reduced to its ``dsbtrd``
 tridiagonal form, a ball's two forms are joined at the origin, and the
 result is counted by Sturm sequences, without the interpreter lock
-(LAPACK through ctypes), so the operators of a call count on the trial
-threads (:func:`trial_threads`) at the same time; no eigenvalue is
+(LAPACK through ctypes), so the operators of a call count at the same
+time on one trial thread per CPU the process may run on; no eigenvalue is
 computed.  Large operators, and every :func:`count_below` call, are
 counted by inertia in the elimination kernel (:mod:`gasketlab.elimination`),
 which sees arrays only: this module holds the dense solves, the band and
@@ -37,7 +37,6 @@ import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -320,31 +319,11 @@ def _built_on(region, ham: HamiltonianMatrix) -> HamiltonianMatrix:
     return ham
 
 
-def trial_threads(requested=None) -> int:
-    """Trial threads of a band-sized count: ``GASKET_THREADS`` if it is
-    set, else ``requested`` (``--threads`` of ``ids``), else the CPUs the
-    process may run on (its affinity mask, where the platform has one).
-    A value that is not an integer of at least 1 is a ValidationError."""
-    value = os.environ.get("GASKET_THREADS", requested)
-    if value is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError as exc:
-        raise ValidationError(
-            f"GASKET_THREADS must be an integer, got {value!r}") from exc
-    if threads < 1:
-        raise ValidationError("trial threads (GASKET_THREADS or --threads) "
-                              f"must be at least 1, got {value!r}")
-    return threads
-
-
-def _band_counts(region, operator, count: int, grid, threads) -> np.ndarray:
-    """The (count, energies) counts of ``operator(0)`` .. ``operator(count -
-    1)``, built on ``region``, each counted by Sturm sequences
-    (:func:`_sturm_counts`) on the ``dsbtrd`` tridiagonal form of its band.
+def _band_counts(region, operator, counts, grid) -> None:
+    """Fill the (count, energies) array ``counts`` with the counts of
+    ``operator(0)`` .. ``operator(count - 1)``, built on ``region``, each
+    counted by Sturm sequences (:func:`_sturm_counts`) on the ``dsbtrd``
+    tridiagonal form of its band.
 
     Each tree (``region.cells[t]``) is swept once per call, outward from
     the origin c (:func:`_sweep`), and reduced on its own.  No reduction
@@ -352,15 +331,16 @@ def _band_counts(region, operator, count: int, grid, threads) -> np.ndarray:
     first, joins it there: the direct sum of the Q's, glued at c, takes H
     to one tridiagonal matrix, the second form reversed without its row 0,
     then the first.  An energy the Gershgorin bounds decide is n or 0
-    without a Sturm count.  The operators go round-robin to ``threads``
-    trial threads (None: :func:`trial_threads`), which overlap in LAPACK
-    as it runs without the interpreter lock; the counts do not depend on
-    the threads."""
+    without a Sturm count.  The operators go round-robin to one trial
+    thread per CPU of the affinity mask (``taskset`` limits it), which
+    overlap in LAPACK as it runs without the interpreter lock; the counts
+    do not depend on the threads."""
     n = len(region)
     sweeps = [_sweep(region, cells) for cells in region.cells]
     shifted = grid + tie_guard(grid)
-    counts = np.empty((count, len(grid)), dtype=np.int64)
-    workers = max(1, min(trial_threads() if threads is None else threads, count))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(cpus, len(counts)))
     # each worker's arrays, set up here so that the LAPACK routines load on
     # the calling thread
     works = [([(s, _reduction_work(s.width + 1, len(s.order))) for s in sweeps],
@@ -368,7 +348,7 @@ def _band_counts(region, operator, count: int, grid, threads) -> np.ndarray:
 
     def run(first):
         trees, sturm = works[first]
-        for t in range(first, count, workers):
+        for t in range(first, len(counts), workers):
             ham = _built_on(region, operator(t))
             pencil = (ham.diagonal, 1.0) if ham.symmetric else (ham.degree_weights,) * 2
             above, decided = _gershgorin(*pencil, region.region_degree, shifted)
@@ -385,7 +365,6 @@ def _band_counts(region, operator, count: int, grid, threads) -> np.ndarray:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(workers)))  # re-raises a worker's error
-    return counts
 
 
 def _stacked_counts(hams, grid) -> np.ndarray:
@@ -440,8 +419,11 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
     region is one placed triangle or the ball (see
     :class:`lattice.LatticeRegion`), whose cells are whole triangles, the
     hierarchy the elimination reads.  A non-finite or 2-D ``energy`` is a
-    ValidationError, here as in :func:`count_operators` and
-    :func:`counting_curve`; so is a list of operators on different regions.
+    ValidationError, here as in :func:`count_operators`; so is a list of
+    operators on different regions.  A count can be off by one only
+    within about ``elimination.PIVOT_TOL`` * max|diag - E| of an eigenvalue
+    (2 of 600 high-contrast test operators were); outside 2 * PIVOT_TOL *
+    (max|diag| + |E| + 1), none of about 18,000 energies was wrong.
     """
     hams = ham if isinstance(ham, list) else [ham]
     grid = _energies(energy)
@@ -459,49 +441,30 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
 _STACK = 2**20
 
 
-def count_operators(region, operator, count: int, grid, threads=None) -> np.ndarray:
+def count_operators(region, operator, count: int, grid) -> np.ndarray:
     """The (count, energies) tie-guarded counts #{eigenvalue <= E} of the
     operators ``operator(0)``, ..., ``operator(count - 1)``, all built on
     ``region``, at each finite energy of ``grid``.  Each operator is built
-    when its pass needs it, so no more are alive than a pass holds.
+    when its pass needs it, so no more are alive than a pass holds.  The
+    result is allocated first: a count too large to hold is a MemoryError
+    before any work.
 
     This is the one place the counting method is chosen, by size.  A region
     of at most DENSE_THRESHOLD rows is counted from the band of each of its
-    trees (:func:`_band_counts`), one operator at a time on ``threads``
-    trial threads (None: :func:`trial_threads`).  Above, the operators go
-    in groups that hold at most ``_STACK`` diagonal entries (at least one
-    operator), each group the rows of one :func:`count_below` elimination,
-    with no threads.  The counts do not depend on ``threads``.  An
+    trees (:func:`_band_counts`), one operator at a time on the trial
+    threads.  Above, the operators go in groups that hold at most
+    ``_STACK`` diagonal entries (at least one operator), each group the
+    rows of one :func:`count_below` elimination, with no threads.  An
     operator on another region is a ValidationError.
     """
     grid = _energies(grid)
-    n = len(region)
-    if n <= DENSE_THRESHOLD:
-        return _band_counts(region, operator, count, grid, threads)
-    per_pass = max(1, _STACK // n)
-    rows = [count_below([_built_on(region, operator(t))
-                         for t in range(lo, min(lo + per_pass, count))], grid)
-            for lo in range(0, count, per_pass)]
-    return np.vstack(rows) if rows else np.zeros((0, len(grid)), dtype=np.int64)
-
-
-@dataclass
-class CountingFunction:
-    """#{eigenvalues <= E} on a sorted energy grid."""
-
-    energies: np.ndarray
-    counts: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("E,count\n")
-            for e, c in zip(self.energies, self.counts):
-                fh.write(f"{e:.17g},{c}\n")
-
-
-def counting_curve(ham: HamiltonianMatrix, grid) -> CountingFunction:
-    """Counting function on a grid of finite energies: :func:`count_operators`
-    for the one operator."""
-    grid = np.sort(_energies(grid))
-    return CountingFunction(grid, count_operators(ham.region, lambda _: ham, 1, grid,
-                                                  threads=1)[0])
+    counts = np.empty((count, len(grid)), dtype=np.int64)
+    if len(region) <= DENSE_THRESHOLD:
+        _band_counts(region, operator, counts, grid)
+        return counts
+    per_pass = max(1, _STACK // len(region))
+    for lo in range(0, count, per_pass):
+        hi = min(lo + per_pass, count)
+        counts[lo:hi] = count_below([_built_on(region, operator(t))
+                                     for t in range(lo, hi)], grid)
+    return counts

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import decimation, ids, spectra
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import (TriangleSpec, build_ball, build_triangle, subdivide,
                       translation_map)
 from .operators import (BOUNDARY_CONDITIONS, SIMPLE, assemble, bernoulli,
@@ -449,7 +449,11 @@ def translated_kernel_residual(level: int) -> float:
 
 def decay_suite(max_level=10) -> list[CheckRecord]:
     """Two-sided 5^-level decay of the spectral-gap and ground-state
-    formulas, dense below level 6 and by iteration above."""
+    formulas, dense below level 6 and by iteration above; past level 440,
+    where 5^-level turns subnormal, a CapacityError."""
+    deepest = int(np.log(np.finfo(float).tiny) / np.log(0.2))  # 5^-440 is normal
+    if max_level > deepest:
+        raise CapacityError(f"decay level {max_level} > {deepest}: 5^-level is subnormal")
     records = []
     for level in range(1, max_level + 1):
         gap = decimation.neumann_gap(level)

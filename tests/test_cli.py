@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -68,6 +69,16 @@ def test_spectrum_capacity_without_inertia(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 3
     assert len(err) == 1 and "--grid-n" in err[0]
+
+
+def test_spectrum_counts_csv(tmp_path):
+    # the level-0 triangle under the simple rule has spectrum {2, 5, 5}; a
+    # descending grid is written ascending
+    assert run(["spectrum", "--level", "0", "--bc", "simple", "--grid-kind", "lin",
+                "--grid-lo", "5.5", "--grid-hi", "1.5", "--grid-n", "3",
+                "--out", "c"], tmp_path) == 0
+    assert (tmp_path / "c.counts.csv").read_text().splitlines() == [
+        "E,count", "1.5,0", "3.5,1", "5.5,3"]
 
 
 def test_verify_counting_capacity(tmp_path, capsys):
@@ -169,6 +180,22 @@ def test_decimate_level_above_twenty_capacity_error(tmp_path, capsys):
         decimation.neumann_counts(21)
 
 
+def test_decay_suite_stops_where_five_to_the_minus_level_is_normal(tmp_path, capsys):
+    # 5^-440 is a normal float and 5^-441 is not: past it the gap and the
+    # ground state turn subnormal, then 0, and the bounds fail or pass falsely
+    assert run(["verify", "--suite", "decay", "--max-level", "440",
+                "--out", "d.json"], tmp_path) == 0
+    report = json.loads((tmp_path / "d.json").read_text())
+    assert report["passed"] and report["total"] == 2 * 440 + 2 * 5
+    (tmp_path / "over").mkdir()
+    rc = run(["verify", "--suite", "decay", "--max-level", "441", "--out", "e"],
+             tmp_path / "over")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+    assert list((tmp_path / "over").iterdir()) == []
+
+
 def test_decimate_free_depth_above_twenty_capacity_error(tmp_path, capsys):
     # the same size guard as --neumann --level 21, and the same exit code
     rc = run(["decimate", "--free", "--depth", "21", "--out", "d"], tmp_path)
@@ -256,6 +283,40 @@ def test_ids_run_replays_from_its_config(tmp_path):
             == (tmp_path / "r.curve.csv").read_bytes())
     assert ((tmp_path / "r2.config").read_text().replace("out=r2", "out=r")
             == (tmp_path / "r.config").read_text())
+    # --threads was not given, so the snapshot does not name it
+    assert "threads=" not in (tmp_path / "r.config").read_text()
+
+
+def test_ids_snapshot_with_threads_replays(tmp_path):
+    # earlier versions wrote the resolved trial threads; --threads is now
+    # ignored, so such a snapshot replays to the same data files
+    args = ["--level", "5", "--region", "full", "--dist", "bernoulli:0,10,0.5",
+            "--trials", "3", "--grid-kind", "global", "--grid-n", "12"]
+    assert run(["ids", *args, "--out", "r"], tmp_path) == 0
+    old = (tmp_path / "r.config").read_text().replace("out=r\n",
+                                                      "out=r\nthreads=7\n")
+    assert "threads=7" in old
+    (tmp_path / "old.config").write_text(old)
+    assert run(["ids", "--config", "old.config", "--out", "r2"], tmp_path) == 0
+    assert ((tmp_path / "r2.curve.csv").read_bytes()
+            == (tmp_path / "r.curve.csv").read_bytes())
+    assert "threads=7\n" in (tmp_path / "r2.config").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["--level", "2", "--trials", "1000000000000", "--grid-n", "2"],
+    ["--level", "2", "--grid-n", "100000000000000"],
+    ["--level", "8", "--trials", "100000000000000"]])
+def test_ids_too_many_trials_or_energies_capacity_error(tmp_path, capsys, args):
+    # the counts (or the grid) are allocated before any work, and a size
+    # that cannot be held is a capacity error, not a traceback or a hang
+    start = time.perf_counter()
+    rc = run(["ids", "--dist", "const:0", *args, "--out", "h"], tmp_path)
+    assert time.perf_counter() - start < 30.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("capacity error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_ids_max_level_is_the_guardrail(tmp_path, capsys):
@@ -287,31 +348,27 @@ def test_parse_distribution_errors():
     assert spec.distribution[0] == "table"
 
 
-def test_env_threads_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("GASKET_THREADS", "2")
-    rc = run(["ids", "--level", "2", "--dist", "const:0", "--trials", "1",
-              "--grid-n", "8", "--threads", "7", "--out", "i"], tmp_path)
-    assert rc == 0
-    cfg = dict(line.split("=", 1)
-               for line in (tmp_path / "i.config").read_text().splitlines())
-    assert cfg["threads"] == "2"
+def _on_cpus(monkeypatch, cpus):
+    """Let the process run on ``cpus`` CPUs: the band's trial threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 def test_ball_curve_is_byte_identical_for_any_threads(tmp_path, monkeypatch):
-    monkeypatch.delenv("GASKET_THREADS", raising=False)
     curves = []
-    for threads in ("1", "3"):
-        (tmp_path / threads).mkdir()
+    for cpus in (1, 3):
+        _on_cpus(monkeypatch, cpus)
+        (tmp_path / str(cpus)).mkdir()
         assert run(["ids", "--level", "5", "--region", "full", "--dist",
                     "bernoulli:0,10,0.5", "--grid-kind", "global",
-                    "--threads", threads, "--out", "run"], tmp_path / threads) == 0
-        curves.append((tmp_path / threads / "run.curve.csv").read_bytes())
+                    "--out", "run"], tmp_path / str(cpus)) == 0
+        curves.append((tmp_path / str(cpus) / "run.curve.csv").read_bytes())
     assert curves[0] == curves[1]
 
 
-def test_counter_curve_is_byte_identical_for_any_threads(tmp_path, monkeypatch):
-    # 9843 rows, above DENSE_THRESHOLD: the trials are rows of one pass
-    monkeypatch.delenv("GASKET_THREADS", raising=False)
+def test_counter_curve_is_byte_identical_for_any_threads(tmp_path):
+    # 9843 rows, above DENSE_THRESHOLD: the trials are rows of one pass, and
+    # --threads, which is ignored, changes no data file
     curves = []
     for threads in ("1", "4"):
         (tmp_path / threads).mkdir()
@@ -403,42 +460,21 @@ def test_kernel6_suite_below_level_two_names_it(tmp_path, capsys):
     assert capsys.readouterr().err == "error: kernel6 checks need levels >= 2, got 1\n"
 
 
-def test_env_threads_not_an_integer_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GASKET_THREADS", "x")
-    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
-                          "--trials", "1", "--out", "i"], tmp_path)
-
-
-def test_env_threads_not_an_integer_verify_usage_error(tmp_path, capsys,
-                                                       monkeypatch):
-    # the counting suite runs its trials on the same trial threads as ids
-    monkeypatch.setenv("GASKET_THREADS", "x")
-    _usage_error(capsys, ["verify", "--suite", "counting", "--levels", "2",
-                          "--seeds", "1", "--out", "v"], tmp_path)
-
-
-@pytest.mark.parametrize("env, args", [
-    ("-3", ["ids", "--level", "2", "--dist", "const:0", "--trials", "2"]),
-    (None, ["ids", "--level", "2", "--dist", "const:0", "--trials", "2",
-            "--threads", "0"]),
-    ("0", ["verify", "--suite", "counting", "--levels", "2", "--seeds", "1"])])
-def test_threads_below_one_usage_error(tmp_path, capsys, monkeypatch, env, args):
-    if env is None:
-        monkeypatch.delenv("GASKET_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("GASKET_THREADS", env)
-    _usage_error(capsys, args + ["--out", "o"], tmp_path)
+def test_threads_below_one_usage_error(tmp_path, capsys):
+    # --threads is ignored but still validated, as snapshots carry it
+    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0", "--trials",
+                          "2", "--threads", "0", "--out", "o"], tmp_path)
 
 
 def test_counting_report_is_byte_identical_for_any_threads(tmp_path,
                                                            monkeypatch):
     reports = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("GASKET_THREADS", threads)
-        (tmp_path / threads).mkdir()
+    for cpus in (1, 3):
+        _on_cpus(monkeypatch, cpus)
+        (tmp_path / str(cpus)).mkdir()
         assert run(["verify", "--suite", "counting", "--levels", "3", "4",
-                    "--seeds", "4", "--out", "v.json"], tmp_path / threads) == 0
-        reports.append((tmp_path / threads / "v.json").read_bytes())
+                    "--seeds", "4", "--out", "v.json"], tmp_path / str(cpus)) == 0
+        reports.append((tmp_path / str(cpus) / "v.json").read_bytes())
     assert reports[0] == reports[1]
 
 

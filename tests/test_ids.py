@@ -91,28 +91,45 @@ def test_half_and_full_regions():
         estimate_ids(3, "neumann", spec, 4, grid, region_kind="other")
 
 
-def test_threaded_estimate_matches_serial():
-    # the level-5 ball counts by band solves that run side by side
+def test_threaded_estimate_matches_serial(monkeypatch):
+    # the level-5 ball counts by band solves that run side by side, one
+    # trial thread per CPU of the affinity mask
     for level, kind, seed in ((3, "half", 4), (5, "full", 5)):
         spec = bernoulli(0, 10, 0.5, seed=seed)
         grid = ids.global_grid(spec, 16)
-        serial = estimate_ids(level, "simple", spec, 6, grid, region_kind=kind,
-                              threads=1)
-        threaded = estimate_ids(level, "simple", spec, 6, grid, region_kind=kind,
-                                threads=4)
+        curves = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(spectra.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus, raising=False)
+            curves.append(estimate_ids(level, "simple", spec, 6, grid,
+                                       region_kind=kind))
+        serial, threaded = curves
         assert np.array_equal(serial.mean_counts, threaded.mean_counts)
         assert np.array_equal(serial.std_errors, threaded.std_errors)
 
 
 def test_trial_threads_default_to_the_cpus_the_process_may_use(monkeypatch):
-    # under taskset -c 0 on a 2-core machine the affinity mask holds 1 CPU
-    monkeypatch.delenv("GASKET_THREADS", raising=False)
+    # under taskset -c 0 on a 2-core machine the affinity mask holds 1 CPU;
+    # without a mask the trial threads are the CPU count, and never more
+    # than the operators
+    pools = []
+
+    class Recording(spectra.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(spectra, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(spectra.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert spectra.trial_threads() == 1
-    assert spectra.trial_threads(3) == 3
+    region = build_triangle(2)
+    ham = operators.assemble(region, "simple", np.zeros(len(region)))
+    for cpus, count in (({0}, 3), ({0, 1, 2}, 3), ({0, 1, 2}, 2)):
+        monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        spectra.count_operators(region, lambda _: ham, count, [1.0])
     monkeypatch.delattr(spectra.os, "sched_getaffinity")
-    assert spectra.trial_threads() == 2
+    spectra.count_operators(region, lambda _: ham, 3, [1.0])
+    assert pools == [1, 3, 2, 2]
 
 
 def test_convergence_between_levels():

@@ -188,7 +188,7 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
     for ham, want in cases:
         # count in the counter and on the band, and solve
         spectra.count_below(ham, grid)
-        spectra.counting_curve(ham, grid)
+        spectra.count_operators(region, lambda _: ham, 1, grid)
         spectra.eigenvalues_dense(ham)
         assert _operator_array(ham).tobytes() == want.toarray().tobytes()
         f = np.linspace(-1.0, 2.0, len(region))

@@ -15,8 +15,8 @@ from gasketlab.errors import CapacityError, ValidationError
 from gasketlab.lattice import (TriangleSpec, build_ball, build_triangle,
                                translation_map, triangle_count)
 from gasketlab.operators import assemble, bernoulli, sample_potential, uniform
-from gasketlab.spectra import (count_below, counting_curve,
-                               counts_from_eigenvalues, eigenvalues_dense)
+from gasketlab.spectra import (count_below, counts_from_eigenvalues,
+                               eigenvalues_dense)
 from gasketlab.verification import (CheckRecord, compact_eigenfunction_at_six,
                                     interlacing_suite,
                                     localized_kernel_at_six, psd_suite,
@@ -83,7 +83,7 @@ def test_count_below_fixture():
 
 def test_non_finite_energies_are_rejected_by_every_count():
     ham = _simple_triangle()
-    for count in (count_below, _count, counting_curve):
+    for count in (count_below, _count):
         for bad in ([[1.0]], np.nan, [1.0, np.inf], [1.0, np.nan, np.inf]):
             with pytest.raises(ValidationError, match="finite scalar or 1-D"):
                 count(ham, bad)
@@ -166,19 +166,19 @@ def test_count_below_counts_an_eigenvalue_within_rounding_of_e_plus_eta():
     assert count_below(ham, 3.5) == 1
 
 
-def test_counting_curve_methods_agree():
+def test_band_and_counter_agree_on_one_operator():
     region = build_triangle(5)  # 366 vertices: counted from the band
     values = sample_potential(region, uniform(0, 1, seed=2))
     ham = assemble(region, "simple", values)
     grid = np.linspace(-0.5, 9.5, 100)
-    dense = counting_curve(ham, grid)
-    assert np.array_equal(dense.counts, count_below(ham, grid))
-    assert np.all(np.diff(dense.counts) >= 0)
-    assert dense.counts[-1] == len(region)
-    assert dense.counts[0] == 0
+    band = _count(ham, grid)
+    assert np.array_equal(band, count_below(ham, grid))
+    assert np.all(np.diff(band) >= 0)
+    assert band[-1] == len(region)
+    assert band[0] == 0
 
 
-def test_counting_curve_auto_switches(monkeypatch):
+def test_count_operators_switches_method_by_size(monkeypatch):
     region = build_triangle(3)
     ham = assemble(region, "neumann", np.zeros(len(region)))
     calls = []
@@ -189,14 +189,14 @@ def test_counting_curve_auto_switches(monkeypatch):
 
     for name in ("_tridiagonal", "count_below"):
         monkeypatch.setattr(spectra, name, recording(name))
-    band = counting_curve(ham, [1.0])
+    band = _count(ham, [1.0])
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", len(region) - 1)
-    counter = counting_curve(ham, [1.0])
+    counter = _count(ham, [1.0])
     assert calls == ["_tridiagonal", "count_below"]
-    assert counter.counts[0] == band.counts[0]
+    assert counter[0] == band[0]
 
 
-def test_counting_bounds_count_through_counting_curve(monkeypatch):
+def test_counting_bounds_are_the_same_through_count_below(monkeypatch):
     # with DENSE_THRESHOLD at 0 every operator of the suite is counted by
     # count_below, which must give the band's records
     spec = bernoulli(0.0, 10.0, 0.5, seed=1)
@@ -215,13 +215,6 @@ def test_counting_bounds_count_through_counting_curve(monkeypatch):
     assert [r.to_dict() for r in counter] == [r.to_dict() for r in band]
 
 
-def test_counting_curve_csv(tmp_path):
-    curve = counting_curve(_simple_triangle(), [5.5, 1.5, 2.5])
-    path = tmp_path / "counts.csv"
-    curve.to_csv(path)
-    assert path.read_text().splitlines() == ["E,count", "1.5,0", "2.5,1", "5.5,3"]
-
-
 def test_verify_counting_bounds_pass():
     spec = bernoulli(0.0, 10.0, 0.5, seed=17)
     grid = np.linspace(0.0, 26.0, 40)
@@ -238,14 +231,15 @@ def test_counting_suite_is_the_same_on_trial_threads(monkeypatch):
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
-        for threads in ("1", "3"):
-            monkeypatch.setenv("GASKET_THREADS", threads)
-            records[threads] = [r.to_dict() for r in verification.counting_suite(
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(spectra.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus, raising=False)
+            records[len(cpus)] = [r.to_dict() for r in verification.counting_suite(
                 levels=(4,), seeds=6)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(records["1"]) == (1 + 6 + 6) * (15 + 6)
-    assert records["1"] == records["3"]
+    assert len(records[1]) == (1 + 6 + 6) * (15 + 6)
+    assert records[1] == records[3]
 
 
 def test_verify_interlacing_bounds_pass():
@@ -923,19 +917,22 @@ def test_count_operators_equals_per_operator_counts(level, monkeypatch):
                 for law, spec in enumerate(ENTRY_LAWS)]
         hams.append(operators.probabilistic_laplacian(region))
         single = np.array([_count(ham, energies) for ham in hams])
-        # a curve is the entry on one operator
-        assert counting_curve(hams[0], energies).counts.tolist() == single[0].tolist()
         threads = 1 + kind % 3
+        cpus = set(range(threads))
         with monkeypatch.context() as patch:
+            patch.setattr(spectra.os, "sched_getaffinity", lambda pid: cpus,
+                          raising=False)
             patch.setattr(spectra, "count_below", _refuse("count_below"))
             patch.setattr(elimination, "negative_counts", _refuse("negative_counts"))
             band = spectra.count_operators(region, hams.__getitem__, len(hams),
-                                           energies, threads)
+                                           energies)
         with monkeypatch.context() as patch:
+            patch.setattr(spectra.os, "sched_getaffinity", lambda pid: cpus,
+                          raising=False)
             patch.setattr(spectra, "_tridiagonal", _refuse("_tridiagonal"))
             patch.setattr(spectra, "DENSE_THRESHOLD", 0)
             counter = spectra.count_operators(region, hams.__getitem__, len(hams),
-                                              energies, threads)
+                                              energies)
         assert band.tolist() == single.tolist(), (name, threads)
         assert counter.tolist() == single.tolist(), (name, threads)
     with pytest.raises(ValidationError):
