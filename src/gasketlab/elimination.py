@@ -33,11 +33,11 @@ import numpy as np
 PIVOT_TOL = 1e-8
 
 #: Most elements a temporary of the elimination holds, whatever the level
-#: or grid size: (operator, energy) rows go in passes of at most
-#: BUDGET // 64, cells in subtrees whose first merge has at most
-#: BUDGET // rows blocks.  A larger budget makes fewer, longer numpy calls
-#: but raises peak memory; the trials of a counter-sized curve are rows of
-#: one pass, not threads, so the calls need not be long enough to overlap.
+#: or grid size: rows go in passes of at most BUDGET // 9, cells in
+#: subtrees whose first merge has at most BUDGET // rows blocks.  A larger
+#: budget makes fewer, longer numpy calls but raises peak memory; the
+#: trials of a counter-sized curve are rows of one pass, not threads, so
+#: the calls need not be long enough to overlap.
 BUDGET = 2**15
 
 #: A 3x3 pivot block A is counted and inverted in closed form when
@@ -409,7 +409,10 @@ def negative_counts(cells, diag, weights, shift):
     with diagonal ``diag[t] - s * weights[t]`` and -1 on every edge of the
     unit ``cells`` (see ``LatticeRegion.cells``): ``diag`` and ``weights``
     are (operators, n), ``shift`` is (operators, shifts), and the counts
-    come back in the shape of ``shift``.  Each pair is one row of the pass.
+    come back in the shape of ``shift``.  Each pair is a row of a pass of
+    at most BUDGET // 9 rows (whole operators, or one operator's shifts
+    cut to that size), so that :func:`_eliminate` can merge each subtree
+    to a triangle; a row's count does not depend on its pass.
 
     Each merge adds three children's 3x3 corner Schur complements, then
     eliminates the 3 inner corners and carries the 3 outer ones up; the
@@ -419,10 +422,22 @@ def negative_counts(cells, diag, weights, shift):
     an eigenvalue within PIVOT_TOL * max(1, max|diag - s * weights|) of
     zero is delayed to the parent's block (see :func:`_merge`).
     """
+    rows = BUDGET // 9
+    group = max(1, rows // max(shift.shape[1], 1))
+    counts = np.empty(shift.shape, dtype=np.int64)
+    for lo in range(0, len(shift), group):
+        for at in range(0, shift.shape[1], rows):
+            part = slice(lo, lo + group), slice(at, at + rows)
+            counts[part] = _pass(cells, diag[part[0]], weights[part[0]], shift[part])
+    return counts
+
+
+def _pass(cells, diag, weights, shift):
+    """:func:`negative_counts` of at most BUDGET // 9 rows."""
     k, n = shift.size, diag.shape[1]
     diag, weights, shift = diag[:, None], weights[:, None], shift[..., None]
     scale = np.ones(shift.shape[:2])
-    step = max(1, BUDGET // k)
+    step = BUDGET // k
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
         scale = np.maximum(scale, np.abs(diag[..., part] - shift * weights[..., part])

@@ -21,7 +21,7 @@ computed.  Large operators, and every :func:`count_below` call, are
 counted by inertia in the elimination kernel (:mod:`gasketlab.elimination`),
 which sees arrays only: this module holds the dense solves, the band and
 the entries, and hands the kernel one row per (operator, energy) pair,
-all the energies and operators of a call in one pass.  An energy outside
+all the energies and operators of a call at once.  An energy outside
 an operator's Gershgorin interval (centres diag / w, radii region degree
 / w) by more than two tie guards has count n above it and 0 below it, and
 takes no row of the elimination and no Sturm count of the band.  The tie
@@ -367,55 +367,23 @@ def _band_counts(region, operator, counts, grid) -> None:
         list(pool.map(run, range(workers)))  # re-raises a worker's error
 
 
-def _stacked_counts(hams, grid) -> np.ndarray:
-    """The (operators, energies) counts of operators built on one region:
-    each (operator, energy) pair the Gershgorin bounds leave open is a row
-    of the elimination, at most ``elimination.BUDGET // 64`` rows a pass."""
-    region, n = hams[0].region, hams[0].dimension
-    # D^{-1} L as the pencil L - E*D: the diagonal of the Neumann Laplacian
-    # L is D itself
-    diag = np.array([h.diagonal if h.symmetric else h.degree_weights for h in hams])
-    weights = np.broadcast_to(1.0, diag.shape)
-    if not all(h.symmetric for h in hams):
-        weights = np.array([np.ones(n) if h.symmetric else h.degree_weights
-                            for h in hams])
-    shifted = grid + tie_guard(grid)
-    above, decided = _gershgorin(diag, weights, region.region_degree, shifted)
-    counts = np.where(above, n, 0)
-    open_ = np.flatnonzero(~decided.all(axis=0))
-    if not open_.size:
-        return counts
-    rows = elimination.BUDGET // 64
-    for t in range(0, len(hams), rows):
-        group = slice(t, t + rows)
-        size = len(diag[group])
-        for part in np.array_split(open_, -(-open_.size * size // rows)):
-            counted = elimination.negative_counts(
-                region.cells, diag[group], weights[group],
-                np.broadcast_to(shifted[part], (size, part.size)))
-            counts[group, part] = np.where(decided[group, part], counts[group, part],
-                                           counted)
-    return counts
-
-
 def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
     """#{eigenvalues <= E} for a scalar ``energy`` E (an int) or a 1-D
     array of energies (an int array): the negative inertia of the operator
     minus (E + eta).  ``ham`` is an operator, or a list of operators built
     on one region, which are counted together and give one row of counts
-    per operator.
+    per operator (none for an empty list).
 
-    It is the counter alone, at every size: the elimination kernel
-    (:func:`elimination.negative_counts`) over the region's unit cells,
-    every (operator, energy) pair a row of one bottom-up pass (the
-    probabilistic Laplacian D^{-1} L as the congruent pencil L - E*D), in
-    passes of at most ``elimination.BUDGET // 64`` rows; an energy outside
-    the Gershgorin bounds of an operator is n or 0 without a row.  A
-    pivot block singular at E (equal-potential cells at a tie energy) has
-    its near-null directions delayed, so every count takes the one pass,
-    at E + eta itself, and an array call counts as its scalar calls and as
-    a list call do.  :func:`count_operators`, not this, picks the method
-    of a curve.  It takes every region :func:`count_operators` takes: a
+    It is the counter alone, at every size: one call of the elimination
+    kernel (:func:`elimination.negative_counts`) on the region's unit
+    cells, which sizes its own passes, every (operator, energy) pair a row
+    (the probabilistic Laplacian D^{-1} L as the congruent pencil L -
+    E*D); an energy outside the Gershgorin bounds of an operator is n or
+    0 without a row.  A pivot block singular at E (equal-potential cells
+    at a tie energy) has its near-null directions delayed, so every count
+    takes its one row, at E + eta itself, and an array call counts as its
+    scalar calls and as a list call do.  :func:`count_operators`, not
+    this, picks the method of a curve.  It takes every region :func:`count_operators` takes: a
     region is one placed triangle or the ball (see
     :class:`lattice.LatticeRegion`), whose cells are whole triangles, the
     hierarchy the elimination reads.  A non-finite or 2-D ``energy`` is a
@@ -427,16 +395,31 @@ def count_below(ham: HamiltonianMatrix | list[HamiltonianMatrix], energy):
     """
     hams = ham if isinstance(ham, list) else [ham]
     grid = _energies(energy)
-    region = hams[0].region
+    if not hams:
+        return np.zeros((0, len(grid)), dtype=np.int64)
+    region, n = hams[0].region, hams[0].dimension
     if any(h.region is not region for h in hams):
         raise ValidationError("count_below counts operators built on one region")
-    counts = _stacked_counts(hams, grid)
+    # D^{-1} L as the pencil L - E*D: the diagonal of the Neumann Laplacian
+    # L is D itself
+    diag = np.array([h.diagonal if h.symmetric else h.degree_weights for h in hams])
+    weights = np.broadcast_to(1.0, diag.shape)
+    if not all(h.symmetric for h in hams):
+        weights = np.array([np.ones(n) if h.symmetric else h.degree_weights
+                            for h in hams])
+    shifted = grid + tie_guard(grid)
+    above, decided = _gershgorin(diag, weights, region.region_degree, shifted)
+    counts = np.where(above, n, 0)
+    open_ = np.flatnonzero(~decided.all(axis=0))
+    shift = np.broadcast_to(shifted[open_], (len(hams), open_.size))
+    counted = elimination.negative_counts(region.cells, diag, weights, shift)
+    counts[:, open_] = np.where(decided[:, open_], counts[:, open_], counted)
     if isinstance(ham, list):
         return counts
     return int(counts[0, 0]) if np.ndim(energy) == 0 else counts[0]
 
 
-#: Most diagonal entries the trial operators of one counter pass hold
+#: Most diagonal entries the trial operators of a count_below call hold
 #: together (8 MiB of float64): one level-12 operator, three at level 11.
 _STACK = 2**20
 
@@ -445,7 +428,7 @@ def count_operators(region, operator, count: int, grid) -> np.ndarray:
     """The (count, energies) tie-guarded counts #{eigenvalue <= E} of the
     operators ``operator(0)``, ..., ``operator(count - 1)``, all built on
     ``region``, at each finite energy of ``grid``.  Each operator is built
-    when its pass needs it, so no more are alive than a pass holds.  The
+    when its group is counted, so no more are alive than a group holds.  The
     result is allocated first: a count too large to hold is a MemoryError
     before any work.
 
@@ -462,9 +445,8 @@ def count_operators(region, operator, count: int, grid) -> np.ndarray:
     if len(region) <= DENSE_THRESHOLD:
         _band_counts(region, operator, counts, grid)
         return counts
-    per_pass = max(1, _STACK // len(region))
-    for lo in range(0, count, per_pass):
-        hi = min(lo + per_pass, count)
-        counts[lo:hi] = count_below([_built_on(region, operator(t))
-                                     for t in range(lo, hi)], grid)
+    group = max(1, _STACK // len(region))
+    for lo in range(0, count, group):
+        counts[lo:lo + group] = count_below([_built_on(region, operator(t)) for t in
+                                             range(lo, min(lo + group, count))], grid)
     return counts

@@ -736,6 +736,18 @@ def test_count_below_separates_an_eigenvalue_from_a_pair_just_above():
     assert count_below(ham, 0.637247428) == 82
 
 
+def _recording_passes(monkeypatch):
+    """The (operators, shifts) shape of each elimination pass, from now on."""
+    passes, one_pass = [], elimination._pass
+
+    def recording(cells, diag, weights, shift):
+        passes.append(shift.shape)
+        return one_pass(cells, diag, weights, shift)
+
+    monkeypatch.setattr(elimination, "_pass", recording)
+    return passes
+
+
 def test_array_call_is_one_pass_like_scalar_calls(monkeypatch):
     # the ids-l8 operator (9843 rows): at 8 of the energies 0..26 some pivot
     # blocks are singular, and every energy the Gershgorin bounds leave
@@ -745,14 +757,7 @@ def test_array_call_is_one_pass_like_scalar_calls(monkeypatch):
     ham = assemble(region, "simple", values)
     energies = np.arange(27.0)
     single = [count_below(ham, e) for e in energies]
-    passes = []
-    negative_counts = elimination.negative_counts
-
-    def recording(cells, diag, weights, shift):
-        passes.append(shift.shape)
-        return negative_counts(cells, diag, weights, shift)
-
-    monkeypatch.setattr(elimination, "negative_counts", recording)
+    passes = _recording_passes(monkeypatch)
     assert count_below(ham, energies).tolist() == single
     # every eigenvalue is at most 4 + 10 + 4 = 18 (Gershgorin), so the
     # energies 19..26 are counted n without a row of the pass
@@ -801,13 +806,13 @@ def test_counts_at_the_gershgorin_bounds_equal_the_band(bc, monkeypatch):
     # its eigenvalue 0 on the lower bound
     region = build_triangle(4)
     passes = []
-    negative_counts = elimination.negative_counts
+    one_pass = elimination._pass
 
     def recording(cells, diag, weights, shift):
         passes.append(shift)
-        return negative_counts(cells, diag, weights, shift)
+        return one_pass(cells, diag, weights, shift)
 
-    monkeypatch.setattr(elimination, "negative_counts", recording)
+    monkeypatch.setattr(elimination, "_pass", recording)
     if bc == "prob":
         hams = [operators.probabilistic_laplacian(region)]
     else:
@@ -872,19 +877,68 @@ def test_a_list_of_operators_counts_as_its_single_calls(kind):
         hams = [assemble(region, bc, values) for values in trials]
         single = np.array([count_below(ham, energies) for ham in hams])
         passes = []
-        negative_counts = elimination.negative_counts
+        one_pass = elimination._pass
 
         def recording(cells, diag, weights, shift):
             passes.append(shift.shape)
-            return negative_counts(cells, diag, weights, shift)
+            return one_pass(cells, diag, weights, shift)
 
-        with mock.patch.object(elimination, "negative_counts", recording):
+        with mock.patch.object(elimination, "_pass", recording):
             stacked = count_below(hams, energies)
         assert np.array_equal(stacked, single)
         assert len(passes) == 1 and passes[0][0] == 3
     assert count_below(hams, 1.0).shape == (3, 1)
     with pytest.raises(ValidationError):
         count_below([hams[0], assemble(build_triangle(3), "simple", np.zeros(42))], 1.0)
+
+
+def test_a_list_of_more_rows_than_a_pass_counts_as_its_single_calls(monkeypatch):
+    # 120 operators (three rules and the probabilistic Laplacian) at the
+    # 37 integer and half-integer energies in the Gershgorin interval
+    # [0, 18] are more rows than a pass holds: the kernel cuts them into
+    # passes of whole operators, and each row equals the operator's own
+    # count and its dense count, tie energies included
+    region = build_triangle(4)
+    spec = bernoulli(0.0, 10.0, 0.5, seed=11)
+    hams = [assemble(region, operators.BOUNDARY_CONDITIONS[t % 3],
+                     sample_potential(region, spec, t)) for t in range(119)]
+    hams.append(operators.probabilistic_laplacian(region))
+    energies = np.arange(-4.0, 28.0, 0.5)
+    single = [count_below(ham, energies).tolist() for ham in hams]
+    passes = _recording_passes(monkeypatch)
+    stacked = count_below(hams, energies)
+    rows = elimination.BUDGET // 9
+    assert passes == [(rows // 37, 37), (120 - rows // 37, 37)]
+    assert stacked.tolist() == single
+    assert stacked.tolist() == [
+        counts_from_eigenvalues(eigenvalues_dense(ham), energies).tolist() for ham in hams]
+
+
+def test_more_energies_than_a_pass_count_as_the_dense_counts(monkeypatch):
+    # one operator at 4608 energies, every 1/256 of [0, 18), integers and
+    # half-integers among them: the kernel cuts its shifts into passes
+    region = build_triangle(2)
+    ham = assemble(region, "simple",
+                   sample_potential(region, bernoulli(0.0, 10.0, 0.5, seed=4)))
+    energies = np.arange(0.0, 18.0, 1.0 / 256)
+    passes = _recording_passes(monkeypatch)
+    counts = count_below(ham, energies)
+    rows = elimination.BUDGET // 9
+    assert passes[0] == (1, rows) and len(passes) == 2 and passes[1][1] <= rows
+    assert counts.tolist() == counts_from_eigenvalues(eigenvalues_dense(ham),
+                                                      energies).tolist()
+
+
+def test_an_empty_list_has_no_rows_of_counts():
+    # as count_operators counts zero operators
+    energies = np.arange(5.0)
+    assert count_below([], energies).shape == (0, 5)
+    assert count_below([], energies).dtype == np.int64
+    assert count_below([], 1.0).shape == (0, 1)
+    assert np.array_equal(count_below([], energies),
+                          spectra.count_operators(build_triangle(1), None, 0, energies))
+    with pytest.raises(ValidationError):
+        count_below([], [np.nan])
 
 
 # one call per structure: count_operators against per-operator counts
