@@ -32,12 +32,14 @@ import numpy as np
 #: signs through; with lam > sqrt(eps) * scale the error stays below it.
 PIVOT_TOL = 1e-8
 
-#: Most elements a temporary of the elimination holds, whatever the level
-#: or grid size: rows go in passes of at most BUDGET // 9, cells in
-#: subtrees whose first merge has at most BUDGET // rows blocks.  A larger
-#: budget makes fewer, longer numpy calls but raises peak memory; the
-#: trials of a counter-sized curve are rows of one pass, not threads, so
-#: the calls need not be long enough to overlap.
+#: Most elements a (rows, triangles) array of a merge holds, whatever the
+#: level or grid size: rows go in passes of at most BUDGET // 9, cells in
+#: subtrees whose first merge has at most BUDGET // rows blocks.  A merge
+#: holds about 14 such arrays (see :func:`_merge`); a pass of 2640 rows
+#: on level-4 triangles peaks at 2.69e6 bytes traced.  A larger budget
+#: makes fewer, longer numpy calls but raises peak memory; the trials of a
+#: counter-sized curve are rows of one pass, not threads, so the calls
+#: need not be long enough to overlap.
 BUDGET = 2**15
 
 #: A 3x3 pivot block A is counted and inverted in closed form when
@@ -56,6 +58,14 @@ _ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 #: The rows of a merge's front that hold the corners 0, 1, 2 of child t:
 #: the outer corners are rows 0, 1, 2, the inner corners rows 3, 4, 5.
 _SLOTS = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+#: The children that share inner corner s (row 3 + s of the front), and the
+#: inner corners child t meets: child t's coupling to s is its entry 3 + s.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+#: The adj(A) entries that :func:`_merge` last reads for y_s of column k.
+_LAST = {(1, 0): ((0, 0),), (2, 0): ((0, 1), (0, 2)), (2, 1): ((1, 1),),
+         (2, 2): ((1, 2), (2, 2))}
 
 #: No delayed rows (see :func:`_merge`).
 _NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
@@ -135,31 +145,44 @@ def _directions(sure, pivot, inverse, link, rows):
 
 
 def _unit_cells(count):
-    """The six corner entries of ``count`` unit cells, as (1, count)
-    arrays: a cell's block is its 3 edges, and each diagonal entry is added
-    whole when its vertex is eliminated."""
+    """The six corner entries of ``count`` unit cells, as (1, count) arrays,
+    with no index (see :func:`_merge`): a cell's block is its 3 edges, and
+    each diagonal entry is added whole when its vertex is eliminated."""
     zero, edge = np.zeros((1, count)), np.full((1, count), -1.0)
-    return zero, zero, zero, edge, edge, edge
+    return (zero, zero, zero, edge, edge, edge), None
 
 
-def _pivots(kids, diag, weights, shift):
-    """The (rows, m) terms diag - s * weights at the inner corners 3, 4, 5
-    of the merges of children with corner rows ``kids`` (m, 3, 3).  A row
-    of the pass is one (operator, energy) pair: ``diag`` and ``weights``
-    are (operators, 1, n) and ``shift`` (operators, energies, 1)."""
-    return [(diag[..., i] - shift * weights[..., i]).reshape(-1, len(i))
-            for i in (kids[:, 0, 1], kids[:, 0, 2], kids[:, 1, 2])]
+def _pivots(inner, diag, weights, shift):
+    """Yield the (rows, m) terms diag - s * weights at the inner corners
+    ``inner`` (m, 3), or (operators, m, 3), of m merges, one at a time: a
+    row is one (operator, energy) pair, ``diag`` and ``weights`` are
+    (operators, 1, n) and ``shift`` (operators, energies, 1)."""
+    op = np.arange(len(diag))[:, None]
+    for v in np.moveaxis(inner, -1, 0):
+        yield (diag[op, 0, v][:, None] - shift * weights[op, 0, v][:, None]).reshape(
+            -1, v.shape[-1])
+
+
+def _cross(x, y, z, s, op=np.subtract):
+    """op(x * y, z * s), written over the larger of the two products."""
+    a, b = x * y, z * s
+    return op(a, b, out=a if a.size >= b.size else b)
 
 
 def _merge(schur, pivots, delayed, floor):
     """Eliminate the 3 inner corners of every triple of sibling triangles.
 
-    ``schur`` holds the six entries of the children's corner Schur
-    complements as (rows, 3m) arrays, ``pivots`` the (rows, m) diagonal
-    terms of the inner corners (see :func:`_pivots`) and ``delayed`` the
-    children's delayed rows.  Returns the negative eigenvalues of the
-    eliminated directions per (row, parent), the six (rows, m) entries on
-    the outer corners and the parents' delayed rows.
+    ``schur`` holds the children's corner Schur complements as (entries,
+    index): six (rows, 3m) arrays and None, or six (rows, width) arrays and
+    the (rows, 3m) flat index of each child's entry in them (see
+    :func:`_first_merge`), through which a child entry is gathered where it
+    is read.  ``pivots`` yields the (rows, m) diagonal terms of the inner
+    corners (see :func:`_pivots`), made the blocks' diagonals in place, and
+    ``delayed`` holds the children's delayed rows.  Returns the negatives
+    of the eliminated directions per (row, parent), the parents' six (rows,
+    m) entries on the outer corners as (entries, None) and their delayed
+    rows.  Each temporary goes after its last use: besides its input a
+    merge holds about 14 (rows, m) arrays, 17 where many blocks are delayed.
 
     A pivot block's eigen-direction within ``floor`` of zero is not
     eliminated but delayed: kept as a row (row, triangle, value, coupling
@@ -169,67 +192,89 @@ def _merge(schur, pivots, delayed, floor):
     rounding away from an eigen-direction of the whole matrix, so its sign
     is counted where it appears.
     """
-    (a00, a11, a22, a01, a02, a12), (b00, b11, b22, b01, b02, b12), (
-        c00, c11, c22, c01, c02, c12) = ([x[:, j::3] for x in schur]
-                                         for j in range(3))
-    # inner corners 3, 4, 5 are shared by children 0-1, 0-2 and 1-2; the
-    # outer corners 0, 1, 2 of the children meet no other child, and the
-    # couplings between inner and outer corners are the rows of
-    # [[a01, b01, 0], [a02, 0, c02], [0, b12, c12]]
-    p, q, r = (x + y + z for x, y, z in zip((a11, a22, b22), (b00, c00, c11), pivots))
-    u, v, w = a12, b02, c01
-    # adjugate, determinant and 2x2 minor sum of [[p, u, v], [u, q, w], [v, w, r]]
-    j33, j44, j55 = q * r - w * w, p * r - v * v, p * q - u * u
-    j34, j35, j45 = v * w - u * r, u * w - q * v, u * v - p * w
-    det = p * j33 + u * j34 + v * j35
+    entries, index = schur
+
+    def child(t, j):  # entry j (see _ENTRIES) of child t, (rows, m) or (1, m)
+        x = entries[j]
+        return x[:, t::3] if index is None else x.take(index[:, t::3])
+
+    # the pivot block [[p, u, v], [u, q, w], [v, w, r]] on the inner corners
+    # (see _PAIRS): child t couples two of them by its entry 5 - t
+    p, q, r = pivots
+    for s, (t, j) in zip((p, q, r), _PAIRS):
+        s += child(t, j) + child(j, t)
+    u, v, w = child(0, 5), child(1, 4), child(2, 3)
+    # its largest row sum, its adjugate, determinant and 2x2 minor sum
     au, av, aw = np.abs(u), np.abs(v), np.abs(w)
     norm = np.maximum(np.maximum(np.abs(p) + au + av, au + np.abs(q) + aw),
                       av + aw + np.abs(r))
-    certain = ((np.abs(det) > norm * norm * np.maximum(_CERTAIN * norm, 2.0 * floor))
-               & np.isfinite(det))
+    bound = norm * norm * np.maximum(_CERTAIN * norm, 2.0 * floor)
+    del au, av, aw, norm
+    j33, j44, j55 = _cross(q, r, w, w), _cross(p, r, v, v), _cross(p, q, u, u)
+    j34, j35, j45 = _cross(v, w, u, r), _cross(u, w, q, v), _cross(u, v, p, w)
+    det = _cross(p, j33, u, j34, np.add)
+    det += v * j35
+    certain = (np.abs(det) > bound) & np.isfinite(det)
+    del bound
     # Descartes: sign changes of (1, trace, minors, det) count the negative
     # eigenvalues, exactly for a real-rooted cubic with det != 0
-    trace, minors = p + q + r, j33 + j44 + j55
-    negatives = np.where(det > 0, np.where((trace > 0) & (minors > 0), 0, 2),
-                         np.where((trace < 0) & (minors > 0), 3, 1))
+    trace, minors, i8 = p + q + r, j33 + j44 + j55, np.int8
+    negatives = np.where(det > 0, np.where((trace > 0) & (minors > 0), i8(0), i8(2)),
+                         np.where((trace < 0) & (minors > 0), i8(3), i8(1)))
+    del trace, minors
     inv = certain / np.where(certain, det, 1.0)
-    # each temporary goes once used: the live (energies, m) arrays bound
-    # the peak memory
-    del au, av, aw, det, norm, trace, minors
-    # adj(A) times the coupling columns (a01, a02, 0), (b01, 0, b12) and
-    # (0, c02, c12), one column at a time to bound the live temporaries
-    s00 = a00 - (a01 * (j33 * a01 + j34 * a02) + a02 * (j34 * a01 + j44 * a02)) * inv
-    y = (j33 * b01 + j35 * b12, j34 * b01 + j45 * b12, j35 * b01 + j55 * b12)
-    s11, s01 = b11 - (b01 * y[0] + b12 * y[2]) * inv, -(a01 * y[0] + a02 * y[1]) * inv
-    del y
-    y = (j34 * c02 + j35 * c12, j44 * c02 + j45 * c12, j45 * c02 + j55 * c12)
-    out = [s00, s11, c22 - (c02 * y[1] + c12 * y[2]) * inv, s01,
-           -(a01 * y[0] + a02 * y[1]) * inv, -(b01 * y[0] + b12 * y[2]) * inv]
-    del y
+    del det
     m, side = certain.shape[1], ~certain
     side[delayed[0], delayed[1] // 3] = True
     e, c = np.nonzero(side)
-    if not e.size:
-        return negatives, out, _NO_ROWS
     pair = e * m + c
 
     def at(x):  # x is (rows, m), or (1, m) for the same in every row
         return x.take(pair if len(x) > 1 else c)
 
+    # the delayed path's pivot blocks and inverses, gathered before they go
+    sure, pivot = certain.take(pair), _symmetric(*(at(x) for x in (p, q, r, u, v, w)))
+    del p, q, r, u, v, w, certain, side
+    inverse = (_symmetric(*(at(x) for x in (j33, j44, j55, j34, j35, j45)))
+               * at(inv)[:, None, None])
+    # adj(A) times child k's couplings x_k to its inner corners i, j, one
+    # entry y_s at a time: s_kk = base - x_k.y / det, s_lk = -x_l.y / det;
+    # each entry of adj(A) goes after its last use (_LAST)
+    adj = [[j33, j34, j35], [j34, j44, j45], [j35, j45, j55]]
+    del j33, j34, j35, j44, j45, j55
+    out = [None] * 6
+    for k, (i, j) in enumerate(_PAIRS):
+        for s in range(3) if k else (i, j):
+            y = _cross(adj[s][i], child(k, 3 + i), adj[s][j], child(k, 3 + j), np.add)
+            for a, b in _LAST.get((k, s), ()):
+                adj[a][b] = adj[b][a] = None
+            near = [l for l in _PAIRS[s] if l <= k]  # the last product goes into y
+            for l in near:
+                x = np.multiply(child(l, 3 + s), y, out=y if l == near[-1] else None)
+                o = _ENTRIES.index((l, k))
+                out[o] = x if out[o] is None else np.add(out[o], x, out=out[o])
+            del y, x
+        for l in range(k):
+            x = out[_ENTRIES.index((l, k))]
+            np.multiply(np.negative(x, out=x), inv, out=x)
+        out[k] *= inv
+        np.subtract(child(k, k), out[k], out=out[k])
+    del adj, inv
+    if not e.size:
+        return negatives, (out, None), _NO_ROWS
     # the children's delayed rows, each pair's together, in the corner
     # numbering of the front
     order, start, number = _rows_of(delayed[0] * m + delayed[1] // 3, pair)
     front = np.zeros((len(order), 6))
     front[np.arange(len(order))[:, None], _SLOTS[delayed[1][order] % 3]] = (
         delayed[3][order])
-    zero, sure = np.zeros(e.size), certain.take(pair)
-    inverse = _symmetric(*(at(x) for x in (j33, j44, j55, j34, j35, j45)))
-    link = np.stack([at(a01), at(b01), zero, at(a02), zero, at(c02), zero, at(b12),
-                     at(c12)], axis=-1).reshape(-1, 3, 3)
-    owner, value, coupling = _directions(
-        sure, _symmetric(*(at(x) for x in (p, q, r, u, v, w))),
-        inverse * at(inv)[:, None, None], link,
-        (delayed[2][order], front, start, number))
+    zero = np.zeros(e.size)
+    link = np.stack([at(child(0, 3)), at(child(1, 3)), zero, at(child(0, 4)), zero,
+                     at(child(2, 4)), zero, at(child(1, 5)), at(child(2, 5))],
+                    axis=-1).reshape(-1, 3, 3)
+    owner, value, coupling = _directions(sure, pivot, inverse, link,
+                                         (delayed[2][order], front, start, number))
+    del pivot, inverse, link, front
     # a direction above the floor is eliminated: its sign is counted and
     # x x^T / value taken off the outer corners; one within the floor is
     # counted here if it no longer couples, else delayed
@@ -237,7 +282,7 @@ def _merge(schur, pivots, delayed, floor):
     scaled = coupling / np.where(small, np.inf, value)[:, None]
     count = np.where(sure, at(negatives), 0) + np.bincount(
         owner, weights=(value < 0.0) & ~small, minlength=e.size).astype(np.int64)
-    base = (at(a00), at(b11), at(c22), zero, zero, zero)
+    base = (at(child(0, 0)), at(child(1, 1)), at(child(2, 2)), zero, zero, zero)
     for s, b, (i, j) in zip(out, base, _ENTRIES):
         s[e, c] = np.where(sure, at(s), b) - np.bincount(
             owner, weights=coupling[:, i] * scaled[:, j], minlength=e.size)
@@ -249,7 +294,7 @@ def _merge(schur, pivots, delayed, floor):
     negatives[e, c] = count + folded + np.bincount(
         owner, weights=free & (value < 0.0), minlength=e.size).astype(np.int64)
     owner = owner[~free]
-    return negatives, out, (e[owner], c[owner], value[~free], coupling[~free])
+    return negatives, (out, None), (e[owner], c[owner], value[~free], coupling[~free])
 
 
 def _fold(owner, value, coupling, pairs):
@@ -302,18 +347,19 @@ def _codes(diag, weights):
 
 def _first_merge(kids, diag, weights, codes, shift, floor):
     """:func:`_merge` of unit cells with rows ``kids`` (m, 3, 3), each
-    operator's distinct blocks solved once: the negatives per row, the six
-    (rows, m) entries and the delayed rows.
+    operator's distinct blocks solved once: the negatives per row, the
+    entries as (entries, index) (see :func:`_merge`) and the delayed rows.
 
     The children of a first merge are bare unit cells, so a block depends
     on its row only through the (diagonal, weight) at its 3 inner corners:
     each operator's blocks are keyed by the ``codes`` of these (see
     :func:`_codes`), and the merge runs on each operator's distinct keys, as
-    (rows, keys) arrays padded to the most keys of an operator.  The entries
-    are gathered back to the blocks, each key's negatives count once for
-    every block that holds it, and its delayed rows are copied to each such
-    block, in the order a merge of every block gives them.  Where no
-    operator repeats a block, the blocks are merged as they are.
+    (rows, keys) arrays padded to the most keys of an operator, which go
+    with each block's (rows, m) flat index in them.  Each key's negatives
+    count once for every block that holds it, and its delayed rows are
+    copied to each such block, in the order a merge of every block gives
+    them.  Where no operator repeats a block, the blocks are merged as they
+    are, with no index.
     """
     m, inner = len(kids), kids[:, [0, 0, 1], [1, 2, 2]]
     if codes is not None:
@@ -328,7 +374,7 @@ def _first_merge(kids, diag, weights, codes, shift, floor):
         width = int(rank[:, -1].max()) + 1
     if codes is None or width == m:
         negatives, schur, delayed = _merge(_unit_cells(3 * m),
-                                           _pivots(kids, diag, weights, shift),
+                                           _pivots(inner, diag, weights, shift),
                                            _NO_ROWS, floor)
         return negatives.sum(axis=1), schur, delayed
     operators = len(codes)
@@ -339,18 +385,16 @@ def _first_merge(kids, diag, weights, codes, shift, floor):
     start = np.cumsum(number, axis=1) - number
     op = np.arange(operators)[:, None]
     vertex = inner[order[op, np.minimum(start, m - 1)]]
-    pivots = [(diag[op, 0, v][:, None] - shift * weights[op, 0, v][:, None])
-              .reshape(-1, width) for v in np.moveaxis(vertex, -1, 0)]
-    negatives, schur, (e, c, value, coupling) = _merge(_unit_cells(3 * width), pivots,
-                                                       _NO_ROWS, floor)
+    negatives, (entries, _), (e, c, value, coupling) = _merge(
+        _unit_cells(3 * width), _pivots(vertex, diag, weights, shift), _NO_ROWS, floor)
     energies = shift.shape[1]
     negatives = (negatives.reshape(operators, energies, width)
                  * number[:, None]).sum(axis=2).ravel()
     which = np.empty_like(rank)
     which[op, order] = rank
     # each block's entry in the flat (rows, width) arrays
-    at = np.repeat(which, energies, axis=0) + width * np.arange(len(negatives))[:, None]
-    schur = [x.take(at) for x in schur]
+    schur = entries, (np.repeat(which, energies, axis=0)
+                      + width * np.arange(len(negatives))[:, None])
     if not e.size:
         return negatives, schur, _NO_ROWS
     # the k-th copy of a delayed row goes to the k-th block of its key
@@ -381,7 +425,7 @@ def _eliminate(corners, diag, weights, codes, shift, floor, fit=1):
                             BUDGET // (9 * shift.size))
                  for part in np.split(corners, 3)]
         negatives = sum(p[0] for p in parts)
-        schur = [np.hstack(entry) for entry in zip(*(p[1] for p in parts))]
+        schur = [np.hstack(entry) for entry in zip(*(p[1] for p in parts))], None
         corners = np.vstack([p[2] for p in parts])
         delayed = [np.concatenate(x) for x in zip(*(p[3] for p in parts))]
         delayed[1] = np.concatenate([p[3][1] + t * len(p[2])
@@ -394,11 +438,13 @@ def _eliminate(corners, diag, weights, codes, shift, floor, fit=1):
         schur, delayed = _unit_cells(len(corners)), _NO_ROWS
     while len(corners) > fit:
         kids = corners.reshape(-1, 3, 3)
-        neg, schur, delayed = _merge(schur, _pivots(kids, diag, weights, shift), delayed,
-                                     floor)
+        neg, schur, delayed = _merge(schur, _pivots(kids[:, [0, 0, 1], [1, 2, 2]], diag,
+                                                    weights, shift), delayed, floor)
         negatives = negatives + neg.sum(axis=1)
         corners = kids[:, [0, 1, 2], [0, 1, 2]]
-    return negatives, schur, corners, delayed
+    entries, index = schur
+    return (negatives, [x if index is None else x.take(index) for x in entries], corners,
+            delayed)
 
 
 # at extreme magnitudes (|entries| ~ 1e100) the closed-form products
@@ -434,16 +480,19 @@ def negative_counts(cells, diag, weights, shift):
 
 def _pass(cells, diag, weights, shift):
     """:func:`negative_counts` of at most BUDGET // 9 rows."""
-    k, n = shift.size, diag.shape[1]
-    diag, weights, shift = diag[:, None], weights[:, None], shift[..., None]
-    scale = np.ones(shift.shape[:2])
-    step = BUDGET // k
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        scale = np.maximum(scale, np.abs(diag[..., part] - shift * weights[..., part])
-                           .max(axis=-1))
+    k = shift.size
+    # d - s * w rounds monotonically in d, so over the vertices of one
+    # weight w, |d - s * w| is largest at their least or greatest d
+    scale = np.ones(shift.shape)
+    for w in np.unique(weights):
+        mine = weights == w
+        for d in (np.min(diag, axis=1, where=mine, initial=np.inf),
+                  np.max(diag, axis=1, where=mine, initial=-np.inf)):
+            scale = np.maximum(scale, np.where(mine.any(axis=1)[:, None],
+                                               np.abs(d[:, None] - shift * w), 0.0))
     floor = PIVOT_TOL * scale.reshape(k, 1)
-    codes = _codes(diag[:, 0], weights[:, 0])
+    codes = _codes(diag, weights)
+    diag, weights, shift = diag[:, None], weights[:, None], shift[..., None]
     trees = [_eliminate(tree, diag, weights, codes, shift, floor) for tree in cells]
     negatives = sum(t[0] for t in trees)
     # a corner shared by the two halves of a ball enters once; the -1 of

@@ -1,15 +1,22 @@
-"""The elimination kernel on hand-built states, against dense counts."""
+"""The elimination kernel on hand-built states, against dense counts; its
+counts pinned by a digest and its traced memory bounded."""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gasketlab import elimination, operators
-from gasketlab.lattice import build_triangle
-from gasketlab.spectra import counts_from_eigenvalues, tie_guard
+from gasketlab import elimination, ids, operators, verification
+from gasketlab.lattice import TriangleSpec, build_triangle
+from gasketlab.spectra import count_below, counts_from_eigenvalues, tie_guard
 
 #: The level-1 triangle as three unit cells: outer corners 0, 1, 2 and
 #: inner corners 3, 4, 5, each cell's corners in the order a merge reads.
 LEVEL_ONE = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+#: The inner corners 3, 4, 5 of its one merge.
+INNER = np.array([[3, 4, 5]])
 
 
 def _matrix(cells, diag):
@@ -26,13 +33,15 @@ def _dense(cells, diag, energies):
 
 
 def _rows(diag, energies):
-    """One operator's diagonal, weights and shifts in the kernel's shapes, and
-    the pivot floor of each (operator, energy) row."""
-    shift = energies + tie_guard(energies)
+    """The diagonals ``diag`` (n,) or (operators, n), unit weights and the
+    shifts in the kernel's shapes, and the pivot floor of each (operator,
+    energy) row."""
+    diag = np.atleast_2d(diag)
+    shift = np.broadcast_to(energies + tie_guard(energies), (len(diag), len(energies)))
     floor = elimination.PIVOT_TOL * np.maximum(
-        1.0, np.abs(diag - shift[:, None]).max(axis=1))
-    return (diag[None, None], np.ones((1, 1, len(diag))), shift[None, :, None],
-            floor[:, None])
+        1.0, np.abs(diag[:, None] - shift[..., None]).max(axis=2))
+    return (diag[:, None], np.ones((len(diag), 1, diag.shape[1])), shift[..., None],
+            floor.reshape(-1, 1))
 
 
 def _top(negatives, schur, delayed, corners, diag, shift):
@@ -42,7 +51,7 @@ def _top(negatives, schur, delayed, corners, diag, shift):
     counts = negatives.copy()
     for row, s in enumerate(shift.ravel()):
         block = elimination._symmetric(*(np.broadcast_to(x, (shift.size, 1))[row]
-                                         for x in schur))
+                                         for x in schur[0]))
         block[0, [0, 1, 2], [0, 1, 2]] += diag[corners] - s
         mine = delayed[0] == row
         last = elimination._bordered(block, delayed[2][None, mine],
@@ -58,7 +67,7 @@ def test_three_unit_cells_merged_once_count_as_dense():
     for diag in (4.0 + rng.uniform(0.0, 1.0, 6), 4.0 + rng.choice([0.0, 5.0], 6)):
         d, w, shift, floor = _rows(diag, energies)
         negatives, schur, delayed = elimination._merge(
-            elimination._unit_cells(3), elimination._pivots(LEVEL_ONE[None], d, w, shift),
+            elimination._unit_cells(3), elimination._pivots(INNER, d, w, shift),
             elimination._NO_ROWS, floor)
         counts = _top(negatives[:, 0], schur, delayed, [0, 1, 2], diag, shift)
         assert counts.tolist() == _dense(LEVEL_ONE, diag, energies).tolist()
@@ -76,7 +85,7 @@ def test_a_pivot_block_singular_at_a_tie_energy_is_delayed(inner, energy, nulls)
     energies = np.array([energy])
     d, w, shift, floor = _rows(diag, energies)
     negatives, schur, delayed = elimination._merge(
-        elimination._unit_cells(3), elimination._pivots(LEVEL_ONE[None], d, w, shift),
+        elimination._unit_cells(3), elimination._pivots(INNER, d, w, shift),
         elimination._NO_ROWS, floor)
     assert len(delayed[0]) == nulls
     assert np.all(np.abs(delayed[2]) <= floor[0])
@@ -98,7 +107,7 @@ def test_a_childs_delayed_row_joins_a_singular_pivot_block(child):
     d, w, shift, floor = _rows(diag, energies)
     coupling = np.array([0.4, -1.3, 0.6])
     negatives, schur, delayed = elimination._merge(
-        elimination._unit_cells(3), elimination._pivots(LEVEL_ONE[None], d, w, shift),
+        elimination._unit_cells(3), elimination._pivots(INNER, d, w, shift),
         (np.array([0]), np.array([child]), np.array([0.7]), coupling[None]), floor)
     counts = _top(negatives[:, 0], schur, delayed, [0, 1, 2], diag, shift)
     matrix = np.pad(_matrix(LEVEL_ONE, diag), (0, 1))
@@ -124,8 +133,8 @@ def test_a_delayed_row_is_carried_up_two_merges(bc):
     assert np.bincount(delayed[1], minlength=9).tolist() == [2] * 9
     for left in (9, 3):
         kids = kids[:, [0, 1, 2], [0, 1, 2]].reshape(-1, 3, 3)
-        more, schur, delayed = elimination._merge(
-            schur, elimination._pivots(kids, d, w, shift), delayed, floor)
+        more, schur, delayed = elimination._merge(schur, elimination._pivots(
+            kids[:, [0, 0, 1], [1, 2, 2]], d, w, shift), delayed, floor)
         negatives = negatives + more.sum(axis=1)
         assert len(delayed[0]) == left
     counts = _top(negatives, schur, delayed, kids[0, [0, 1, 2], [0, 1, 2]], diag, shift)
@@ -145,3 +154,88 @@ def test_a_bordered_block_counts_as_its_symmetric_copy():
     assert not np.any(np.triu(block, 1)[:, :, 3:])
     full = np.tril(block) + np.swapaxes(np.tril(block, -1), 1, 2)
     assert np.linalg.eigvalsh(block).tobytes() == np.linalg.eigvalsh(full).tobytes()
+
+
+@pytest.mark.parametrize("level, energies, law", [
+    (3, [5.0], operators.constant(0.0)),
+    (4, np.arange(27.0), operators.bernoulli(0.0, 10.0, 0.5, seed=0))])
+def test_a_merge_gathers_the_first_merges_entries_as_the_taken_arrays(level, energies,
+                                                                      law):
+    # the merge after the first one reads each child entry through the
+    # first merge's index; fed the entries taken to full width instead, it
+    # returns the same negatives, entries and delayed rows, bit for bit:
+    # the free level-3 triangle at E = 5 carries delayed rows, and the
+    # three rules on a Bernoulli level-4 triangle meet the tie energies
+    region = build_triangle(level)
+    values = operators.sample_potential(region, law)
+    diag = np.array([operators.assemble(region, bc, values).diagonal
+                     for bc in operators.BOUNDARY_CONDITIONS])
+    d, w, shift, floor = _rows(diag, np.array(energies))
+    kids = region.cells[0].reshape(-1, 3, 3)
+    _, (entries, index), delayed = elimination._first_merge(
+        kids, d, w, elimination._codes(diag, np.ones(diag.shape)), shift, floor)
+    assert index is not None and len(delayed[0])
+    kids = kids[:, [0, 1, 2], [0, 1, 2]].reshape(-1, 3, 3)
+    lazy, taken = (elimination._merge(schur, elimination._pivots(
+        kids[:, [0, 0, 1], [1, 2, 2]], d, w, shift), delayed, floor)
+        for schur in ((entries, index), ([x.take(index) for x in entries], None)))
+    assert lazy[0].tobytes() == taken[0].tobytes()
+    assert [x.tobytes() for x in lazy[1][0]] == [x.tobytes() for x in taken[1][0]]
+    assert [x.tobytes() for x in lazy[2]] == [x.tobytes() for x in taken[2]]
+    assert len(lazy[2][0])
+
+
+def _trials(region, spec, count, rules=operators.BOUNDARY_CONDITIONS):
+    """The operator of each rule for each of ``count`` trials of ``spec``."""
+    return [operators.assemble(region, bc, operators.sample_potential(region, spec, t))
+            for t in range(count) for bc in rules]
+
+
+#: The sha256 of the counts below, as the kernel gave them before its merges
+#: read the first merge's entries lazily and freed each temporary after
+#: its last use.
+COUNTS_DIGEST = "ef06d781e8c8bd225921473cf001c294d3bc7ee5b764b0a0cca0cc04d0f7133c"
+
+
+def test_counts_of_the_three_laws_keep_their_digest():
+    # levels 4 and 5, each default law, 20 trials of each rule as the 60
+    # rows of one call, at the 64-point global grid and the integer
+    # energies 0..26, among them the tie energies 2, 5, 6, 12, 15 and 16
+    digest = hashlib.sha256()
+    for level in (4, 5):
+        region = build_triangle(level)
+        for spec in verification.default_distributions(0).values():
+            grid = np.union1d(ids.global_grid(spec, 64), np.arange(27.0))
+            digest.update(count_below(_trials(region, spec, 20), grid).tobytes())
+    assert digest.hexdigest() == COUNTS_DIGEST
+
+
+def _traced_peak(hams, grid):
+    """The traced peak of one count_below call past the memory held before
+    it, in units of 8 * BUDGET bytes, after a first call."""
+    count_below(hams, grid)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        count_below(hams, grid)
+        return (tracemalloc.get_traced_memory()[1] - held) / (8 * elimination.BUDGET)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_the_kernel_keeps_its_traced_peak():
+    # the ids-l8 call (two Bernoulli 0/10 trials on the level-8 half
+    # triangle, 27-point global grid; its peak is the merge after the first
+    # of each level-6 subtree, 38 rows) peaks at 8.5 units, and 60
+    # operators of a level-4 triangle at a 64-point grid (2640 rows, whose
+    # peak is a first merge) at 10.3; before each merge kept about half as
+    # many live arrays, they peaked at 17.0 and 17.95 (4.25 and 4.49 MiB)
+    spec = operators.bernoulli(0.0, 10.0, 0.5, seed=0)
+    region = build_triangle(TriangleSpec(8), half_lattice=True)
+    hams = _trials(region, spec, 2, ["simple"])
+    assert _traced_peak(hams, ids.global_grid(spec, 27)) < 9.8
+    hams = _trials(build_triangle(4), spec, 20)
+    assert _traced_peak(hams, ids.global_grid(spec, 64)) < 11.8
