@@ -33,85 +33,75 @@ BOUNDARY_CONDITIONS = (SIMPLE, NEUMANN, DIRICHLET)
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """An i.i.d. on-site potential: distribution, seed and overall scale.
+    """An i.i.d. on-site potential: its law, seed and overall scale.
 
-    ``distribution`` is one of
-      ("constant", c)
-      ("bernoulli", a, b, prob_b)
-      ("uniform", a, b)
-      ("table", ((value, cum_prob), ...))   -- atoms with cumulative masses
-    Identical seed and trial index reproduce the identical sample for the
-    identical canonical vertex order, independent of scheduling.
+    A law is atoms or an interval.  Atoms: a draw u in [0, 1) takes
+    ``values[i]`` where masses[i-1] < u <= masses[i], the cumulative
+    ``masses`` increasing strictly to exactly 1.  An interval (``masses``
+    None): the uniform law on (a, b) = ``values``, the gapless support of
+    the paper's spectrum theorem.  Identical seed and trial index reproduce
+    the identical sample for the identical canonical vertex order,
+    independent of scheduling.
     """
 
-    distribution: tuple
+    values: tuple
+    masses: tuple | None
     seed: int = 0
     scale: float = 1.0
 
     def __post_init__(self):
-        d = self.distribution
-        if not d or d[0] not in ("constant", "bernoulli", "uniform", "table"):
-            raise ValidationError(f"unknown distribution {d!r}")
-        if not np.all(np.isfinite(np.append(np.ravel(d[1:]), self.scale))):
-            raise ValidationError(f"non-finite value in {d!r} (scale {self.scale})")
+        law = (self.values, self.masses)
+        if not np.all(np.isfinite([*self.values, *(self.masses or ()), self.scale])):
+            raise ValidationError(f"non-finite value in {law} (scale {self.scale})")
         if self.scale < 0:
             raise ValidationError("scale must be nonnegative")
         if not 0 <= self.seed < 2**64:  # a generator key word
             raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
-        if d[0] == "bernoulli":
-            _, _, _, p = d
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"bernoulli probability {p} not in [0,1]")
-        elif d[0] == "uniform":
-            _, a, b = d
-            if not a < b:
-                raise ValidationError("uniform needs a < b")
-        elif d[0] == "table":
-            rows = d[1]
-            if not rows:
-                raise ValidationError("empty cdf table")
-            cum = [c for _, c in rows]
-            if any(c2 <= c1 for c1, c2 in zip(cum, cum[1:])):
-                raise ValidationError("cdf table must be strictly increasing")
-            if not 0 < cum[0] <= 1 or abs(cum[-1] - 1.0) > 1e-12:
-                raise ValidationError("cdf table must end at 1")
+        if self.masses is None:
+            if len(self.values) != 2 or not self.values[0] < self.values[1]:
+                raise ValidationError(f"uniform needs (a, b) with a < b, got {self.values}")
+        elif not (0 < len(self.masses) == len(self.values) and self.masses[-1] == 1.0
+                  and np.all(np.diff(self.masses) > 0)):
+            raise ValidationError(
+                f"atoms need one mass each, increasing strictly to 1, got {law}")
         # finite parameters and scale can still overflow together
         lo, hi = self.support()
         if not np.all(np.isfinite([lo, hi, hi - lo])):
             raise ValidationError(
-                f"{d!r} scaled by {self.scale} overflows: support [{lo}, {hi}]")
+                f"{law} scaled by {self.scale} overflows: support [{lo}, {hi}]")
 
     def support(self) -> tuple[float, float]:
-        """(inf, sup) of the support of the scaled distribution."""
-        d = self.distribution
-        if d[0] == "constant":
-            lo = hi = d[1]
-        elif d[0] == "bernoulli":
-            lo, hi = min(d[1], d[2]), max(d[1], d[2])
-        elif d[0] == "uniform":
-            lo, hi = d[1], d[2]
-        else:
-            values = [v for v, _ in d[1]]
-            lo, hi = min(values), max(values)
-        return (self.scale * lo, self.scale * hi)
+        """(inf, sup) of the support of the scaled law."""
+        return (self.scale * min(self.values), self.scale * max(self.values))
 
 
 def constant(c: float, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
-    return PotentialSpec(("constant", float(c)), seed=seed, scale=scale)
+    return PotentialSpec((float(c),), (1.0,), seed=seed, scale=scale)
 
 
 def bernoulli(a: float, b: float, prob_b: float, seed: int = 0,
               scale: float = 1.0) -> PotentialSpec:
-    return PotentialSpec(("bernoulli", float(a), float(b), float(prob_b)),
+    """b with probability ``prob_b``, else a: a draw u < prob_b, that is
+    u <= nextafter(prob_b, -1), takes b."""
+    p = float(prob_b)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"bernoulli probability {p} not in [0,1]")
+    return PotentialSpec((float(b), float(a)), (float(np.nextafter(p, -1.0)), 1.0),
                          seed=seed, scale=scale)
 
 
 def uniform(a: float, b: float, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
-    return PotentialSpec(("uniform", float(a), float(b)), seed=seed, scale=scale)
+    return PotentialSpec((float(a), float(b)), None, seed=seed, scale=scale)
 
 
 def table_cdf(rows, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
-    return PotentialSpec(("table", tuple((float(v), float(c)) for v, c in rows)),
+    """Atoms from (value, cumulative mass) rows; a last mass within 1e-12
+    of 1 is stored as exactly 1, so every draw finds an atom."""
+    rows = [(float(v), float(c)) for v, c in rows]
+    cum = [c for _, c in rows]
+    if not cum or not 0 < cum[0] <= 1 or abs(cum[-1] - 1.0) > 1e-12:
+        raise ValidationError("cdf table must be nonempty and end at 1")
+    return PotentialSpec(tuple(v for v, _ in rows), (*cum[:-1], 1.0),
                          seed=seed, scale=scale)
 
 
@@ -121,27 +111,22 @@ def sample_potential(region: LatticeRegion, spec: PotentialSpec,
 
     Uses a counter-based generator keyed by (seed, trial), each in [0,
     2^64) (else a ValidationError), so trials can be evaluated
-    concurrently and in any order with identical results.
+    concurrently and in any order with identical results; a one-atom law
+    draws nothing.
     """
     if not 0 <= trial < 2**64:
         raise ValidationError(f"trial must be in [0, 2^64), got {trial}")
     n = len(region)
-    d = spec.distribution
-    if d[0] == "constant":
-        return np.full(n, spec.scale * d[1])
+    if len(spec.values) == 1:
+        return np.full(n, spec.scale * spec.values[0])
     key = np.array([spec.seed, trial], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     u = rng.random(n)
-    if d[0] == "bernoulli":
-        _, a, b, p = d
-        values = np.where(u < p, b, a)
-    elif d[0] == "uniform":
-        _, a, b = d
+    if spec.masses is None:
+        a, b = spec.values
         values = a + (b - a) * u
     else:
-        atoms = np.array([v for v, _ in d[1]])
-        cum = np.array([c for _, c in d[1]])
-        values = atoms[np.searchsorted(cum, u, side="left")]
+        values = np.array(spec.values)[np.searchsorted(spec.masses, u, side="left")]
     return spec.scale * values
 
 

@@ -78,14 +78,6 @@ def _edge_values(ham: HamiltonianMatrix, i, j):
     return -1.0 / np.sqrt(ham.degree_weights[i] * ham.degree_weights[j])
 
 
-def _dense_symmetric(ham: HamiltonianMatrix) -> np.ndarray:
-    """The operator's symmetric form as a dense array."""
-    arr = np.diag(ham.diagonal)
-    i, j = ham.region.edges.T
-    arr[i, j] = arr[j, i] = _edge_values(ham, i, j)
-    return arr
-
-
 def dense_array(ham: HamiltonianMatrix) -> np.ndarray:
     """The operator's symmetric form as a dense array, for an operator of
     at most DENSE_THRESHOLD rows."""
@@ -93,7 +85,10 @@ def dense_array(ham: HamiltonianMatrix) -> np.ndarray:
         raise CapacityError(
             f"dimension {ham.dimension} exceeds the dense threshold {DENSE_THRESHOLD}; "
             + _SOLVE_ADVICE)
-    return _dense_symmetric(ham)
+    arr = np.diag(ham.diagonal)
+    i, j = ham.region.edges.T
+    arr[i, j] = arr[j, i] = _edge_values(ham, i, j)
+    return arr
 
 
 def eigenvalues_dense(ham: HamiltonianMatrix) -> np.ndarray:

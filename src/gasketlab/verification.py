@@ -68,7 +68,8 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
     records = []
     for name, spec in default_distributions(seed).items():
         grid = ids.global_grid(spec, grid_points)
-        trials = 1 if spec.distribution[0] == "constant" else seeds
+        lo, hi = spec.support()  # a one-point law takes one trial
+        trials = 1 if lo == hi else seeds
         for level in levels:
             records += _counting_records(name, level, spec, trials, grid)
     return records
@@ -238,9 +239,9 @@ def temple_suite(levels=(2, 3, 4), seeds=100, seed=0) -> list[CheckRecord]:
     """Temple bound never exceeds the dense ground state."""
     records = []
     for name, spec in default_distributions(seed).items():
-        trials = 1 if spec.distribution[0] == "constant" else seeds
+        lo, hi = spec.support()
         for level in levels:
-            for trial in range(trials):
+            for trial in range(1 if lo == hi else seeds):
                 rep = ids.temple_check(level, spec, trial)
                 records.append(CheckRecord(
                     "temple-bound",
@@ -253,17 +254,10 @@ def temple_suite(levels=(2, 3, 4), seeds=100, seed=0) -> list[CheckRecord]:
 # finite-volume spectrum containment
 
 def _allowed_intervals(potential_spec):
-    d = potential_spec.distribution
-    scale = potential_spec.scale
-    if d[0] == "constant":
-        atoms = [scale * d[1]]
-    elif d[0] == "bernoulli":
-        atoms = [scale * d[1], scale * d[2]]
-    elif d[0] == "table":
-        atoms = [scale * v for v, _ in d[1]]
-    else:
+    if potential_spec.masses is None:
         lo, hi = potential_spec.support()
         return [(lo, hi + 6.0)], True
+    atoms = [potential_spec.scale * v for v in potential_spec.values]
     return sorted((a, a + 6.0) for a in atoms), False
 
 

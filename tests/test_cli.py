@@ -94,10 +94,10 @@ def test_verify_counting_capacity(tmp_path, capsys):
 def test_verify_dense_suites_capacity(tmp_path, capsys, monkeypatch, suite):
     # a level-9 ball has 59051 rows, 26 GiB as a dense array: the capacity
     # guard must reject it before any dense array is built
-    def refuse(ham):
+    def refuse(ham, i, j):
         raise AssertionError("dense array built past the capacity guard")
 
-    monkeypatch.setattr(spectra, "_dense_symmetric", refuse)
+    monkeypatch.setattr(spectra, "_edge_values", refuse)
     rc = run(["verify", "--suite", suite, "--levels", "9", "--out", "v"],
              tmp_path)
     err = capsys.readouterr().err.strip().splitlines()
@@ -345,7 +345,7 @@ def test_parse_distribution_errors():
     with pytest.raises(ValidationError):
         parse_distribution("weird:1", 0, 1.0)
     spec = parse_distribution("table:0:0.5,10:1", 0, 1.0)
-    assert spec.distribution[0] == "table"
+    assert (spec.values, spec.masses) == ((0.0, 10.0), (0.5, 1.0))
 
 
 def _on_cpus(monkeypatch, cpus):

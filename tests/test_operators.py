@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketlab import operators, spectra
 from gasketlab.errors import ValidationError
@@ -76,6 +79,22 @@ def test_table_cdf_sampling():
     assert spec.support() == (1.0, 7.0)
 
 
+def test_a_draw_above_a_tables_last_mass_takes_its_last_atom(monkeypatch):
+    # a last mass within 1e-12 of 1 is accepted; the largest draw below 1
+    # lies above it and takes the last atom, not an index past the table
+    spec = table_cdf([(0.0, 0.5), (1.0, 0.9999999999999)])
+
+    class Top:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(np.random, "Generator", Top)
+    assert np.array_equal(sample_potential(build_triangle(1), spec), np.ones(6))
+
+
 def test_table_cdf_validation():
     with pytest.raises(ValidationError):
         table_cdf([(1.0, 0.5), (2.0, 0.4), (3.0, 1.0)])
@@ -83,6 +102,92 @@ def test_table_cdf_validation():
         table_cdf([(1.0, 0.5)])
     with pytest.raises(ValidationError):
         table_cdf([])
+
+
+def _kind_sample(n, law, seed, trial, scale):
+    """The sampler as one rule per kind of law (constant, bernoulli,
+    uniform, table), the reference the atoms-or-interval rule must equal
+    bit for bit."""
+    kind, *params = law
+    if kind == "constant":
+        return np.full(n, scale * params[0])
+    key = np.array([seed, trial], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(n)
+    if kind == "bernoulli":
+        a, b, p = params
+        values = np.where(u < p, b, a)
+    elif kind == "uniform":
+        a, b = params
+        values = a + (b - a) * u
+    else:
+        atoms = np.array([v for v, _ in params[0]])
+        cum = np.array([c for _, c in params[0]])
+        values = atoms[np.searchsorted(cum, u, side="left")]
+    return scale * values
+
+
+def _kind_support(law, scale):
+    kind, *params = law
+    if kind == "constant":
+        lo = hi = params[0]
+    elif kind == "bernoulli":
+        lo, hi = min(params[:2]), max(params[:2])
+    elif kind == "uniform":
+        lo, hi = params
+    else:
+        lo, hi = min(v for v, _ in params[0]), max(v for v, _ in params[0])
+    return (scale * lo, scale * hi)
+
+
+_VALUES = st.floats(-1e3, 1e3)
+# 0 and 1, the 2^-53 grid the draws lie on, any float in [0, 1], or None:
+# a tie with one of the draws, taken in the test
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0, None]),
+                           st.integers(0, 2**53).map(lambda k: k / 2**53),
+                           st.floats(0.0, 1.0))
+
+
+@st.composite
+def _laws(draw):
+    kind = draw(st.sampled_from(["constant", "bernoulli", "uniform", "table"]))
+    if kind == "constant":
+        return (kind, draw(_VALUES))
+    if kind == "bernoulli":
+        return (kind, draw(_VALUES), draw(_VALUES), draw(_PROBABILITIES))
+    if kind == "uniform":
+        return (kind, *sorted(draw(st.lists(_VALUES, min_size=2, max_size=2, unique=True))))
+    # the last mass is 1, or within 1e-12 of it, above the inner masses
+    end = draw(st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13]))
+    inner = draw(st.lists(st.floats(0.0, min(end, 1.0), exclude_min=True,
+                                    exclude_max=True), min_size=end > 1, max_size=5))
+    cum = [*sorted(set(inner)), end]
+    values = draw(st.lists(_VALUES, min_size=len(cum), max_size=len(cum)))
+    return (kind, tuple(zip(values, cum)))
+
+
+@functools.lru_cache(maxsize=None)
+def _region(level, ball):
+    return build_ball(level) if ball else build_triangle(level)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(law=_laws(), seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**64 - 1),
+       level=st.integers(0, 6), ball=st.booleans(), tie=st.integers(0, 2000),
+       scale=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e3)))
+def test_sampling_equals_the_kind_rules_bit_for_bit(law, seed, trial, level, ball,
+                                                    tie, scale):
+    region = _region(level, ball)
+    n = len(region)
+    if law[0] == "bernoulli" and law[3] is None:
+        # a tie: p is one of the draws
+        draws = _kind_sample(n, ("uniform", 0.0, 1.0), seed, trial, 1.0)
+        law = (*law[:3], float(draws[tie % n]))
+    build = {"constant": constant, "bernoulli": bernoulli, "uniform": uniform,
+             "table": table_cdf}[law[0]]
+    spec = build(*law[1:], seed=seed, scale=scale)
+    got = sample_potential(region, spec, trial)
+    assert got.tobytes() == _kind_sample(n, law, seed, trial, scale).tobytes()
+    assert spec.support() == _kind_support(law, scale)
 
 
 def test_assemble_small_triangle_spectra():
@@ -193,7 +298,7 @@ def test_array_operator_matches_the_triplet_csr_bit_for_bit(monkeypatch, name):
         assert _operator_array(ham).tobytes() == want.toarray().tobytes()
         f = np.linspace(-1.0, 2.0, len(region))
         assert quadratic_form(ham, f) == pytest.approx(f @ (want @ f), rel=1e-13)
-        dense = spectra._dense_symmetric(ham)
+        dense = spectra.dense_array(ham)
         # solved in place: dsyevr gets the same matrix in Fortran order and
         # overwrites it
         array, given = handed[-1]
@@ -324,8 +429,14 @@ def test_matrix_export_format(tmp_path):
 
 
 def test_potential_spec_validation():
-    with pytest.raises(ValidationError):
-        operators.PotentialSpec(("gaussian", 0, 1))
+    # direct construction is outside input too: atoms take one cumulative
+    # mass each, increasing strictly to exactly 1; an interval is a < b
+    for values, masses in [((0.0, 1.0), (1.0,)), ((0.0,), (0.5, 1.0)),
+                           ((0.0, 1.0), (0.5, 0.9)), ((0.0, 1.0), (0.5, 1.0 - 1e-13)),
+                           ((0.0, 1.0, 2.0), (0.6, 0.5, 1.0)), ((), ()),
+                           ((1.0, 1.0), None), ((2.0, 1.0), None), ((0.0, 1.0, 2.0), None)]:
+        with pytest.raises(ValidationError):
+            operators.PotentialSpec(values, masses)
     with pytest.raises(ValidationError):
         bernoulli(0, 1, 1.5)
     with pytest.raises(ValidationError):

@@ -402,8 +402,9 @@ def test_check_record_serialization():
 
 ORACLE_ENERGIES = np.arange(-1.0, 27.0)  # includes 2, 5, 6, 12 and 15
 PROB_ENERGIES = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
-ORACLE_POTENTIALS = (operators.constant(0.0), bernoulli(0.0, 10.0, 0.5, seed=3),
-                     uniform(0.0, 1.0, seed=4))
+ORACLE_POTENTIALS = {"constant": operators.constant(0.0),
+                     "bernoulli": bernoulli(0.0, 10.0, 0.5, seed=3),
+                     "uniform": uniform(0.0, 1.0, seed=4)}
 
 
 def _oracle_regions(level):
@@ -423,12 +424,11 @@ def _oracle_operators(level):
     tests share the solves."""
     cases = []
     for name, region in _oracle_regions(level).items():
-        for spec in ORACLE_POTENTIALS:
+        for law, spec in ORACLE_POTENTIALS.items():
             values = sample_potential(region, spec)
             for bc in operators.BOUNDARY_CONDITIONS:
                 ham = assemble(region, bc, values)
-                cases.append((name, spec.distribution[0], bc, ham,
-                              eigenvalues_dense(ham)))
+                cases.append((name, law, bc, ham, eigenvalues_dense(ham)))
         ham = operators.probabilistic_laplacian(region)
         cases.append((name, "prob", "", ham, eigenvalues_dense(ham)))
     return cases
