@@ -57,15 +57,9 @@ def _write_config(args: argparse.Namespace, path: str) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(obj, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -117,6 +111,9 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.prob and (args.bc != operators.NEUMANN or args.trial != 0):
+        raise ValidationError("--prob is the free Neumann operator: it reads "
+                              "no --bc other than neumann and no --trial but 0")
     region = _region_from_args(args)
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
     if args.prob:
@@ -171,6 +168,7 @@ def cmd_ids(args) -> int:
 
 
 def _fit_curve(curve, kind, window) -> dict:
+    """Report a fit of ``kind``, one of the parser's choices: power, lifshitz, exp."""
     if kind == "power":
         fit = ids.free_ids_exponent(curve, window)
         return {"kind": "power", "window": list(fit.window),
@@ -186,13 +184,11 @@ def _fit_curve(curve, kind, window) -> dict:
                 "r_squared": fit.r_squared, "n_points": fit.n_points,
                 "target": fit.target,
                 "pass": bool(-0.85 <= fit.slope <= -0.50)}
-    if kind == "exp":
-        rep = ids.exponential_tail_fit(curve, window)
-        rep.update({"kind": "exp", "window": list(window),
-                    "slope": rep["m2"], "target": float("nan"),
-                    "pass": True})
-        return rep
-    raise ValidationError(f"unknown fit kind {kind!r}")
+    rep = ids.exponential_tail_fit(curve, window)
+    rep.update({"kind": "exp", "window": list(window),
+                "slope": rep["m2"], "target": float("nan"),
+                "pass": True})
+    return rep
 
 
 def cmd_fit(args) -> int:

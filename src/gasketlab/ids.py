@@ -42,9 +42,6 @@ class IdsCurve:
     mean_counts: np.ndarray
     std_errors: np.ndarray
     trials: int
-    level: int
-    bc: str
-    region_kind: str
     region_size: int
 
     def to_csv(self, path) -> None:
@@ -53,33 +50,26 @@ class IdsCurve:
             for e, m, s in zip(self.energies, self.mean_counts, self.std_errors):
                 fh.write(f"{e:.17g},{m:.17g},{s:.17g},{self.trials}\n")
 
-    def min_usable_count(self) -> float:
-        """Smallest trustworthy mean count: at least 3 raw eigenvalues."""
-        if self.region_size <= 0:
-            return 0.0
-        return 3.0 / (self.trials * self.region_size)
-
 
 def read_curve_csv(path) -> IdsCurve:
-    """Load a curve written by :meth:`IdsCurve.to_csv`.  Trials, level, bc
-    and region kind come from the ``<prefix>.config`` that ``gasketlab ids``
-    writes beside ``<prefix>.curve.csv``, so the curve fits as it did in
-    memory (the region size is counted from level and kind, not built);
-    without that file they are unknown (no minimum-count floor).  A curve
-    with no rows, or with fewer than its four columns, is a ValueError."""
+    """Load a curve written by :meth:`IdsCurve.to_csv`.  Trials and region
+    size come from the ``<prefix>.config`` that ``gasketlab ids`` writes
+    beside ``<prefix>.curve.csv``, so the curve fits as it did in memory
+    (the size is counted from level and region kind, not built); without
+    that file the size is 0 (no minimum-count floor).  A curve with no
+    rows, or with fewer than its four columns, is a ValueError."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns on no rows, refused below
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if not rows.size or rows.shape[1] < 4:
         raise ValueError(f"expected rows of E,mean,stderr,trials, got shape {rows.shape}")
-    config = {"trials": rows[0, 3], "level": -1, "bc": "", "region": ""}
+    config = {"trials": rows[0, 3], "level": -1, "region": ""}
     sidecar = str(path).removesuffix(".curve.csv") + ".config"
     if str(path).endswith(".curve.csv") and os.path.exists(sidecar):
         with open(sidecar) as fh:
             config.update(line.rstrip("\n").partition("=")[::2] for line in fh)
     level, kind = int(config["level"]), config["region"]
     return IdsCurve(rows[:, 0], rows[:, 1], rows[:, 2], int(config["trials"]),
-                    level, config["bc"], kind,
                     _region_size(level, kind) if kind else 0)
 
 
@@ -140,7 +130,7 @@ def estimate_ids(level, bc, potential_spec, trials, grid, *,
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(trials)
     else:
         stderr = np.zeros_like(mean)
-    return IdsCurve(grid, mean, stderr, trials, level, bc, region_kind, n)
+    return IdsCurve(grid, mean, stderr, trials, n)
 
 
 def bc_independence_report(level, potential_spec, trials, grid) -> dict:
@@ -210,13 +200,15 @@ def temple_check(level, potential_spec, trial: int = 0) -> dict:
 
 
 def _usable_points(curve: IdsCurve, window):
-    """The (energies, mean counts) a fit of the window can use; fewer than
-    5 is an InsufficientDataError.  Every fit takes log E or E^-tau, so
-    the window needs 0 < lo < hi (else a ValidationError)."""
+    """The (energies, mean counts) a fit of the window can use: counts in
+    (0, 1) of more than 3 raw eigenvalues over the trials (at region size
+    0, any); fewer than 5 is an InsufficientDataError.  Every fit takes
+    log E or E^-tau, so the window needs 0 < lo < hi (else a
+    ValidationError)."""
     lo, hi = window
     if not 0.0 < lo < hi:
         raise ValidationError("window must satisfy 0 < lo < hi")
-    floor = max(curve.min_usable_count(), 0.0)
+    floor = 3.0 / (curve.trials * curve.region_size) if curve.region_size > 0 else 0.0
     mask = ((curve.energies >= lo) & (curve.energies <= hi)
             & (curve.mean_counts > floor) & (curve.mean_counts > 0.0)
             & (curve.mean_counts < 1.0))
@@ -227,13 +219,16 @@ def _usable_points(curve: IdsCurve, window):
     return energies, counts
 
 
-def _linear_fit(x, y):
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
+def _r_squared(y, fitted) -> float:
+    """Coefficient of determination; 1 when y is constant."""
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+def _linear_fit(x, y):
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept), _r_squared(y, slope * x + intercept)
 
 
 @dataclass
@@ -281,11 +276,9 @@ def exponential_tail_fit(curve: IdsCurve, window) -> dict:
     log N = m1 + m2 * E^-tau.  Diagnostic only."""
     energies, counts = _usable_points(curve, window)
     design = np.column_stack([np.ones_like(energies), energies ** -TAU])
-    coef, *_ = np.linalg.lstsq(design, np.log(counts), rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((np.log(counts) - fitted) ** 2))
-    ss_tot = float(np.sum((np.log(counts) - np.mean(np.log(counts))) ** 2))
+    log_counts = np.log(counts)
+    coef, *_ = np.linalg.lstsq(design, log_counts, rcond=None)
     return {"m1": float(coef[0]), "m2": float(coef[1]),
             "exponent": TAU,
-            "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+            "r_squared": _r_squared(log_counts, design @ coef),
             "n_points": len(energies)}

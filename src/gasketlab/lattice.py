@@ -162,7 +162,6 @@ class LatticeRegion:
                 "a region is one TriangleSpec or the ball pair (TriangleSpec(L), "
                 "TriangleSpec(L, mirrored=True)), the ball without half_lattice")
         self.triangles = triangles
-        self.half_lattice = half_lattice
         corners = np.concatenate([
             s.place(_anchors(s.level, 1)[:, None, :] + _UNIT_CELL) for s in triangles])
         keys, first, cells = np.unique(_key(corners).ravel(), return_index=True,

@@ -37,11 +37,11 @@ class PotentialSpec:
 
     A law is atoms or an interval.  Atoms: a draw u in [0, 1) takes
     ``values[i]`` where masses[i-1] < u <= masses[i], the cumulative
-    ``masses`` increasing strictly to exactly 1.  An interval (``masses``
-    None): the uniform law on (a, b) = ``values``, the gapless support of
-    the paper's spectrum theorem.  Identical seed and trial index reproduce
-    the identical sample for the identical canonical vertex order,
-    independent of scheduling.
+    ``masses`` increasing strictly from above 0 to exactly 1.  An interval
+    (``masses`` None): the uniform law on (a, b) = ``values``, the gapless
+    support of the paper's spectrum theorem.  Identical seed and trial
+    index reproduce the identical sample for the identical canonical vertex
+    order, independent of scheduling.
     """
 
     values: tuple
@@ -60,10 +60,10 @@ class PotentialSpec:
         if self.masses is None:
             if len(self.values) != 2 or not self.values[0] < self.values[1]:
                 raise ValidationError(f"uniform needs (a, b) with a < b, got {self.values}")
-        elif not (0 < len(self.masses) == len(self.values) and self.masses[-1] == 1.0
-                  and np.all(np.diff(self.masses) > 0)):
+        elif not (0 < len(self.masses) == len(self.values) and self.masses[0] > 0
+                  and self.masses[-1] == 1.0 and np.all(np.diff(self.masses) > 0)):
             raise ValidationError(
-                f"atoms need one mass each, increasing strictly to 1, got {law}")
+                f"atoms need one mass each, increasing strictly from 0 to 1, got {law}")
         # finite parameters and scale can still overflow together
         lo, hi = self.support()
         if not np.all(np.isfinite([lo, hi, hi - lo])):
@@ -82,10 +82,13 @@ def constant(c: float, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
 def bernoulli(a: float, b: float, prob_b: float, seed: int = 0,
               scale: float = 1.0) -> PotentialSpec:
     """b with probability ``prob_b``, else a: a draw u < prob_b, that is
-    u <= nextafter(prob_b, -1), takes b."""
+    u <= nextafter(prob_b, -1), takes b.  At prob_b 0 or 1 the law is the
+    one atom it draws."""
     p = float(prob_b)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"bernoulli probability {p} not in [0,1]")
+    if p in (0.0, 1.0):
+        return constant(b if p else a, seed=seed, scale=scale)
     return PotentialSpec((float(b), float(a)), (float(np.nextafter(p, -1.0)), 1.0),
                          seed=seed, scale=scale)
 

@@ -453,6 +453,7 @@ def decay_suite(max_level=10) -> list[CheckRecord]:
         gap = decimation.neumann_gap(level)
         ground = decimation.dirichlet_ground(level)
         scale = 5.0 ** (-level)
+        value, upper = 2.0 * gap, 4.0 * gap  # the dense gap up to level 5
         if level <= 5:
             reg = build_triangle(level)
             dense_gap = spectra.eigenvalues_dense(
@@ -466,12 +467,8 @@ def decay_suite(max_level=10) -> list[CheckRecord]:
             records.append(CheckRecord(
                 "ground-formula", f"level={level}",
                 abs(dense_ground - ground), 1e-9))
-            comb_gap = dense_gap
-        else:
-            comb_gap = None
+            value = upper = dense_gap
         lo, hi = 7.5 * scale, 60.0 * scale
-        value = comb_gap if comb_gap is not None else 2.0 * gap
-        upper = comb_gap if comb_gap is not None else 4.0 * gap
         records.append(CheckRecord(
             "neumann-gap-bounds", f"level={level}",
             max(lo - value, upper - hi), 0.0))
@@ -526,8 +523,10 @@ def _run(suite: Suite, seed: int, kwargs: dict) -> list[CheckRecord]:
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> list[CheckRecord]:
     """Run a named suite; ``all`` concatenates every suite at its
-    ``in_all`` sizes."""
+    ``in_all`` sizes and takes no keyword but ``seed``."""
     if name == "all":
+        if kwargs:
+            raise ValidationError(f"suite 'all' takes no options, got {sorted(kwargs)}")
         return [record for suite in SUITE_TABLE.values()
                 for record in _run(suite, seed, suite.in_all)]
     if name not in SUITE_TABLE:

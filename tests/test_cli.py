@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasketlab
-from gasketlab import decimation, ids, spectra
+from gasketlab import decimation, ids, spectra, verification
 from gasketlab.cli import build_parser, main, parse_distribution
 from gasketlab.errors import CapacityError, ValidationError
 
@@ -235,6 +235,12 @@ def test_verify_counting_small(tmp_path):
     rc = run(["verify", "--suite", "counting", "--levels", "2", "--seeds", "2",
               "--grid-n", "16", "--out", "r.json"], tmp_path)
     assert rc == 0
+
+
+def test_all_suites_take_no_options():
+    # "all" runs every suite at its own sizes, so an option would be dropped
+    with pytest.raises(ValidationError, match="'all' takes no options"):
+        verification.run_suite("all", levels=(9,), dim=3)
 
 
 def test_ids_with_power_fit(tmp_path):
@@ -505,7 +511,10 @@ def test_non_finite_potential_usage_error(tmp_path, capsys, flags):
     ["ids", "--level", "3", "--dist", "const:1e308", "--pot-scale", "10",
      "--grid-kind", "global"],
     ["ids", "--level", "3", "--dist", "uniform:-1e308,1e308", "--grid-kind", "lin"],
-    ["spectrum", "--level", "3", "--dist", "const:1e308", "--pot-scale", "10"]])
+    ["spectrum", "--level", "3", "--dist", "const:1e308", "--pot-scale", "10"],
+    # the free probabilistic operator reads neither a boundary rule nor a trial
+    ["spectrum", "--level", "2", "--prob", "--bc", "simple"],
+    ["spectrum", "--level", "2", "--prob", "--trial", "1"]])
 def test_bad_input_usage_error(tmp_path, capsys, args):
     _usage_error(capsys, [*args, "--out", "o"], tmp_path)
 

@@ -14,8 +14,7 @@ from gasketlab.operators import bernoulli, constant, uniform
 def synthetic_curve(energies, means, trials=1):
     energies = np.asarray(energies, dtype=float)
     means = np.asarray(means, dtype=float)
-    return IdsCurve(energies, means, np.zeros_like(means), trials,
-                    level=0, bc="simple", region_kind="half", region_size=0)
+    return IdsCurve(energies, means, np.zeros_like(means), trials, region_size=0)
 
 
 def test_estimate_ids_monotone_and_bounded():
@@ -241,8 +240,7 @@ def test_exponential_tail_fit_recovers_parameters():
 def test_min_usable_count_excludes_rare_points():
     energies = np.geomspace(1e-3, 1e-1, 30)
     means = np.full(30, 1e-9)
-    curve = IdsCurve(energies, means, np.zeros(30), trials=2, level=3,
-                     bc="simple", region_kind="half", region_size=42)
+    curve = IdsCurve(energies, means, np.zeros(30), trials=2, region_size=42)
     # 1e-9 < 3/(2*42): every point is excluded
     with pytest.raises(InsufficientDataError):
         lifshitz_fit(curve, (1e-3, 1e-1))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import operators, spectra
+from gasketlab import ids, operators, spectra
 from gasketlab.errors import ValidationError
 from gasketlab.lattice import TriangleSpec, build_ball, build_triangle, subdivide
 from gasketlab.operators import (assemble, bernoulli, constant, probabilistic_laplacian,
@@ -33,6 +33,18 @@ def test_seed_and_trial_are_generator_key_words():
         for spec in (top, constant(0.0)):
             with pytest.raises(ValidationError, match="trial"):
                 sample_potential(region, spec, trial)
+
+
+def test_bernoulli_at_zero_or_one_is_the_atom_it_draws():
+    # p = 0 draws only a and p = 1 only b: the support, and so the global
+    # grid, is that one atom's, and the sample is the one drawn before
+    region = build_triangle(3)
+    for p, atom in ((0.0, 0.0), (1.0, 10.0)):
+        spec = bernoulli(0.0, 10.0, p, seed=3)
+        assert spec.support() == (atom, atom)
+        assert ids.global_grid(spec, 3)[-1] == 16.0 + atom
+        assert (sample_potential(region, spec, 1).tobytes()
+                == np.full(len(region), atom).tobytes())
 
 
 def test_bernoulli_fraction_within_binomial_bound():
@@ -131,7 +143,9 @@ def _kind_support(law, scale):
     if kind == "constant":
         lo = hi = params[0]
     elif kind == "bernoulli":
-        lo, hi = min(params[:2]), max(params[:2])
+        a, b, p = params
+        atoms = (a, b) if 0 < p < 1 else (b if p else a,)  # p 0 or 1 draws one
+        lo, hi = min(atoms), max(atoms)
     elif kind == "uniform":
         lo, hi = params
     else:
@@ -430,8 +444,10 @@ def test_matrix_export_format(tmp_path):
 
 def test_potential_spec_validation():
     # direct construction is outside input too: atoms take one cumulative
-    # mass each, increasing strictly to exactly 1; an interval is a < b
+    # mass each, increasing strictly from above 0 to exactly 1; an interval
+    # is a < b
     for values, masses in [((0.0, 1.0), (1.0,)), ((0.0,), (0.5, 1.0)),
+                           ((10.0, 0.0), (-5e-324, 1.0)), ((10.0, 0.0), (0.0, 1.0)),
                            ((0.0, 1.0), (0.5, 0.9)), ((0.0, 1.0), (0.5, 1.0 - 1e-13)),
                            ((0.0, 1.0, 2.0), (0.6, 0.5, 1.0)), ((), ()),
                            ((1.0, 1.0), None), ((2.0, 1.0), None), ((0.0, 1.0, 2.0), None)]:
