@@ -57,7 +57,8 @@ def read_curve_csv(path) -> IdsCurve:
     beside ``<prefix>.curve.csv``, so the curve fits as it did in memory
     (the size is counted from level and region kind, not built); without
     that file the size is 0 (no minimum-count floor).  A curve with no
-    rows, or with fewer than its four columns, is a ValueError."""
+    rows, with fewer than its four columns or with fewer than 1 trial is
+    a ValueError."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns on no rows, refused below
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -68,8 +69,10 @@ def read_curve_csv(path) -> IdsCurve:
     if str(path).endswith(".curve.csv") and os.path.exists(sidecar):
         with open(sidecar) as fh:
             config.update(line.rstrip("\n").partition("=")[::2] for line in fh)
-    level, kind = int(config["level"]), config["region"]
-    return IdsCurve(rows[:, 0], rows[:, 1], rows[:, 2], int(config["trials"]),
+    level, kind, trials = int(config["level"]), config["region"], int(config["trials"])
+    if trials < 1:
+        raise ValueError(f"a curve needs at least 1 trial, got {trials}")
+    return IdsCurve(rows[:, 0], rows[:, 1], rows[:, 2], trials,
                     _region_size(level, kind) if kind else 0)
 
 
@@ -203,11 +206,13 @@ def _usable_points(curve: IdsCurve, window):
     """The (energies, mean counts) a fit of the window can use: counts in
     (0, 1) of more than 3 raw eigenvalues over the trials (at region size
     0, any); fewer than 5 is an InsufficientDataError.  Every fit takes
-    log E or E^-tau, so the window needs 0 < lo < hi (else a
-    ValidationError)."""
+    log E or E^-tau, so the window needs 0 < lo < hi, and the curve at
+    least 1 trial (else a ValidationError)."""
     lo, hi = window
     if not 0.0 < lo < hi:
         raise ValidationError("window must satisfy 0 < lo < hi")
+    if curve.trials < 1:
+        raise ValidationError(f"a curve needs at least 1 trial, got {curve.trials}")
     floor = 3.0 / (curve.trials * curve.region_size) if curve.region_size > 0 else 0.0
     mask = ((curve.energies >= lo) & (curve.energies <= hi)
             & (curve.mean_counts > floor) & (curve.mean_counts > 0.0)

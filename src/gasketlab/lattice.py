@@ -5,16 +5,19 @@ p*(1, 0) + q*(1/2, sqrt(3)/2).  All construction is integer arithmetic on
 (k, 2) arrays, so vertex equality is exact.  The side-length-2^level
 triangle at the origin is grown by the corner-gluing recursion: a
 level-(n+1) triangle is a level-n triangle plus copies shifted by
-2^n*(1, 0) and 2^n*(0, 1).  The mirrored half of the lattice is the
-reflection across the y-axis, which in this basis is (p, q) -> (-p-q, q).
-A region is one placed triangle or the two-sided ball's two; its unit
-up-triangles (cells) are triples of vertex rows, and its edges are the
-cells' sides, since every gasket edge lies in exactly one unit cell.
+2^n*(1, 0) and 2^n*(0, 1), glued where their corners meet, its rows
+(fixed q) laid out copy by copy with no sort.  The mirrored half of the
+lattice is the reflection across the y-axis, which in this basis is
+(p, q) -> (-p-q, q) and so reverses each row.  A region is one placed
+triangle or the two-sided ball's two; its unit up-triangles (cells) are
+triples of vertex rows, and its edges are the cells' sides, since every
+gasket edge lies in exactly one unit cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,17 +46,6 @@ def _key(points) -> np.ndarray:
     # |p|, |q| < 2^31
     points = np.asarray(points, dtype=np.int64)
     return points[..., 1] * 2**32 + points[..., 0]
-
-
-def _anchors(count: int, step: int) -> np.ndarray:
-    """Origin corners of the 3^count side-``step`` sub-triangles of the
-    side-(step*2^count) triangle at the origin, in recursion order: base-3
-    digit k of the row number shifts by step*2^k along p (digit 1) or q
-    (digit 2)."""
-    digits = np.arange(3**count) // 3 ** np.arange(count)[:, None] % 3
-    shifts = step * 2 ** np.arange(count)[:, None]
-    return np.stack([(shifts * (digits == 1)).sum(axis=0),
-                     (shifts * (digits == 2)).sum(axis=0)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -129,6 +121,74 @@ def cell_sides(cells) -> np.ndarray:
     return np.stack([lo[order], hi[order]], axis=1)
 
 
+def _starts(rows) -> np.ndarray:
+    """Rank of the first vertex of each row, from the rows' vertex counts."""
+    return rows.cumsum() - rows
+
+
+def _ranks(rows, starts, q) -> np.ndarray:
+    """Ranks in a larger region of the vertices of a triangle with row
+    sizes ``rows`` and vertex rows ``q``, whose row i ``starts`` at rank
+    starts[..., i] there (one copy of the triangle per leading index)."""
+    return (starts - _starts(rows))[..., q] + np.arange(len(q))
+
+
+def _grow(level: int):
+    """The standard level-``level`` triangle, grown from the unit cell by
+    the corner-gluing recursion: its coords (n, 2) in (q, p) order, its
+    cells (3^level, 3) in digit order and the vertex count of each of its
+    2^level + 1 rows."""
+    coords, cells, rows = _UNIT_CELL, np.array([[0, 1, 2]]), np.array([2, 1])
+    for n in range(level):
+        side = 2**n
+        # rows below `side` hold the origin copy, then the p-shifted one,
+        # which shares (side, 0); row `side` up is the q-shifted copy,
+        # whose row 0 holds the other two copies' top corners
+        grown = np.concatenate([2 * rows[:side], rows])
+        grown[0] -= 1
+        starts = _starts(grown)
+        at = np.array([starts[:side + 1], starts[:side + 1] + rows, starts[side:]])
+        at[1, 0] -= 1
+        at[1, side] = starts[side] + side
+        ranks = _ranks(rows, at, coords[:, 1])
+        grown_coords = np.empty((grown.sum(), 2), dtype=np.int64)
+        grown_coords[ranks] = coords + side * _UNIT_CELL[:, None]
+        cells = ranks[:, cells].reshape(-1, 3)
+        coords, rows = grown_coords, grown
+    return coords, cells, rows
+
+
+def _layout(triangles):
+    """coords (n, 2) in (q, p) order and cells (t, 3^L, 3) of a region's
+    triangles, before any truncation."""
+    spec, *ball = triangles
+    coords, cells, rows = _grow(spec.level)
+    if not (ball or spec.mirrored):
+        return spec.place(coords), cells[None]
+    q = coords[:, 1]
+    # mirroring reverses each row: rank start + i goes to start + size - 1 - i
+    flip = (2 * _starts(rows) + rows - 1)[q] - np.arange(len(q))
+    if ball:
+        # each row of the ball is the mirrored triangle's, then the
+        # standard one's, sharing the origin in row 0
+        joined = 2 * rows
+        joined[0] -= 1
+        left = _starts(joined)
+        right = left + rows
+        right[0] -= 1
+        ranks = (_ranks(rows, right, q), _ranks(rows, left, q)[flip])
+        joined_coords = np.empty((joined.sum(), 2), dtype=np.int64)
+        for at, triangle in zip(ranks, triangles):
+            joined_coords[at] = triangle.place(coords)
+        return joined_coords, np.stack([at[cells] for at in ranks])
+    return spec.place(coords[flip]), flip[cells][None]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class LatticeRegion:
     """The union of ``triangles``, one placed :class:`TriangleSpec` or the
     ball pair (TriangleSpec(L), TriangleSpec(L, mirrored=True)), without
@@ -140,7 +200,8 @@ class LatticeRegion:
     * ``cells`` (t, 3^level, 3): corner rows (origin, p-step, q-step; -1 if
       truncated away) of the unit up-triangles of each triangle, in base-3
       digit order, cells 3j..3j+2 forming level-1 triangle j and so on up;
-    * ``edges`` (m, 2): the cells' sides (see :func:`cell_sides`);
+    * ``edges`` (m, 2): the cells' sides (see :func:`cell_sides`), built
+      on first read, as is the key table behind :meth:`locate`;
     * ``region_degree`` and ``full_degree`` (n,): degree in the region and
       in the ambient infinite lattice.  The latter is 4 everywhere, except 2
       at the origin when ``half_lattice`` is set (the one-sided lattice has
@@ -162,30 +223,42 @@ class LatticeRegion:
                 "a region is one TriangleSpec or the ball pair (TriangleSpec(L), "
                 "TriangleSpec(L, mirrored=True)), the ball without half_lattice")
         self.triangles = triangles
-        corners = np.concatenate([
-            s.place(_anchors(s.level, 1)[:, None, :] + _UNIT_CELL) for s in triangles])
-        keys, first, cells = np.unique(_key(corners).ravel(), return_index=True,
-                                       return_inverse=True)
-        coords = corners.reshape(-1, 2)[first]
-        cells = cells.reshape(len(triangles), -1, 3)
-        dropped = [s.extreme_vertices() for s in triangles if s.truncated]
-        if dropped:
-            keep = ~np.isin(keys, _key(np.concatenate(dropped)))
-            cells = np.where(keep, np.cumsum(keep) - 1, -1)[cells]
-            coords, keys = coords[keep], keys[keep]
-        self.coords, self.cells, self._keys = coords, cells, keys
-        self.edges = cell_sides(cells)
+        coords, cells = _layout(triangles)
+        spec = triangles[0]
+        if spec.truncated:
+            # the extreme corners are the first and the last rank of row
+            # 0, and the one vertex of the top row
+            n = len(coords)
+            dropped = [0, spec.side, n - 1]
+            rank = np.arange(n) - 1 - (np.arange(n) > spec.side)
+            rank[dropped] = -1
+            coords, cells = np.delete(coords, dropped, axis=0), rank[cells]
 
+        # each kept corner of a cell gains an edge per other kept corner:
+        # two, less one in the cells that lost a corner
         n = len(coords)
-        self.region_degree = np.bincount(self.edges.ravel(), minlength=n)
+        cut = cells[(cells < 0).any(axis=-1)]
+        self.region_degree = (2 * np.bincount(cells[cells >= 0], minlength=n)
+                              - np.bincount(cut[cut >= 0], minlength=n))
         self.full_degree = np.full(n, 4)
         if half_lattice:
-            self.full_degree[keys == _key((0, 0))] = 2
+            self.full_degree[~coords.any(axis=1)] = 2
         self.interior_boundary = np.flatnonzero(
             self.full_degree > self.region_degree)
-        for array in (self.coords, self.cells, self.edges, self._keys,
-                      self.region_degree, self.full_degree, self.interior_boundary):
-            array.flags.writeable = False
+        self.coords, self.cells = coords, cells
+        for array in (self.coords, self.cells, self.region_degree,
+                      self.full_degree, self.interior_boundary):
+            _frozen(array)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The cells' sides (see :func:`cell_sides`), built on first read."""
+        return _frozen(cell_sides(self.cells))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        # the packed (q, p) key of each row, ascending, for locate
+        return _frozen(_key(self.coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -279,14 +352,18 @@ def subdivide(region: LatticeRegion, level: int, kind: str) -> Partition:
     if kind == DISJOINT and level == 0:
         raise ValidationError("disjoint pieces must have level >= 1")
 
-    placed = spec.place(_anchors(spec.level - level, 2**level)).tolist()
+    # piece j is cells j*3^level onwards; its corners are the origin
+    # corner of its first cell, the p-step corner of its middle one and
+    # the q-step corner of its last
+    cells = region.cells[0].reshape(-1, 3**level, 3)
+    anchors = region.coords[cells[:, 0, 0]].tolist()
     pieces = [TriangleSpec(level, anchor=tuple(a), truncated=kind == DISJOINT,
-                           mirrored=spec.mirrored) for a in placed]
+                           mirrored=spec.mirrored) for a in anchors]
     if kind == COVER:
         return Partition(pieces)
-    corners = np.concatenate([p.extreme_vertices() for p in pieces])
-    _, first = np.unique(_key(corners), return_index=True)
-    return Partition(pieces, corners[first])
+    corner = np.zeros(len(region), dtype=bool)
+    corner[cells[:, [0, 3**level // 2, -1], [0, 1, 2]]] = True
+    return Partition(pieces, region.coords[corner])
 
 
 def translation_map(source: LatticeRegion, b: TriangleSpec) -> np.ndarray:

@@ -449,6 +449,24 @@ def test_fit_on_a_malformed_curve_usage_error(tmp_path, capsys, rows):
         ids.read_curve_csv(curve)
 
 
+@pytest.mark.parametrize("source", ["column", "sidecar"])
+def test_fit_on_a_curve_of_no_trials_usage_error(tmp_path, capsys, source):
+    # trials come from the .config sidecar, else from the trials column;
+    # no trials from either is one error line, where a sidecar's ended in
+    # a ZeroDivisionError and a column's fitted without a word
+    column = 0 if source == "column" else 4
+    curve = tmp_path / "z.curve.csv"
+    curve.write_text("E,mean,stderr,trials\n" + "".join(
+        f"{e},{e / 4},0,{column}\n" for e in np.linspace(0.1, 2.0, 12)))
+    if source == "sidecar":
+        (tmp_path / "z.config").write_text("command=ids\ntrials=0\nlevel=4\nregion=half\n")
+    (tmp_path / "out").mkdir()
+    _usage_error(capsys, ["fit", "--curve", str(curve), "--kind", "power",
+                          "--window", "0.1,2", "--out", "f.json"], tmp_path / "out")
+    with pytest.raises(ValueError, match="at least 1 trial, got 0"):
+        ids.read_curve_csv(curve)
+
+
 def test_counting_suite_below_level_two_names_it(tmp_path, capsys):
     # the truncated children of a level-1 triangle are empty level-0 ones
     rc = run(["verify", "--suite", "counting", "--levels", "3", "1", "--out", "o"],

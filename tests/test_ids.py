@@ -212,6 +212,16 @@ def test_lifshitz_fit_insufficient_data():
                 fit(curve, window)
 
 
+def test_a_curve_of_no_trials_is_refused_by_every_fit():
+    # its minimum-count floor would divide by the trials
+    energies = np.geomspace(1e-3, 1e-1, 30)
+    for size in (0, 42):
+        curve = IdsCurve(energies, energies, np.zeros(30), trials=0, region_size=size)
+        for fit in (lifshitz_fit, free_ids_exponent, exponential_tail_fit):
+            with pytest.raises(ValidationError, match="at least 1 trial, got 0"):
+                fit(curve, (1e-3, 1e-1))
+
+
 def test_power_law_fit_exact_synthetic():
     tau = ids.TAU
     energies = np.geomspace(1e-4, 1e-1, 50)

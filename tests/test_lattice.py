@@ -1,12 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gasketlab
+from gasketlab import ids, operators, spectra
 from gasketlab.errors import CapacityError, ValidationError
-from gasketlab.lattice import (LatticeRegion, TriangleSpec, build_ball,
-                               build_triangle, mirror, subdivide,
-                               translation_map, triangle_count)
+from gasketlab.lattice import (COVER, DISJOINT, LatticeRegion, TriangleSpec,
+                               build_ball, build_triangle, cell_sides, mirror,
+                               subdivide, translation_map, triangle_count)
 
 
 #: Difference vectors between adjacent vertices of the triangular lattice.
@@ -303,3 +308,154 @@ def test_region_stats():
     assert build_triangle(2).stats()["vertex_count"] == 15
     stats = build_triangle(TriangleSpec(2, truncated=True)).stats()
     assert stats["interior_boundary_size"] == 6
+
+
+# The construction regions had before the corner-gluing recursion, kept as
+# the reference the recursion must equal byte for byte: every cell corner
+# of every triangle, its origin from a base-3 digit matrix, numbered by
+# np.unique over its packed (q, p) key.
+
+def _digit_anchors(count, step):
+    """Origin corners of the 3^count side-``step`` sub-triangles of the
+    side-(step*2^count) triangle at the origin: base-3 digit k of the row
+    number shifts by step*2^k along p (digit 1) or q (digit 2)."""
+    digits = np.arange(3**count) // 3 ** np.arange(count)[:, None] % 3
+    shifts = step * 2 ** np.arange(count)[:, None]
+    return np.stack([(shifts * (digits == 1)).sum(axis=0),
+                     (shifts * (digits == 2)).sum(axis=0)], axis=1)
+
+
+def _corner_key(points):
+    points = np.asarray(points, dtype=np.int64)
+    return points[..., 1] * 2**32 + points[..., 0]
+
+
+def _sorted_region(triangles, half_lattice):
+    """Every array field of the region, from the sorted cell corners."""
+    triangles = triangles if isinstance(triangles, tuple) else (triangles,)
+    unit = np.array([[0, 0], [1, 0], [0, 1]])
+    corners = np.concatenate([
+        s.place(_digit_anchors(s.level, 1)[:, None, :] + unit) for s in triangles])
+    keys, first, cells = np.unique(_corner_key(corners).ravel(), return_index=True,
+                                   return_inverse=True)
+    coords = corners.reshape(-1, 2)[first]
+    cells = cells.reshape(len(triangles), -1, 3)
+    dropped = [s.extreme_vertices() for s in triangles if s.truncated]
+    if dropped:
+        keep = ~np.isin(keys, _corner_key(np.concatenate(dropped)))
+        cells = np.where(keep, np.cumsum(keep) - 1, -1)[cells]
+        coords, keys = coords[keep], keys[keep]
+    edges = cell_sides(cells)
+    region_degree = np.bincount(edges.ravel(), minlength=len(coords))
+    full_degree = np.full(len(coords), 4)
+    if half_lattice:
+        full_degree[keys == _corner_key((0, 0))] = 2
+    return {"coords": coords, "cells": cells, "edges": edges,
+            "region_degree": region_degree, "full_degree": full_degree,
+            "interior_boundary": np.flatnonzero(full_degree > region_degree),
+            "_keys": keys}
+
+
+def _sorted_partition(spec, level, kind):
+    """subdivide's pieces and residual, from the digit-matrix anchors and
+    the sorted piece corners."""
+    anchors = spec.place(_digit_anchors(spec.level - level, 2**level)).tolist()
+    pieces = [TriangleSpec(level, anchor=tuple(a), truncated=kind == DISJOINT,
+                           mirrored=spec.mirrored) for a in anchors]
+    if kind == COVER:
+        return pieces, np.zeros((0, 2), dtype=np.int64)
+    corners = np.concatenate([p.extreme_vertices() for p in pieces])
+    _, first = np.unique(_corner_key(corners), return_index=True)
+    return pieces, corners[first]
+
+
+def _region_kinds(k):
+    """(triangles, half_lattice) of every kind of level-k region."""
+    kinds = {"full": (TriangleSpec(k), False),
+             "mirrored": (TriangleSpec(k, mirrored=True), False),
+             "half": (TriangleSpec(k), True),
+             "ball": ((TriangleSpec(k), TriangleSpec(k, mirrored=True)), False),
+             # the origin, a half lattice's degree-2 vertex, mid-side
+             "anchored": (TriangleSpec(k, anchor=(-(2**k // 2), 0)), True)}
+    if k:
+        kinds["truncated"] = (TriangleSpec(k, truncated=True), False)
+        kinds["anchored truncated"] = (
+            TriangleSpec(k, anchor=(5, -3), truncated=True, mirrored=True), False)
+    return kinds
+
+
+def _assert_equals_the_sorted_construction(k, piece_levels):
+    for kind, (triangles, half) in _region_kinds(k).items():
+        region = LatticeRegion(triangles, half)
+        for name, expected in _sorted_region(triangles, half).items():
+            array = getattr(region, name)
+            assert (array.dtype, array.shape) == (expected.dtype, expected.shape), (k, kind, name)
+            assert np.array_equal(array, expected), (k, kind, name)
+            assert not array.flags.writeable, (k, kind, name)
+        spec = region.triangles[0]
+        if len(region.triangles) == 2 or spec.truncated:
+            continue
+        for level in piece_levels:
+            for part_kind in (COVER, DISJOINT)[:1 + (level > 0)]:
+                part = subdivide(region, level, part_kind)
+                pieces, residual = _sorted_partition(spec, level, part_kind)
+                assert part.pieces == pieces, (k, kind, level, part_kind)
+                assert part.residual.dtype == residual.dtype
+                assert np.array_equal(part.residual, residual), (k, kind, level, part_kind)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_regions_equal_the_sorted_construction(k):
+    _assert_equals_the_sorted_construction(k, range(k + 1))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(9, 13))
+def test_large_regions_equal_the_sorted_construction(k):
+    _assert_equals_the_sorted_construction(k, (1, k // 2, k - 1, k))
+
+
+def test_counting_never_builds_edges(monkeypatch):
+    # the counter reads the cells; the edges (and the key table of locate)
+    # are built only when something reads them
+    region = build_triangle(TriangleSpec(8), half_lattice=True)
+    potential = operators.bernoulli(0, 10, 0.5, seed=3)
+    ham = operators.assemble(region, operators.SIMPLE,
+                             operators.sample_potential(region, potential))
+    assert len(region) > spectra.DENSE_THRESHOLD
+    spectra.count_below(ham, np.array([0.5, 2.0, 6.0]))
+    built = []
+
+    def region_for(*args):
+        built.append(region_for.wrapped(*args))
+        return built[-1]
+
+    region_for.wrapped = ids._region_for
+    monkeypatch.setattr(ids, "_region_for", region_for)
+    ids.estimate_ids(8, operators.SIMPLE, potential, 2, np.linspace(0.3, 2.0, 5))
+    for counted in (region, *built):
+        assert "edges" not in vars(counted) and "_keys" not in vars(counted)
+    assert len(built) == 1
+    assert len(region.edges) == 3**9 and "edges" in vars(region)
+    assert region.edges is region.edges
+
+
+@pytest.mark.slow
+def test_level_twelve_build_peak_rss():
+    # ROADMAP item 8: grown by the recursion, the level-12 half-lattice
+    # triangle peaks near 90 MiB in a fresh process, where numbering its
+    # sorted cell corners peaked near 205 MiB.  A process's ru_maxrss keeps
+    # the peak of the process it was forked from, so the build runs as the
+    # child of a bare interpreter, which reports its children's peak
+    build = ("from gasketlab import lattice\n"
+             "lattice.build_triangle(lattice.TriangleSpec(12), half_lattice=True)\n")
+    code = ("import resource, subprocess, sys\n"
+            f"subprocess.run([sys.executable, '-c', {build!r}], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(gasketlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) / 1024 < 150
