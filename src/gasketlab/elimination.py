@@ -6,9 +6,9 @@ graph only at its 3 corners, so that matrix is eliminated bottom-up over
 the unit cells, three sibling triangles at a time, as in spectral
 decimation, and Sylvester's law of inertia adds up the negative
 eigenvalues of the eliminated 3x3 pivot blocks.  Each (operator, shift)
-pair is a row of one pass, whose state at each level is its triangles'
-corner Schur complements (six entries, as (rows, triangles) arrays), its
-negatives so far and its delayed rows.  A pivot block is counted
+pair is a row of one pass, whose state (:class:`_State`) is merged level
+by level (:func:`_merge`), joined (:func:`_joined`) and closed at the
+top (:func:`_close`) as one value.  A pivot block is counted
 (Descartes' rule) and inverted (adjugate over determinant) in closed form
 where that is certain, elementwise; any other goes through batched
 ``eigh``, whose directions within the pivot floor are delayed: they travel
@@ -20,6 +20,8 @@ diag - s * weights) and the shifts, and imports numpy alone.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +69,20 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _LAST = {(1, 0): ((0, 0),), (2, 0): ((0, 1), (0, 2)), (2, 1): ((1, 1),),
          (2, 2): ((1, 2), (2, 2))}
 
-#: No delayed rows (see :func:`_merge`).
+#: No delayed rows (see :class:`_State`).
 _NO_ROWS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
             np.zeros((0, 3)))
+
+
+class _State(NamedTuple):
+    """A pass's triangles at one level, the frontal matrices of multifrontal
+    LDL^T with their delayed pivots (Duff & Reid, ACM TOMS 9 (1983) 302).
+    An array of one row is the same in every row."""
+    negatives: np.ndarray  # the negative directions eliminated, per row
+    entries: list  # six (rows, width) arrays, the corner Schur complements
+    index: np.ndarray | None  # (rows, triangles) flat index into entries, or None
+    corners: np.ndarray  # (triangles, 3) corner rows
+    delayed: tuple  # rows as (row, triangle, value, coupling to its 3 corners)
 
 
 def _symmetric(x00, x11, x22, x01, x02, x12):
@@ -144,12 +157,12 @@ def _directions(sure, pivot, inverse, link, rows):
     return tuple(np.concatenate(x) for x in (owner, values, couplings))
 
 
-def _unit_cells(count):
-    """The six corner entries of ``count`` unit cells, as (1, count) arrays,
-    with no index (see :func:`_merge`): a cell's block is its 3 edges, and
-    each diagonal entry is added whole when its vertex is eliminated."""
-    zero, edge = np.zeros((1, count)), np.full((1, count), -1.0)
-    return (zero, zero, zero, edge, edge, edge), None
+def _unit_cells(corners):
+    """The state of the unit cells with rows ``corners`` (count, 3), the same
+    in every row: a cell's block is its 3 edges, and each diagonal entry is
+    added whole when its vertex is eliminated."""
+    zero, edge = np.zeros((1, len(corners))), np.full((1, len(corners)), -1.0)
+    return _State(np.zeros(1, np.int64), [zero] * 3 + [edge] * 3, None, corners, _NO_ROWS)
 
 
 def _pivots(inner, diag, weights, shift):
@@ -169,19 +182,16 @@ def _cross(x, y, z, s, op=np.subtract):
     return op(a, b, out=a if a.size >= b.size else b)
 
 
-def _merge(schur, pivots, delayed, floor):
-    """Eliminate the 3 inner corners of every triple of sibling triangles.
+def _merge(state, pivots, floor, copies=1):
+    """The state of the parents of every triple of sibling triangles of
+    ``state``: their 3 inner corners eliminated, a child entry gathered
+    through the state's index where it is read.
 
-    ``schur`` holds the children's corner Schur complements as (entries,
-    index): six (rows, 3m) arrays and None, or six (rows, width) arrays and
-    the (rows, 3m) flat index of each child's entry in them (see
-    :func:`_first_merge`), through which a child entry is gathered where it
-    is read.  ``pivots`` yields the (rows, m) diagonal terms of the inner
-    corners (see :func:`_pivots`), made the blocks' diagonals in place, and
-    ``delayed`` holds the children's delayed rows.  Returns the negatives
-    of the eliminated directions per (row, parent), the parents' six (rows,
-    m) entries on the outer corners as (entries, None) and their delayed
-    rows.  Each temporary goes after its last use: besides its input a
+    ``pivots`` yields the (rows, m) diagonal terms of the inner corners (see
+    :func:`_pivots`), made the blocks' diagonals in place.  The negatives of
+    a parent's eliminated directions count ``copies`` (rows, m) times in
+    its row's (see :func:`_first_merge`), and the parents' entries have no
+    index.  Each temporary goes after its last use: besides its input a
     merge holds about 14 (rows, m) arrays, 17 where many blocks are delayed.
 
     A pivot block's eigen-direction within ``floor`` of zero is not
@@ -192,10 +202,10 @@ def _merge(schur, pivots, delayed, floor):
     rounding away from an eigen-direction of the whole matrix, so its sign
     is counted where it appears.
     """
-    entries, index = schur
+    drow, dkid, dvalue, dlink = state.delayed  # the children's delayed rows
 
     def child(t, j):  # entry j (see _ENTRIES) of child t, (rows, m) or (1, m)
-        x = entries[j]
+        x, index = state.entries[j], state.index
         return x[:, t::3] if index is None else x.take(index[:, t::3])
 
     # the pivot block [[p, u, v], [u, q, w], [v, w, r]] on the inner corners
@@ -225,7 +235,7 @@ def _merge(schur, pivots, delayed, floor):
     inv = certain / np.where(certain, det, 1.0)
     del det
     m, side = certain.shape[1], ~certain
-    side[delayed[0], delayed[1] // 3] = True
+    side[drow, dkid // 3] = True
     e, c = np.nonzero(side)
     pair = e * m + c
 
@@ -260,20 +270,24 @@ def _merge(schur, pivots, delayed, floor):
         out[k] *= inv
         np.subtract(child(k, k), out[k], out=out[k])
     del adj, inv
+
+    def parents(delayed):  # the parents' state, with their delayed rows
+        return _State(state.negatives + (negatives * copies).sum(axis=1), out, None,
+                      state.corners.reshape(-1, 3, 3)[:, [0, 1, 2], [0, 1, 2]], delayed)
+
     if not e.size:
-        return negatives, (out, None), _NO_ROWS
+        return parents(_NO_ROWS)
     # the children's delayed rows, each pair's together, in the corner
     # numbering of the front
-    order, start, number = _rows_of(delayed[0] * m + delayed[1] // 3, pair)
+    order, start, number = _rows_of(drow * m + dkid // 3, pair)
     front = np.zeros((len(order), 6))
-    front[np.arange(len(order))[:, None], _SLOTS[delayed[1][order] % 3]] = (
-        delayed[3][order])
+    front[np.arange(len(order))[:, None], _SLOTS[dkid[order] % 3]] = dlink[order]
     zero = np.zeros(e.size)
     link = np.stack([at(child(0, 3)), at(child(1, 3)), zero, at(child(0, 4)), zero,
                      at(child(2, 4)), zero, at(child(1, 5)), at(child(2, 5))],
                     axis=-1).reshape(-1, 3, 3)
     owner, value, coupling = _directions(sure, pivot, inverse, link,
-                                         (delayed[2][order], front, start, number))
+                                         (dvalue[order], front, start, number))
     del pivot, inverse, link, front
     # a direction above the floor is eliminated: its sign is counted and
     # x x^T / value taken off the outer corners; one within the floor is
@@ -294,7 +308,7 @@ def _merge(schur, pivots, delayed, floor):
     negatives[e, c] = count + folded + np.bincount(
         owner, weights=free & (value < 0.0), minlength=e.size).astype(np.int64)
     owner = owner[~free]
-    return negatives, (out, None), (e[owner], c[owner], value[~free], coupling[~free])
+    return parents((e[owner], c[owner], value[~free], coupling[~free]))
 
 
 def _fold(owner, value, coupling, pairs):
@@ -345,10 +359,9 @@ def _codes(diag, weights):
     return np.array([np.searchsorted(v, x) for v, x in zip(values, pairs)])
 
 
-def _first_merge(kids, diag, weights, codes, shift, floor):
-    """:func:`_merge` of unit cells with rows ``kids`` (m, 3, 3), each
-    operator's distinct blocks solved once: the negatives per row, the
-    entries as (entries, index) (see :func:`_merge`) and the delayed rows.
+def _first_merge(state, diag, weights, codes, shift, floor):
+    """The state of a merge of the unit cells ``state``, each operator's
+    distinct blocks solved once; ``state`` itself if no block repeats.
 
     The children of a first merge are bare unit cells, so a block depends
     on its row only through the (diagonal, weight) at its 3 inner corners:
@@ -358,26 +371,24 @@ def _first_merge(kids, diag, weights, codes, shift, floor):
     with each block's (rows, m) flat index in them.  Each key's negatives
     count once for every block that holds it, and its delayed rows are
     copied to each such block, in the order a merge of every block gives
-    them.  Where no operator repeats a block, the blocks are merged as they
-    are, with no index.
+    them.
     """
+    if codes is None:
+        return state
+    kids = state.corners.reshape(-1, 3, 3)
     m, inner = len(kids), kids[:, [0, 0, 1], [1, 2, 2]]
-    if codes is not None:
-        # codes are below n < 2^21 (MAX_LEVEL), so a key fits in 63 bits
-        n = codes.shape[1]
-        key = (codes[:, inner[:, 0]] * n + codes[:, inner[:, 1]]) * n + codes[:, inner[:, 2]]
-        order = np.argsort(key, axis=1, kind="stable")
-        key = np.take_along_axis(key, order, axis=1)
-        first = np.ones(key.shape, dtype=bool)
-        first[:, 1:] = key[:, 1:] != key[:, :-1]
-        rank = np.cumsum(first, axis=1) - 1  # the key number of each sorted block
-        width = int(rank[:, -1].max()) + 1
-    if codes is None or width == m:
-        negatives, schur, delayed = _merge(_unit_cells(3 * m),
-                                           _pivots(inner, diag, weights, shift),
-                                           _NO_ROWS, floor)
-        return negatives.sum(axis=1), schur, delayed
-    operators = len(codes)
+    # codes are below n < 2^21 (MAX_LEVEL), so a key fits in 63 bits
+    n = codes.shape[1]
+    key = (codes[:, inner[:, 0]] * n + codes[:, inner[:, 1]]) * n + codes[:, inner[:, 2]]
+    order = np.argsort(key, axis=1, kind="stable")
+    key = np.take_along_axis(key, order, axis=1)
+    first = np.ones(key.shape, dtype=bool)
+    first[:, 1:] = key[:, 1:] != key[:, :-1]
+    rank = np.cumsum(first, axis=1) - 1  # the key number of each sorted block
+    width = int(rank[:, -1].max()) + 1
+    if width == m:
+        return state
+    operators, energies = shift.shape[:2]
     # each key's blocks, ascending, start at its first sorted position; a
     # padded key holds no block and stands for the last one
     number = np.bincount((np.arange(operators)[:, None] * width + rank).ravel(),
@@ -385,19 +396,15 @@ def _first_merge(kids, diag, weights, codes, shift, floor):
     start = np.cumsum(number, axis=1) - number
     op = np.arange(operators)[:, None]
     vertex = inner[order[op, np.minimum(start, m - 1)]]
-    negatives, (entries, _), (e, c, value, coupling) = _merge(
-        _unit_cells(3 * width), _pivots(vertex, diag, weights, shift), _NO_ROWS, floor)
-    energies = shift.shape[1]
-    negatives = (negatives.reshape(operators, energies, width)
-                 * number[:, None]).sum(axis=2).ravel()
+    merged = _merge(_unit_cells(state.corners[:3 * width]),  # only their number is read
+                    _pivots(vertex, diag, weights, shift), floor,
+                    np.repeat(number, energies, axis=0))
     which = np.empty_like(rank)
     which[op, order] = rank
-    # each block's entry in the flat (rows, width) arrays
-    schur = entries, (np.repeat(which, energies, axis=0)
-                      + width * np.arange(len(negatives))[:, None])
-    if not e.size:
-        return negatives, schur, _NO_ROWS
-    # the k-th copy of a delayed row goes to the k-th block of its key
+    # each block's entry in the flat (rows, width) arrays, and the k-th copy
+    # of a delayed row goes to the k-th block of its key
+    index = np.repeat(which, energies, axis=0) + width * np.arange(shift.size)[:, None]
+    e, c, value, coupling = merged.delayed
     t = e // energies
     copies = number[t, c]
     row = np.repeat(np.arange(e.size), copies)
@@ -405,46 +412,70 @@ def _first_merge(kids, diag, weights, codes, shift, floor):
                   + np.arange(row.size)]
     sort = np.argsort(e[row] * m + block, kind="stable")
     row, block = row[sort], block[sort]
-    return negatives, schur, (e[row], block, value[row], coupling[row])
+    return merged._replace(index=index, corners=kids[:, [0, 1, 2], [0, 1, 2]],
+                           delayed=(e[row], block, value[row], coupling[row]))
 
 
 def _eliminate(corners, diag, weights, codes, shift, floor, fit=1):
-    """Merge the unit cells with rows ``corners`` (3^j, 3), one subtree,
-    until at most ``fit`` triangles are left: the negatives per row, the
-    six (rows, triangles) entries of their corner Schur complements,
-    their (triangles, 3) corner rows and the delayed rows left.  The first
-    merge solves each operator's distinct blocks once, keyed by the
-    ``codes`` of their inner corners (see :func:`_first_merge`); the later
-    ones merge every triangle.  A subtree too wide for the element budget
-    is first merged as its 3 children, each until the three together take
-    at most a third of the budget, so the children held while a sibling is
-    merged stay small against its temporaries."""
-    negatives = np.zeros(shift.size, dtype=np.int64)
+    """The state of the unit cells with rows ``corners`` (3^j, 3), one
+    subtree, merged until at most ``fit`` triangles are left, the first
+    merge by :func:`_first_merge`.  A subtree too wide for the element
+    budget is first merged as its 3 children, each until the three together
+    take at most a third of the budget, so the children held while a
+    sibling is merged stay small against its temporaries."""
     if shift.size * len(corners) > 3 * BUDGET:
-        parts = [_eliminate(part, diag, weights, codes, shift, floor,
-                            BUDGET // (9 * shift.size))
-                 for part in np.split(corners, 3)]
-        negatives = sum(p[0] for p in parts)
-        schur = [np.hstack(entry) for entry in zip(*(p[1] for p in parts))], None
-        corners = np.vstack([p[2] for p in parts])
-        delayed = [np.concatenate(x) for x in zip(*(p[3] for p in parts))]
-        delayed[1] = np.concatenate([p[3][1] + t * len(p[2])
-                                     for t, p in enumerate(parts)])
-    elif len(corners) > fit:
-        kids = corners.reshape(-1, 3, 3)
-        negatives, schur, delayed = _first_merge(kids, diag, weights, codes, shift, floor)
-        corners = kids[:, [0, 1, 2], [0, 1, 2]]
+        state = _joined([_eliminate(part, diag, weights, codes, shift, floor,
+                                    BUDGET // (9 * shift.size))
+                         for part in np.split(corners, 3)])
     else:
-        schur, delayed = _unit_cells(len(corners)), _NO_ROWS
-    while len(corners) > fit:
-        kids = corners.reshape(-1, 3, 3)
-        neg, schur, delayed = _merge(schur, _pivots(kids[:, [0, 0, 1], [1, 2, 2]], diag,
-                                                    weights, shift), delayed, floor)
-        negatives = negatives + neg.sum(axis=1)
-        corners = kids[:, [0, 1, 2], [0, 1, 2]]
-    entries, index = schur
-    return (negatives, [x if index is None else x.take(index) for x in entries], corners,
-            delayed)
+        state = _unit_cells(corners)
+        if len(corners) > fit:
+            state = _first_merge(state, diag, weights, codes, shift, floor)
+    while len(state.corners) > fit:
+        kids = state.corners.reshape(-1, 3, 3)
+        state = _merge(state, _pivots(kids[:, [0, 0, 1], [1, 2, 2]], diag, weights, shift),
+                       floor)
+    return state
+
+
+def _joined(states):
+    """The states of disjoint sets of triangles, of the same rows, as one:
+    each state's entries gathered through its index, and its triangles
+    numbered after those of the states before it."""
+    entries = [np.hstack([x if s.index is None else x.take(s.index)
+                          for s, x in zip(states, xs)])
+               for xs in zip(*(s.entries for s in states))]
+    offset = np.cumsum([0] + [len(s.corners) for s in states])
+    delayed = zip(*((e, c + t, value, coupling) for (e, c, value, coupling), t
+                    in zip((s.delayed for s in states), offset)))
+    return _State(sum(s.negatives for s in states), entries, None,
+                  np.vstack([s.corners for s in states]),
+                  tuple(np.concatenate(x) for x in delayed))
+
+
+def _close(state, diag, weights, shift):
+    """The counts per row of a state with no index: its negatives plus those
+    of its last block, diag - s * weights plus the triangles' corner Schur
+    complements on their distinct corners, bordered by the row's delayed
+    rows.  A corner shared by two triangles (the halves of a ball) enters
+    once; the -1 of the corners a truncated triangle drops is cut out."""
+    k, (e, c, value, coupling) = shift.size, state.delayed
+    top, at = np.unique(state.corners, return_inverse=True)
+    size, at = len(top), at.reshape(-1, 3)
+    block = np.zeros((k, size, size))
+    block[:, np.arange(size), np.arange(size)] = (
+        diag[..., top] - shift * weights[..., top]).reshape(k, size)
+    full = _symmetric(*(np.broadcast_to(x, (k, len(at))) for x in state.entries))
+    np.add.at(block, (slice(None), at[:, :, None], at[:, None]), full.reshape(k, -1, 3, 3))
+    order, start, number = _rows_of(e, np.arange(k))
+    counts, keep = state.negatives + np.zeros(k, dtype=np.int64), np.flatnonzero(top >= 0)
+    for d, g in _split_by(number):
+        rows = order[start[g, None] + np.arange(d)]
+        last = _bordered(block[g], value[rows], coupling[rows], at[c[rows]])
+        cut = np.concatenate([keep, size + np.arange(d)])
+        counts[g] += np.count_nonzero(
+            np.linalg.eigvalsh(last[:, cut][:, :, cut]) < 0.0, axis=1)
+    return counts
 
 
 # at extreme magnitudes (|entries| ~ 1e100) the closed-form products
@@ -479,7 +510,8 @@ def negative_counts(cells, diag, weights, shift):
 
 
 def _pass(cells, diag, weights, shift):
-    """:func:`negative_counts` of at most BUDGET // 9 rows."""
+    """:func:`negative_counts` of at most BUDGET // 9 rows: each tree
+    eliminated to its top triangle, the trees joined and closed."""
     k = shift.size
     # d - s * w rounds monotonically in d, so over the vertices of one
     # weight w, |d - s * w| is largest at their least or greatest d
@@ -493,28 +525,5 @@ def _pass(cells, diag, weights, shift):
     floor = PIVOT_TOL * scale.reshape(k, 1)
     codes = _codes(diag, weights)
     diag, weights, shift = diag[:, None], weights[:, None], shift[..., None]
-    trees = [_eliminate(tree, diag, weights, codes, shift, floor) for tree in cells]
-    negatives = sum(t[0] for t in trees)
-    # a corner shared by the two halves of a ball enters once; the -1 of
-    # the corners a truncated triangle drops is summed, then cut out
-    top, at = np.unique(np.vstack([t[2] for t in trees]), return_inverse=True)
-    size = len(top)
-    block = np.zeros((k, size, size))
-    block[:, np.arange(size), np.arange(size)] = (
-        diag[..., top] - shift * weights[..., top]).reshape(k, size)
-    for (_, schur, _, _), rows in zip(trees, at.reshape(-1, 3)):
-        full = _symmetric(*(np.broadcast_to(x, (k, 1))[:, 0] for x in schur))
-        np.add.at(block, (slice(None), rows[:, None], rows), full)
-    # the delayed rows left in each tree join the block
-    e, _, value, coupling = (np.concatenate(x) for x in zip(*(t[3] for t in trees)))
-    corner = at.reshape(-1, 3)[np.concatenate(
-        [np.full(len(t[3][0]), i) for i, t in enumerate(trees)])]
-    order, start, number = _rows_of(e, np.arange(k))
-    keep = np.flatnonzero(top >= 0)
-    for d, g in _split_by(number):
-        rows = order[start[g, None] + np.arange(d)]
-        last = _bordered(block[g], value[rows], coupling[rows], corner[rows])
-        cut = np.concatenate([keep, size + np.arange(d)])
-        negatives[g] += np.count_nonzero(
-            np.linalg.eigvalsh(last[:, cut][:, :, cut]) < 0.0, axis=1)
-    return negatives.reshape(shift.shape[:2])
+    trees = _joined([_eliminate(t, diag, weights, codes, shift, floor) for t in cells])
+    return _close(trees, diag, weights, shift).reshape(shift.shape[:2])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gasketlab import elimination, ids, operators, verification
-from gasketlab.lattice import TriangleSpec, build_triangle
+from gasketlab.lattice import TriangleSpec, build_ball, build_triangle
 from gasketlab.spectra import count_below, counts_from_eigenvalues, tie_guard
 
 #: The level-1 triangle as three unit cells: outer corners 0, 1, 2 and
@@ -44,32 +44,24 @@ def _rows(diag, energies):
             floor.reshape(-1, 1))
 
 
-def _top(negatives, schur, delayed, corners, diag, shift):
-    """The counts of a state merged to one triangle: its negatives plus
-    those of its last block, the triangle's corner Schur complement plus
-    diag - s on its ``corners``, bordered by the row's delayed rows."""
-    counts = negatives.copy()
-    for row, s in enumerate(shift.ravel()):
-        block = elimination._symmetric(*(np.broadcast_to(x, (shift.size, 1))[row]
-                                         for x in schur[0]))
-        block[0, [0, 1, 2], [0, 1, 2]] += diag[corners] - s
-        mine = delayed[0] == row
-        last = elimination._bordered(block, delayed[2][None, mine],
-                                     delayed[3][None, mine], np.arange(3))
-        counts[row] += np.count_nonzero(np.linalg.eigvalsh(last) < 0.0)
-    return counts
+def _merged(state, d, w, shift, floor):
+    """:func:`elimination._merge` of ``state`` with the pivots of its inner
+    corners."""
+    kids = state.corners.reshape(-1, 3, 3)
+    return elimination._merge(
+        state, elimination._pivots(kids[:, [0, 0, 1], [1, 2, 2]], d, w, shift), floor)
 
 
 def test_three_unit_cells_merged_once_count_as_dense():
-    # the level-1 triangle, one merge, across and beyond its spectrum
+    # the level-1 triangle, one merge, across and beyond its spectrum, and
+    # with inner diagonals 2, 2, 2, whose pivot block is singular at E = 3
     rng = np.random.default_rng(1)
     energies = np.linspace(-2.0, 12.0, 57)
-    for diag in (4.0 + rng.uniform(0.0, 1.0, 6), 4.0 + rng.choice([0.0, 5.0], 6)):
+    for diag in (4.0 + rng.uniform(0.0, 1.0, 6), 4.0 + rng.choice([0.0, 5.0], 6),
+                 np.array([-3.0, 4.0, 9.0, 2.0, 2.0, 2.0])):
         d, w, shift, floor = _rows(diag, energies)
-        negatives, schur, delayed = elimination._merge(
-            elimination._unit_cells(3), elimination._pivots(INNER, d, w, shift),
-            elimination._NO_ROWS, floor)
-        counts = _top(negatives[:, 0], schur, delayed, [0, 1, 2], diag, shift)
+        state = _merged(elimination._unit_cells(LEVEL_ONE), d, w, shift, floor)
+        counts = elimination._close(state, d, w, shift)
         assert counts.tolist() == _dense(LEVEL_ONE, diag, energies).tolist()
 
 
@@ -84,12 +76,11 @@ def test_a_pivot_block_singular_at_a_tie_energy_is_delayed(inner, energy, nulls)
     diag = np.array([-3.0, 4.0, 9.0, *inner])
     energies = np.array([energy])
     d, w, shift, floor = _rows(diag, energies)
-    negatives, schur, delayed = elimination._merge(
-        elimination._unit_cells(3), elimination._pivots(INNER, d, w, shift),
-        elimination._NO_ROWS, floor)
-    assert len(delayed[0]) == nulls
-    assert np.all(np.abs(delayed[2]) <= floor[0])
-    counts = _top(negatives[:, 0], schur, delayed, [0, 1, 2], diag, shift)
+    state = _merged(elimination._unit_cells(LEVEL_ONE), d, w, shift, floor)
+    rows, _, values, _ = state.delayed
+    assert len(rows) == nulls
+    assert np.all(np.abs(values) <= floor[0])
+    counts = elimination._close(state, d, w, shift)
     assert counts.tolist() == _dense(LEVEL_ONE, diag, energies).tolist()
     assert elimination.negative_counts(LEVEL_ONE[None], diag[None], np.ones((1, 6)),
                                        shift[..., 0]).tolist() == [counts.tolist()]
@@ -106,10 +97,9 @@ def test_a_childs_delayed_row_joins_a_singular_pivot_block(child):
     energies = np.array([0.0])
     d, w, shift, floor = _rows(diag, energies)
     coupling = np.array([0.4, -1.3, 0.6])
-    negatives, schur, delayed = elimination._merge(
-        elimination._unit_cells(3), elimination._pivots(INNER, d, w, shift),
-        (np.array([0]), np.array([child]), np.array([0.7]), coupling[None]), floor)
-    counts = _top(negatives[:, 0], schur, delayed, [0, 1, 2], diag, shift)
+    cells = elimination._unit_cells(LEVEL_ONE)._replace(
+        delayed=(np.array([0]), np.array([child]), np.array([0.7]), coupling[None]))
+    counts = elimination._close(_merged(cells, d, w, shift, floor), d, w, shift)
     matrix = np.pad(_matrix(LEVEL_ONE, diag), (0, 1))
     matrix[6, LEVEL_ONE[child]] = matrix[LEVEL_ONE[child], 6] = coupling
     matrix[6, 6] = 0.7 + shift.item()
@@ -127,17 +117,16 @@ def test_a_delayed_row_is_carried_up_two_merges(bc):
     diag = operators.assemble(region, bc, np.zeros(len(region))).diagonal
     energies = np.array([5.0])
     d, w, shift, floor = _rows(diag, energies)
-    kids = cells.reshape(-1, 3, 3)
-    negatives, schur, delayed = elimination._first_merge(
-        kids, d, w, elimination._codes(diag[None], np.ones((1, len(diag)))), shift, floor)
-    assert np.bincount(delayed[1], minlength=9).tolist() == [2] * 9
+    state = elimination._first_merge(
+        elimination._unit_cells(cells), d, w,
+        elimination._codes(diag[None], np.ones((1, len(diag)))), shift, floor)
+    _, blocks, _, _ = state.delayed
+    assert state.index is not None and np.bincount(blocks, minlength=9).tolist() == [2] * 9
     for left in (9, 3):
-        kids = kids[:, [0, 1, 2], [0, 1, 2]].reshape(-1, 3, 3)
-        more, schur, delayed = elimination._merge(schur, elimination._pivots(
-            kids[:, [0, 0, 1], [1, 2, 2]], d, w, shift), delayed, floor)
-        negatives = negatives + more.sum(axis=1)
-        assert len(delayed[0]) == left
-    counts = _top(negatives, schur, delayed, kids[0, [0, 1, 2], [0, 1, 2]], diag, shift)
+        state = _merged(state, d, w, shift, floor)
+        rows, _, _, _ = state.delayed
+        assert len(rows) == left
+    counts = elimination._close(state, d, w, shift)
     assert counts.tolist() == _dense(cells, diag, energies).tolist() == [27]
 
 
@@ -171,24 +160,46 @@ def test_a_merge_gathers_the_first_merges_entries_as_the_taken_arrays(level, ene
     diag = np.array([operators.assemble(region, bc, values).diagonal
                      for bc in operators.BOUNDARY_CONDITIONS])
     d, w, shift, floor = _rows(diag, np.array(energies))
-    kids = region.cells[0].reshape(-1, 3, 3)
-    _, (entries, index), delayed = elimination._first_merge(
-        kids, d, w, elimination._codes(diag, np.ones(diag.shape)), shift, floor)
-    assert index is not None and len(delayed[0])
-    kids = kids[:, [0, 1, 2], [0, 1, 2]].reshape(-1, 3, 3)
-    lazy, taken = (elimination._merge(schur, elimination._pivots(
-        kids[:, [0, 0, 1], [1, 2, 2]], d, w, shift), delayed, floor)
-        for schur in ((entries, index), ([x.take(index) for x in entries], None)))
-    assert lazy[0].tobytes() == taken[0].tobytes()
-    assert [x.tobytes() for x in lazy[1][0]] == [x.tobytes() for x in taken[1][0]]
-    assert [x.tobytes() for x in lazy[2]] == [x.tobytes() for x in taken[2]]
-    assert len(lazy[2][0])
+    state = elimination._first_merge(
+        elimination._unit_cells(region.cells[0]), d, w,
+        elimination._codes(diag, np.ones(diag.shape)), shift, floor)
+    rows, _, _, _ = state.delayed
+    assert state.index is not None and len(rows)
+    lazy, taken = (_merged(s, d, w, shift, floor) for s in (state, elimination._joined([state])))
+    assert lazy.negatives.tobytes() == taken.negatives.tobytes()
+    assert [x.tobytes() for x in lazy.entries] == [x.tobytes() for x in taken.entries]
+    assert [x.tobytes() for x in lazy.delayed] == [x.tobytes() for x in taken.delayed]
+    rows, _, _, _ = lazy.delayed
+    assert len(rows)
 
 
 def _trials(region, spec, count, rules=operators.BOUNDARY_CONDITIONS):
     """The operator of each rule for each of ``count`` trials of ``spec``."""
     return [operators.assemble(region, bc, operators.sample_potential(region, spec, t))
             for t in range(count) for bc in rules]
+
+
+@pytest.mark.parametrize("region", [build_triangle(5), build_triangle(6), build_ball(4)],
+                         ids=["triangle5", "triangle6", "ball4"])
+def test_a_tree_eliminated_a_third_at_a_time_counts_as_one_pass(region):
+    # a driver outside the kernel, as a stream of subtrees would run it:
+    # each third of a tree eliminated on its own, the three joined and
+    # merged once, the trees joined and the last block closed; each rule,
+    # the free operators at their tie energies 2, 5 and 6 and two Bernoulli
+    # 0/10 trials at 0..26
+    for law, energies in ((operators.constant(0.0), [2.0, 5.0, 6.0]),
+                          (operators.bernoulli(0.0, 10.0, 0.5, seed=0), np.arange(27.0))):
+        diag = np.array([ham.diagonal for ham in _trials(region, law, 2)])
+        d, w, shift, floor = _rows(diag, np.array(energies))
+        codes, trees = elimination._codes(diag, np.ones(diag.shape)), []
+        for tree in region.cells:
+            thirds = elimination._joined([elimination._eliminate(part, d, w, codes, shift,
+                                                                 floor)
+                                          for part in np.split(tree, 3)])
+            trees.append(_merged(thirds, d, w, shift, floor))
+        counts = elimination._close(elimination._joined(trees), d, w, shift)
+        assert counts.tolist() == elimination.negative_counts(
+            region.cells, diag, np.ones(diag.shape), shift[..., 0]).ravel().tolist()
 
 
 #: The sha256 of the counts below, as the kernel gave them before its merges

@@ -712,9 +712,10 @@ def test_delayed_pivots_match_dense_at_tie_energies(monkeypatch):
     delayed = []
     merge = elimination._merge
 
-    def recording(schur, corners, rows, *args):
-        delayed.append(len(rows[0]))
-        return merge(schur, corners, rows, *args)
+    def recording(state, *args):
+        rows, _, _, _ = state.delayed
+        delayed.append(len(rows))
+        return merge(state, *args)
 
     monkeypatch.setattr(elimination, "_merge", recording)
     energies = sorted(set(TIE_ENERGIES) | {12.0, 15.0})
@@ -777,11 +778,11 @@ def test_free_counts_at_five_and_six_keep_the_top_block_small(monkeypatch):
     eliminate = elimination._eliminate
 
     def recording(*args):
-        result = eliminate(*args)
+        state = eliminate(*args)
         if len(args) == 6:  # a whole tree, merged to its top triangle
-            left.append(np.bincount(result[3][0], minlength=len(args[4])).max(
-                initial=0))
-        return result
+            rows, _, _, _ = state.delayed
+            left.append(np.bincount(rows).max(initial=0))
+        return state
 
     monkeypatch.setattr(elimination, "_eliminate", recording)
     energies = [5.0, 6.0]
