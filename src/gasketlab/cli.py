@@ -159,6 +159,9 @@ def cmd_ids(args) -> int:
     _write_config(args, args.out + ".config")
     print(f"IDS curve ({args.trials} trials, |region|={curve.region_size}) "
           f"-> {args.out}.curve.csv")
+    if not curve.mean_counts.any():
+        print(f"every count is 0: no trial has an eigenvalue at or below the "
+              f"grid's top energy {curve.energies[-1]:.6g}")
     if args.fit != "none":
         report = _fit_curve(curve, args.fit, window)
         _write_json(report, args.out + ".fit.json")

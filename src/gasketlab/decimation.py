@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
+from .operators import _philox_random
 
 #: Points of the normalized spectrum lie in [BOTTOM, 0].
 BOTTOM = -1.5
@@ -218,7 +219,9 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     The explicit part is {-3/2} plus the preimages of -3/4 to ``depth``
     compositions; its limit points are approximated by seeded random
     backward orbits, 40 steps of the two inverse branches started from -3/2
-    (tagged generation -1).  Points within DEDUP_TOL of a smaller one are
+    (tagged generation -1), step s of orbit j taking the upper branch when
+    draw s * julia_samples + j of the Philox stream keyed (seed, 1) is
+    below 1/2.  Points within DEDUP_TOL of a smaller one are
     dropped.  On the (-4x) scale everything lies in [0, 6].  A negative
     depth or a seed outside [0, 2^64) is a ValidationError, a depth above
     MAX_DEPTH a CapacityError.
@@ -238,11 +241,9 @@ def free_spectrum_approx(depth: int, julia_samples: int = 10_000,
     gens = np.concatenate([np.full(len(z), g) for g, z in enumerate(layers)]
                           + [[0]])
     if julia_samples > 0:
-        key = np.array([seed, 1], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        draws = _philox_random((seed, 1), 40 * julia_samples)
         z = np.full(julia_samples, BOTTOM)
-        for _ in range(40):
-            take_upper = rng.random(julia_samples) < 0.5
+        for take_upper in draws.reshape(40, julia_samples) < 0.5:
             z = np.where(take_upper, f(z), lower_branch(z))
         pts = np.append(pts, z)
         gens = np.append(gens, np.full(julia_samples, -1))

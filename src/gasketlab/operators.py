@@ -108,23 +108,66 @@ def table_cdf(rows, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
                          seed=seed, scale=scale)
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): its two multipliers and two key increments.  Every constant is
+# an np.uint64: under numpy 1's value-based casting a uint64 scalar combined
+# with a Python int is a float64.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_CHUNK = 2**14  # counter blocks per pass: 128 KiB per temporary
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m * x, from 32-bit
+    halves (numpy has no 128-bit integer)."""
+    m0, m1 = m & _LOW32, m >> _32
+    x0, x1 = x & _LOW32, x >> _32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = ((m0 * x0) >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return m1 * x1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32), m * x
+
+
+def _philox_random(key: tuple[int, int], n: int) -> np.ndarray:
+    """``np.random.Generator(np.random.Philox(key=key)).random(n)``, bit for
+    bit, without numpy.random: counter block i + 1 (the counter's low word;
+    its other three are 0) gives words 4i..4i+3, and word w is the double
+    (w >> 11) * 2^-53.  The counters go in chunks of _PHILOX_CHUNK blocks,
+    so the temporaries stay a few MiB at any n."""
+    keys = [tuple(np.uint64((k + r * w) % 2**64) for k, w in zip(key, _PHILOX_W))
+            for r in range(10)]
+    out = np.empty(n)
+    blocks = -(-n // 4)
+    for start in range(0, blocks, _PHILOX_CHUNK):
+        low = np.arange(start + 1, min(start + _PHILOX_CHUNK, blocks) + 1,
+                        dtype=np.uint64)
+        zero = np.zeros_like(low)
+        x = (low, zero, zero, zero)
+        for k0, k1 in keys:
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
+            x = (hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0)
+        words = np.stack(x, axis=1).ravel()[:n - 4 * start]
+        out[4 * start:4 * start + len(words)] = (words >> np.uint64(11)) * 2.0**-53
+    return out
+
+
 def sample_potential(region: LatticeRegion, spec: PotentialSpec,
                      trial: int = 0) -> np.ndarray:
     """Draw the i.i.d. potential vector in canonical vertex order.
 
-    Uses a counter-based generator keyed by (seed, trial), each in [0,
-    2^64) (else a ValidationError), so trials can be evaluated
-    concurrently and in any order with identical results; a one-atom law
-    draws nothing.
+    Uses the counter-based Philox4x64-10 keyed by (seed, trial), each in
+    [0, 2^64) (else a ValidationError): vertex rank r draws word r mod 4 of
+    counter block r // 4 + 1, so trials can be evaluated concurrently and
+    in any order with identical results, and a vertex's draw is addressed
+    by its rank alone; a one-atom law draws nothing.
     """
     if not 0 <= trial < 2**64:
         raise ValidationError(f"trial must be in [0, 2^64), got {trial}")
     n = len(region)
     if len(spec.values) == 1:
         return np.full(n, spec.scale * spec.values[0])
-    key = np.array([spec.seed, trial], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    u = rng.random(n)
+    u = _philox_random((spec.seed, trial), n)
     if spec.masses is None:
         a, b = spec.values
         values = a + (b - a) * u

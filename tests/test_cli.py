@@ -640,6 +640,47 @@ def test_scipy_modules_load_only_where_needed(tmp_path, args):
     assert done.stdout.splitlines()[-1:] == ["0 []"], done.stderr
 
 
+def test_no_run_that_draws_loads_numpy_random(tmp_path):
+    # the potential and the Julia orbits draw from operators._philox_random,
+    # so numpy.random, and the hashlib and secrets that seed it, stay out
+    # of the process (about 6 MiB of peak RSS); numpy < 2 imports
+    # numpy.random with numpy itself, and there the test has nothing to see
+    calls = [["ids", "--level", "4", "--dist", "uniform:0,1", "--trials", "2"],
+             ["spectrum", "--level", "3", "--dist", "bernoulli:0,10,0.5"],
+             ["lattice", "--level", "3"],
+             ["decimate", "--free", "--depth", "3"]]
+    code = ("import sys\nimport numpy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from gasketlab.cli import main\n"
+            f"print([main(args + ['--out', 'o']) for args in {calls!r}],\n"
+            "      'numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(gasketlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    lines = done.stdout.splitlines()
+    if lines[:1] == ["True"]:
+        pytest.skip("importing numpy loads numpy.random")
+    assert lines[:1] + lines[-1:] == ["False", "[0, 0, 0, 0] False"], done.stderr
+
+
+def test_ids_says_when_every_count_is_zero(tmp_path, capsys):
+    # criterion 10's situation: no eigenvalue of any trial lies on the
+    # default tail grid; the curve file is written as ever
+    common = ["ids", "--level", "4", "--trials", "2"]
+    assert main([*common, "--dist", "uniform:0,1", "--out",
+                 str(tmp_path / "zero")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "every count is 0: no trial has an eigenvalue at or below the "
+        "grid's top energy 0.1")
+    assert not np.loadtxt(tmp_path / "zero.curve.csv", delimiter=",",
+                          skiprows=1)[:, 1].any()
+    assert main([*common, "--dist", "const:0", "--out",
+                 str(tmp_path / "free")]) == 0
+    assert "every count is 0" not in capsys.readouterr().out
+
+
 #: One call of every subcommand and its documented exit code: 1 for
 #: ``verify --suite all``, whose containment record at radius 2^6 fails.
 NO_SCIPY_CALLS = [

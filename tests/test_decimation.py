@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gasketlab import operators, spectra
-from gasketlab.decimation import (BOTTOM, R, branch_iteration_bounds,
+from gasketlab.decimation import (BOTTOM, DEDUP_TOL, DecimationSpectrum, R,
+                                  _preimages, branch_iteration_bounds,
                                   dirichlet_ground, f, free_spectrum_approx,
                                   iterate_f, iteration_sum, lower_branch,
                                   neumann_counts, neumann_gap, neumann_spectrum)
@@ -194,6 +195,29 @@ def test_free_spectrum_stays_in_band():
     assert comb.min() >= -1e-12 and comb.max() <= 6.0 + 1e-12
     again = free_spectrum_approx(3, julia_samples=2000, seed=1)
     assert np.array_equal(spectrum.points, again.points)
+
+
+def test_free_spectrum_julia_orbits_draw_one_philox_stream():
+    # the 40 steps read one contiguous stream keyed (seed, 1), as 40 calls
+    # of random(julia_samples) on one numpy generator do
+    n = 10_001
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 1], dtype=np.uint64)))
+    z = np.full(n, BOTTOM)
+    for _ in range(40):
+        z = np.where(rng.random(n) < 0.5, f(z), lower_branch(z))
+    layers = [np.array([-0.75])]
+    for _ in range(3):
+        layers.append(_preimages(layers[-1]))
+    points = np.concatenate(layers + [[BOTTOM], z])
+    gens = np.concatenate([np.full(len(x), g) for g, x in enumerate(layers)]
+                          + [[0], np.full(n, -1)])
+    order = np.argsort(points, kind="stable")
+    points, gens = points[order], gens[order]
+    keep = np.concatenate([[True], np.diff(points) > DEDUP_TOL])
+    expected = DecimationSpectrum(points[keep], gens[keep])
+    spectrum = free_spectrum_approx(3, julia_samples=n)
+    assert spectrum.points.tobytes() == expected.points.tobytes()
+    assert np.array_equal(spectrum.generations, expected.generations)
 
 
 def test_free_spectrum_keeps_julia_points_apart_by_the_dedup_tolerance():

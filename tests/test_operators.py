@@ -95,16 +95,19 @@ def test_a_draw_above_a_tables_last_mass_takes_its_last_atom(monkeypatch):
     # a last mass within 1e-12 of 1 is accepted; the largest draw below 1
     # lies above it and takes the last atom, not an index past the table
     spec = table_cdf([(0.0, 0.5), (1.0, 0.9999999999999)])
-
-    class Top:
-        def __init__(self, bit_generator):
-            pass
-
-        def random(self, n):
-            return np.full(n, np.nextafter(1.0, 0.0))
-
-    monkeypatch.setattr(np.random, "Generator", Top)
+    monkeypatch.setattr(operators, "_philox_random",
+                        lambda key, n: np.full(n, np.nextafter(1.0, 0.0)))
     assert np.array_equal(sample_potential(build_triangle(1), spec), np.ones(6))
+
+
+@pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1), (12345, 2**63 + 7)])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 9843, 797163])
+def test_philox_draws_equal_numpys_philox_byte_for_byte(key, n):
+    # 9843 and 797163 are the level-8 and level-12 half triangles; 797163
+    # draws span 13 chunks of counters, the last one partial
+    words = np.array(key, dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=words)).random(n)
+    assert operators._philox_random(key, n).tobytes() == expected.tobytes()
 
 
 def test_table_cdf_validation():
