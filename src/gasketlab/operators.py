@@ -109,23 +109,25 @@ def table_cdf(rows, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11): its two multipliers and two key increments.  Every constant is
-# an np.uint64: under numpy 1's value-based casting a uint64 scalar combined
-# with a Python int is a float64.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# 3", SC'11): its two multipliers, each with its 32-bit halves, and its two
+# key increments.  Every constant is an np.uint64: under numpy 1's
+# value-based casting a uint64 scalar combined with a Python int is a float64.
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M = tuple((m, m & _LOW32, m >> _32) for m in
+                  (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_CHUNK = 2**14  # counter blocks per pass: 128 KiB per temporary
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of the 128-bit products m * x, from 32-bit
-    halves (numpy has no 128-bit integer)."""
-    m0, m1 = m & _LOW32, m >> _32
+def _mulhilo(multiplier: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products of a ``multiplier``
+    (its word and halves) and x, from 32-bit halves (numpy has no 128-bit
+    integer); no sum below overflows 64 bits."""
+    m, m0, m1 = multiplier
     x0, x1 = x & _LOW32, x >> _32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = ((m0 * x0) >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return m1 * x1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32), m * x
+    t = ((m0 * x0) >> _32) + m0 * x1
+    u = (t & _LOW32) + m1 * x0
+    return m1 * x1 + (t >> _32) + (u >> _32), m * x
 
 
 def _philox_random(key: tuple[int, int], n: int) -> np.ndarray:
