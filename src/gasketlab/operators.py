@@ -109,25 +109,14 @@ def table_cdf(rows, seed: int = 0, scale: float = 1.0) -> PotentialSpec:
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11): its two multipliers, each with its 32-bit halves, and its two
-# key increments.  Every constant is an np.uint64: under numpy 1's
+# 3", SC'11): its two multipliers, as a column with their 32-bit halves, and
+# its two key increments.  Every constant is np.uint64: under numpy 1's
 # value-based casting a uint64 scalar combined with a Python int is a float64.
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_PHILOX_M = tuple((m, m & _LOW32, m >> _32) for m in
-                  (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_CHUNK = 2**14  # counter blocks per pass: 128 KiB per temporary
-
-
-def _mulhilo(multiplier: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of the 128-bit products of a ``multiplier``
-    (its word and halves) and x, from 32-bit halves (numpy has no 128-bit
-    integer); no sum below overflows 64 bits."""
-    m, m0, m1 = multiplier
-    x0, x1 = x & _LOW32, x >> _32
-    t = ((m0 * x0) >> _32) + m0 * x1
-    u = (t & _LOW32) + m1 * x0
-    return m1 * x1 + (t >> _32) + (u >> _32), m * x
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M0, _PHILOX_M1 = _PHILOX_M & _LOW32, _PHILOX_M >> _32
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_CHUNK = 2**14  # counter blocks per pass: 256 KiB per temporary
 
 
 def _philox_random(key: tuple[int, int], n: int) -> np.ndarray:
@@ -136,20 +125,27 @@ def _philox_random(key: tuple[int, int], n: int) -> np.ndarray:
     its other three are 0) gives words 4i..4i+3, and word w is the double
     (w >> 11) * 2^-53.  The counters go in chunks of _PHILOX_CHUNK blocks,
     so the temporaries stay a few MiB at any n."""
-    keys = [tuple(np.uint64((k + r * w) % 2**64) for k, w in zip(key, _PHILOX_W))
-            for r in range(10)]
+    # round r's key, as a column; uint64 arrays wrap mod 2^64
+    keys = (np.array(key, dtype=np.uint64)[:, None]
+            + _PHILOX_W * np.arange(10, dtype=np.uint64)).T[:, :, None]
     out = np.empty(n)
     blocks = -(-n // 4)
     for start in range(0, blocks, _PHILOX_CHUNK):
-        low = np.arange(start + 1, min(start + _PHILOX_CHUNK, blocks) + 1,
-                        dtype=np.uint64)
-        zero = np.zeros_like(low)
-        x = (low, zero, zero, zero)
-        for k0, k1 in keys:
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
-            x = (hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0)
-        words = np.stack(x, axis=1).ravel()[:n - 4 * start]
+        stop = min(start + _PHILOX_CHUNK, blocks)
+        # words 0 and 2 of each block in `even`, words 1 and 3 in `odd`
+        even = np.zeros((2, stop - start), dtype=np.uint64)
+        even[0] = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        odd = np.zeros_like(even)
+        for k in keys:
+            # the high words of the 128-bit products _PHILOX_M * even, from
+            # 32-bit halves (numpy has no 128-bit integer); no sum overflows
+            x0, x1 = even & _LOW32, even >> _32
+            t = ((_PHILOX_M0 * x0) >> _32) + _PHILOX_M0 * x1
+            u = (t & _LOW32) + _PHILOX_M1 * x0
+            hi = _PHILOX_M1 * x1 + (t >> _32) + (u >> _32)
+            even, odd = hi[::-1] ^ odd ^ k, (_PHILOX_M * even)[::-1]
+        words = np.stack([even, odd], axis=2).transpose(1, 0, 2).ravel()
+        words = words[:n - 4 * start]
         out[4 * start:4 * start + len(words)] = (words >> np.uint64(11)) * 2.0**-53
     return out
 
