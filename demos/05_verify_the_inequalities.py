@@ -6,7 +6,7 @@ from collections import defaultdict
 from gasketlab import verification
 
 suites = [
-    ("counting", dict(levels=(3, 4), seeds=5)),
+    ("counting", dict(levels=(3, 4), seeds=5, grid_n=64)),
     ("interlacing", dict(dim=50, trials=25)),
     ("psd", dict(dim=40, trials=25)),
     ("branch", dict(n=30, samples=50)),

@@ -148,7 +148,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_ids(args) -> int:
     potential = parse_distribution(args.dist, args.seed, args.pot_scale)
-    window = _parse_window(args.window) if args.fit != "none" else None
+    window = _parse_window(args.window)
     grid = _parse_grid(args, potential)
     if args.trials is None:
         args.trials = 8 if args.level >= 8 else 32
@@ -210,9 +210,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = ({} if args.suite == "all"
-              else verification.SUITE_TABLE[args.suite].options(args))
-    records = verification.run_suite(args.suite, seed=args.seed, **kwargs)
+    options = {} if args.suite == "all" else {
+        name: getattr(args, name)
+        for name in verification.suite_parameters(args.suite) if name != "seed"}
+    records = verification.run_suite(args.suite, seed=args.seed, **options)
     passed = all(r.passed for r in records)
     report = {"suite": args.suite, "passed": passed,
               "total": len(records),

@@ -8,8 +8,9 @@ eigenvalues and counts they compare come from :mod:`gasketlab.spectra`.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ def default_distributions(seed: int = 0):
     }
 
 
-def counting_suite(levels=(4,), seeds=20, grid_points=64,
-                   seed=0) -> list[CheckRecord]:
+def counting_suite(levels, seeds, grid_n, seed) -> list[CheckRecord]:
     """Counting-function comparisons on gasket triangles, per sampled
     potential: (a) the counting functions of the six operators (full and
     truncated triangle, three boundary conditions each) never differ by
@@ -67,7 +67,7 @@ def counting_suite(levels=(4,), seeds=20, grid_points=64,
         raise ValidationError(f"counting checks need levels >= 2, got {min(levels)}")
     records = []
     for name, spec in default_distributions(seed).items():
-        grid = ids.global_grid(spec, grid_points)
+        grid = ids.global_grid(spec, grid_n)
         lo, hi = spec.support()  # a one-point law takes one trial
         trials = 1 if lo == hi else seeds
         for level in levels:
@@ -139,7 +139,7 @@ def _goe(rng, dim, radius=10.0):
 INTERLACING_ENERGIES = 100
 
 
-def interlacing_suite(dim=50, trials=50, seed=0) -> list[CheckRecord]:
+def interlacing_suite(dim, trials, seed) -> list[CheckRecord]:
     """Projection and perturbation counting bounds on random matrices.
 
     Per trial: (a) deleting ``codim`` coordinates moves the count up by at
@@ -201,7 +201,7 @@ def interlacing_suite(dim=50, trials=50, seed=0) -> list[CheckRecord]:
     return records
 
 
-def psd_suite(dim=40, trials=100, seed=0) -> list[CheckRecord]:
+def psd_suite(dim, trials, seed) -> list[CheckRecord]:
     """Ordered-eigenvalue bounds for products of PSD matrices:
     smallest(A)*E_j(B) <= E_j(AB) <= largest(A)*E_j(B) for every j."""
     if not 1 <= dim <= 100:
@@ -226,7 +226,7 @@ def psd_suite(dim=40, trials=100, seed=0) -> list[CheckRecord]:
     return records
 
 
-def branch_suite(n=30, samples=100) -> list[CheckRecord]:
+def branch_suite(n, samples) -> list[CheckRecord]:
     report = decimation.branch_iteration_bounds(
         n, np.linspace(-1.0, 0.0, samples))
     worst = min(report["worst_lower_margin"], report["worst_upper_margin"],
@@ -235,7 +235,7 @@ def branch_suite(n=30, samples=100) -> list[CheckRecord]:
                         f"n={n} samples={samples}", -worst, 1e-13)]
 
 
-def temple_suite(levels=(2, 3, 4), seeds=100, seed=0) -> list[CheckRecord]:
+def temple_suite(levels, seeds, seed) -> list[CheckRecord]:
     """Temple bound never exceeds the dense ground state."""
     records = []
     for name, spec in default_distributions(seed).items():
@@ -313,22 +313,20 @@ def spectrum_containment_check(level, potential_spec, decimation_depth) -> dict:
     return report
 
 
-def containment_suite(level=6, depth=3, seed=0) -> list[CheckRecord]:
-    """Spectrum containment for an atomic and an interval potential."""
+def containment_suite(levels, depth, seed) -> list[CheckRecord]:
+    """Spectrum containment for an atomic and an interval potential, on
+    the ball of each level."""
+    laws = default_distributions(seed)
     records = []
-    rep = spectrum_containment_check(
-        level, bernoulli(0.0, 10.0, 0.5, seed=seed), depth)
-    records.append(CheckRecord(
-        "containment", f"bernoulli_0_10 level={level}",
-        rep["containment_max_violation"], 1e-9))
-    rep = spectrum_containment_check(
-        level, uniform(0.0, 1.0, seed=seed), depth)
-    records.append(CheckRecord(
-        "containment", f"uniform_0_1 level={level}",
-        rep["containment_max_violation"], 1e-9))
-    records.append(CheckRecord(
-        "containment-proximity", f"uniform_0_1 level={level} depth={depth}",
-        rep["proximity_delta"], 0.2))
+    for level in levels:
+        for name in ("bernoulli_0_10", "uniform_0_1"):
+            rep = spectrum_containment_check(level, laws[name], depth)
+            records.append(CheckRecord(
+                "containment", f"{name} level={level}",
+                rep["containment_max_violation"], 1e-9))
+        records.append(CheckRecord(
+            "containment-proximity", f"uniform_0_1 level={level} depth={depth}",
+            rep["proximity_delta"], 0.2))
     return records
 
 
@@ -407,7 +405,7 @@ def zero_extension_residual(level: int, vector: np.ndarray) -> float:
     return _relative_residual_at_six(outer, x)
 
 
-def kernel_suite(levels=(3, 4, 5)) -> list[CheckRecord]:
+def kernel_suite(levels) -> list[CheckRecord]:
     """Compactly supported eigenfunctions at energy 6 and their translates."""
     if min(levels, default=2) < 2:
         raise ValidationError(f"kernel6 checks need levels >= 2, got {min(levels)}")
@@ -441,7 +439,7 @@ def translated_kernel_residual(level: int) -> float:
     return _relative_residual_at_six(ball, x)
 
 
-def decay_suite(max_level=10) -> list[CheckRecord]:
+def decay_suite(max_level) -> list[CheckRecord]:
     """Two-sided 5^-level decay of the spectral-gap and ground-state
     formulas, dense below level 6 and by iteration above; past level 440,
     where 5^-level turns subnormal, a CapacityError."""
@@ -468,7 +466,7 @@ def decay_suite(max_level=10) -> list[CheckRecord]:
                 "ground-formula", f"level={level}",
                 abs(dense_ground - ground), 1e-9))
             value = upper = dense_gap
-        lo, hi = 7.5 * scale, 60.0 * scale
+        lo, hi = ids.TEMPLE_C0 * scale, 60.0 * scale
         records.append(CheckRecord(
             "neumann-gap-bounds", f"level={level}",
             max(lo - value, upper - hi), 0.0))
@@ -479,56 +477,47 @@ def decay_suite(max_level=10) -> list[CheckRecord]:
 
 
 class Suite(NamedTuple):
-    """One named suite.  ``function`` names its function in this module; it
-    is looked up at call time, so the module attribute stays its one
-    binding.  ``options`` maps the parsed ``verify`` command line to its
-    keyword arguments; ``in_all`` holds its keyword arguments under
-    ``all``."""
+    """One named suite: the name of its function in this module, looked up
+    at call time so the module attribute stays its one binding, and its
+    sizes under ``all``.  The function's parameters are ``verify`` options."""
 
     function: str
-    seeded: bool
-    options: Callable[..., dict]
     in_all: dict
 
 
 SUITE_TABLE = {
-    "counting": Suite("counting_suite", True, lambda a: {
-        "levels": tuple(a.levels), "seeds": a.seeds, "grid_points": a.grid_n},
-        {"levels": (3,), "seeds": 5}),
-    "interlacing": Suite("interlacing_suite", True, lambda a: {
-        "dim": a.dim, "trials": a.trials}, {"dim": 50, "trials": 25}),
-    "psd": Suite("psd_suite", True, lambda a: {
-        "dim": a.dim, "trials": a.trials}, {"dim": 40, "trials": 25}),
-    "branch": Suite("branch_suite", False, lambda a: {
-        "n": a.n, "samples": a.samples}, {"n": 30, "samples": 50}),
-    "temple": Suite("temple_suite", True, lambda a: {
-        "levels": tuple(a.levels), "seeds": a.seeds},
-        {"levels": (2, 3), "seeds": 25}),
-    "containment": Suite("containment_suite", True, lambda a: {
-        "level": a.levels[0], "depth": a.depth}, {"level": 5, "depth": 3}),
-    "kernel6": Suite("kernel_suite", False, lambda a: {
-        "levels": tuple(a.levels)}, {"levels": (3, 4)}),
-    "decay": Suite("decay_suite", False, lambda a: {
-        "max_level": a.max_level}, {"max_level": 10}),
+    "counting": Suite("counting_suite", {"levels": (3,), "seeds": 5, "grid_n": 64}),
+    "interlacing": Suite("interlacing_suite", {"dim": 50, "trials": 25}),
+    "psd": Suite("psd_suite", {"dim": 40, "trials": 25}),
+    "branch": Suite("branch_suite", {"n": 30, "samples": 50}),
+    "temple": Suite("temple_suite", {"levels": (2, 3), "seeds": 25}),
+    "containment": Suite("containment_suite", {"levels": (5,), "depth": 3}),
+    "kernel6": Suite("kernel_suite", {"levels": (3, 4)}),
+    "decay": Suite("decay_suite", {"max_level": 10}),
 }
 
 SUITES = (*SUITE_TABLE, "all")
 
 
-def _run(suite: Suite, seed: int, kwargs: dict) -> list[CheckRecord]:
-    if suite.seeded:
-        kwargs = {**kwargs, "seed": seed}
-    return globals()[suite.function](**kwargs)
+def suite_parameters(name: str) -> tuple[str, ...]:
+    """The parameters of suite ``name``: the ``verify`` options it reads."""
+    return tuple(inspect.signature(globals()[SUITE_TABLE[name].function]).parameters)
+
+
+def _run(name: str, seed: int, kwargs: dict) -> list[CheckRecord]:
+    keyed = {"seed": seed} if "seed" in suite_parameters(name) else {}
+    return globals()[SUITE_TABLE[name].function](**kwargs, **keyed)
 
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> list[CheckRecord]:
-    """Run a named suite; ``all`` concatenates every suite at its
-    ``in_all`` sizes and takes no keyword but ``seed``."""
+    """Run a named suite on the options its parameters name, and ``seed``
+    if it takes one; ``all`` concatenates every suite at its ``in_all``
+    sizes and takes no keyword but ``seed``."""
     if name == "all":
         if kwargs:
             raise ValidationError(f"suite 'all' takes no options, got {sorted(kwargs)}")
-        return [record for suite in SUITE_TABLE.values()
-                for record in _run(suite, seed, suite.in_all)]
+        return [record for suite in SUITE_TABLE
+                for record in _run(suite, seed, SUITE_TABLE[suite].in_all)]
     if name not in SUITE_TABLE:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _run(SUITE_TABLE[name], seed, kwargs)
+    return _run(name, seed, kwargs)

@@ -80,7 +80,7 @@ def test_criterion_03_gap_and_ground_constants():
 def test_criterion_04_counting_bound_suite():
     start = time.time()
     records = verification.counting_suite(
-        levels=(2, 3, 4, 5, 6), seeds=20, grid_points=64)
+        levels=(2, 3, 4, 5, 6), seeds=20, grid_n=64, seed=0)
     failed = [r for r in records if not r.passed]
     elapsed = time.time() - start
     ok = not failed and elapsed < 600.0

@@ -243,6 +243,31 @@ def test_all_suites_take_no_options():
         verification.run_suite("all", levels=(9,), dim=3)
 
 
+def test_every_suite_parameter_is_a_verify_option():
+    # verify passes each suite the options its parameters name, so a
+    # parameter the parser lacks, or an ``all`` size no parameter takes,
+    # would fail only when that suite runs
+    options = _parser_options()["verify"]
+    for name, suite in verification.SUITE_TABLE.items():
+        parameters = set(verification.suite_parameters(name)) - {"seed"}
+        assert {"--" + p.replace("_", "-") for p in parameters} <= set(options), name
+        assert set(suite.in_all) <= parameters, name
+
+
+def test_containment_checks_every_level(tmp_path):
+    # three records per level, as one level writes them; the proximity
+    # records fail at these radii, so the run exits 1
+    assert run(["verify", "--suite", "containment", "--levels", "3", "4",
+                "--out", "c.json"], tmp_path) == 1
+    records = json.loads((tmp_path / "c.json").read_text())["records"]
+    expected = []
+    for level in (3, 4):
+        expected += [("containment", f"bernoulli_0_10 level={level}"),
+                     ("containment", f"uniform_0_1 level={level}"),
+                     ("containment-proximity", f"uniform_0_1 level={level} depth=3")]
+    assert [(r["check_id"], r["instance"]) for r in records] == expected
+
+
 def test_ids_with_power_fit(tmp_path):
     rc = run(["ids", "--level", "5", "--dist", "const:0", "--trials", "1",
               "--grid-n", "24", "--grid-lo", "1e-3", "--grid-hi", "0.5",
@@ -413,6 +438,12 @@ def test_ids_bad_window_usage_error(tmp_path, capsys):
         _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
                               "--trials", "1", "--fit", "power",
                               f"--window={window}", "--out", "i"], tmp_path)
+
+
+def test_ids_window_is_checked_without_a_fit(tmp_path, capsys):
+    # the window is written to .config, where a replay with --fit reads it
+    _usage_error(capsys, ["ids", "--level", "2", "--dist", "const:0",
+                          "--window", "abc", "--out", "i"], tmp_path)
 
 
 def test_fit_window_at_zero_usage_error(tmp_path, capsys):

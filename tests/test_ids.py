@@ -6,7 +6,7 @@ from gasketlab.errors import InsufficientDataError, ValidationError
 from gasketlab.ids import (IdsCurve, bc_independence_report, estimate_ids,
                            exponential_tail_fit, free_ids_exponent,
                            lifshitz_fit, read_curve_csv, temple_check,
-                           temple_lower_bound, truncated_potential)
+                           temple_lower_bound)
 from gasketlab.lattice import build_ball, build_triangle
 from gasketlab.operators import bernoulli, constant, uniform
 
@@ -161,18 +161,20 @@ def test_bc_independence_report():
 
 
 def test_truncated_potential_cap():
-    assert np.all(truncated_potential(np.zeros(5), 3) == 0.0)
-    assert truncated_potential(np.array([100.0]), 2)[0] == pytest.approx(0.1)
-    small = np.array([1e-4])
-    assert truncated_potential(small, 2)[0] == pytest.approx(5e-5)
+    # the bound is half the mean of the half potential capped at
+    # (c0/3) 5^-level, which is 0.1 at level 2
+    assert temple_lower_bound(3, np.zeros(5)) == (0.0, True)
+    value, hypothesis_ok = temple_lower_bound(2, np.array([100.0]))
+    assert value == pytest.approx(0.05) and not hypothesis_ok
+    value, hypothesis_ok = temple_lower_bound(2, np.array([1e-4]))
+    assert value == pytest.approx(2.5e-5) and hypothesis_ok
 
 
 def test_temple_bound_trivia():
-    bound = temple_lower_bound(3, np.zeros(42))
-    assert bound.value == 0.0 and bound.hypothesis_ok
-    capped = temple_lower_bound(2, np.full(15, 100.0))
-    assert not capped.hypothesis_ok
-    assert capped.value == pytest.approx(0.05)
+    assert temple_lower_bound(3, np.zeros(42)) == (0.0, True)
+    value, hypothesis_ok = temple_lower_bound(2, np.full(15, 100.0))
+    assert not hypothesis_ok
+    assert value == pytest.approx(0.05)
 
 
 def test_temple_bound_below_dense_ground_state():

@@ -235,7 +235,7 @@ def test_counting_suite_is_the_same_on_trial_threads(monkeypatch):
             monkeypatch.setattr(spectra.os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: cpus, raising=False)
             records[len(cpus)] = [r.to_dict() for r in verification.counting_suite(
-                levels=(4,), seeds=6)]
+                levels=(4,), seeds=6, grid_n=64, seed=0)]
     finally:
         sys.setswitchinterval(interval)
     assert len(records[1]) == (1 + 6 + 6) * (15 + 6)
